@@ -19,7 +19,6 @@ from .densify import (
     DENSIFY_SCALES,
     MultiScaleFeatures,
     densify,
-    densify_broadcast,
     project_channels,
 )
 from .errors import (

@@ -11,7 +11,7 @@ import configparser
 import hashlib
 import io
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .grid import GridGeometry
@@ -190,7 +190,3 @@ class PipelineConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         return cls.loads(text)
-
-
-def field_names() -> tuple:
-    return tuple(f.name for f in fields(PipelineConfig))

@@ -94,41 +94,3 @@ def densify(ms: MultiScaleFeatures) -> SparseVoxelGrid:
     out = SparseVoxelGrid(geom4, cells, sums / counts[:, None])
     out.meta["contributor_counts"] = counts.astype(np.int64)
     return out
-
-
-def densify_broadcast(ms: MultiScaleFeatures) -> SparseVoxelGrid:
-    """Alternative merge: each coarse voxel covers its whole scale-4 footprint.
-
-    A scale-8 voxel contributes to its 8 covered scale-4 cells, a scale-16
-    voxel to its 64. Averaging is otherwise identical to :func:`densify`.
-    """
-    geom4 = ms.grids[4].geometry
-    aligned = []
-    feats = []
-    for s in DENSIFY_SCALES:
-        g = ms.grids[s]
-        if len(g) == 0:
-            continue
-        f = s // 4
-        if f == 1:
-            cov = g.coords
-            rep = g.features
-        else:
-            rng = np.arange(f, dtype=np.int64)
-            off = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-            cov = (g.coords[:, None, :] * f + off[None, :, :]).reshape(-1, 3)
-            rep = np.repeat(g.features, f ** 3, axis=0)
-        dims = np.asarray(geom4.dims)
-        keep = np.logical_and(cov >= 0, cov < dims).all(axis=1)
-        aligned.append(cov[keep])
-        feats.append(rep[keep])
-    if not aligned:
-        raise EmptyInput("no non-empty voxels at any scale")
-    coords_all = np.concatenate(aligned, axis=0)
-    feats_all = np.concatenate(feats, axis=0)
-    cells, inverse = np.unique(coords_all, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    sums = np.zeros((cells.shape[0], feats_all.shape[1]))
-    np.add.at(sums, inverse, feats_all)
-    counts = np.bincount(inverse, minlength=cells.shape[0]).astype(np.float64)
-    return SparseVoxelGrid(geom4, cells, sums / counts[:, None])

@@ -50,6 +50,9 @@ def read_velodyne_bin(path, sensor_origin=None) -> PointCloud:
     if raw.size % 4 != 0:
         raise ParseError(f"{path}: byte length is not a multiple of 16")
     rows = raw.reshape(-1, 4).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ParseError(f"{path}: {bad.size} rows hold NaN or inf values, first at row {bad[0]}")
     origin = np.zeros(3) if sensor_origin is None else sensor_origin
     return PointCloud(rows[:, :3], rows[:, 3], origin)
 

@@ -40,26 +40,34 @@ def compute_metrics(pred_labels: np.ndarray, gt_labels: np.ndarray, ignore_mask=
         if keep.shape != pred.shape:
             raise ShapeError("ignore mask shape must match the label volumes")
         pred, gt = pred[keep], gt[keep]
+    if pred.dtype.kind not in "biu" or gt.dtype.kind not in "biu":
+        raise ValueError("labels must be integers")
     if pred.min(initial=0) < 0 or gt.min(initial=0) < 0:
         raise ValueError("labels must be non-negative")
+    pred, gt = pred.astype(np.intp, copy=False), gt.astype(np.intp, copy=False)
 
     if num_classes is None:
         num_classes = int(max(pred.max(initial=0), gt.max(initial=0))) + 1
 
-    p_occ = pred != empty_class
-    g_occ = gt != empty_class
-    union = int((p_occ | g_occ).sum())
-    inter = int((p_occ & g_occ).sum())
+    # per-class voxel counts: predicted, ground truth, and both agreeing
+    size = max(num_classes, empty_class + 1)
+    pred_n = np.bincount(pred, minlength=size)
+    gt_n = np.bincount(gt, minlength=size)
+    agree_n = np.bincount(pred[pred == gt], minlength=size)
+
+    # empty voxels; a negative empty class matches no label
+    p_empty, g_empty, both_empty = ((int(n[empty_class]) for n in (pred_n, gt_n, agree_n))
+                                    if empty_class >= 0 else (0, 0, 0))
+    union = pred.size - both_empty
+    inter = pred.size - p_empty - g_empty + both_empty
     iou = inter / union if union else 1.0
 
+    inter_c = agree_n[:num_classes]
+    union_c = pred_n[:num_classes] + gt_n[:num_classes] - inter_c
     per_class = np.full(num_classes, np.nan)
-    for c in range(num_classes):
-        if c == empty_class:
-            continue
-        pc, gc = pred == c, gt == c
-        u = int((pc | gc).sum())
-        if u:
-            per_class[c] = int((pc & gc).sum()) / u
+    np.divide(inter_c, union_c, out=per_class, where=union_c > 0)
+    if 0 <= empty_class < num_classes:
+        per_class[empty_class] = np.nan
     defined = ~np.isnan(per_class)
     miou = float(per_class[defined].mean()) if defined.any() else 0.0
     return MetricsReport(iou=float(iou), miou=miou, per_class_iou=per_class)

@@ -18,7 +18,7 @@ from enum import IntEnum
 import numpy as np
 
 from .camera import CameraModel, back_project
-from .errors import ParseError, ShapeError
+from .errors import ConfigError, ParseError, ShapeError
 from .grid import GridGeometry, VoxelIndex
 from .lidar import PointCloud
 
@@ -171,6 +171,8 @@ def label_camera(rig: list[CameraModel], semantics: np.ndarray, geom: GridGeomet
     semantics = _check_semantics(semantics, geom)
     if not rig:
         raise ValueError("rig must hold at least one camera")
+    if pixel_stride < 1:
+        raise ConfigError(f"pixel stride must be a positive integer, got {pixel_stride}")
     prio = np.zeros(geom.dims, dtype=np.uint8)
     lo = geom.origin_array
     span = np.asarray(geom.dims) * geom.cell_size

@@ -21,7 +21,7 @@ from .densify import MultiScaleFeatures, densify
 from .fusion import DeformableAttnParams, fuse, guide_queries, softmax_rows
 from .grid import GridGeometry, SparseVoxelGrid, subdivide_coords
 from .lidar import PointCloud, SparseConvSpec, multi_scale_stack, sparse_conv, voxelize
-from .occlusion import OCC_CHANNELS, SEM_CHANNELS, assemble_output, decoder_input_set
+from .occlusion import OCC_CHANNELS, SEM_CHANNELS, decoder_input_set
 from .refine import (
     RefinementSets,
     estimate_importance,
@@ -34,6 +34,9 @@ from .refine import (
 from .synthetic import SyntheticScene, ring_rig
 
 OUT_CHANNELS = SEM_CHANNELS + OCC_CHANNELS
+# every voxel no row was scattered to: empty class, empty visibility
+_BACKGROUND_ROW = np.zeros(OUT_CHANNELS)
+_BACKGROUND_ROW[[0, SEM_CHANNELS]] = 1.0
 
 
 @contextmanager
@@ -67,10 +70,12 @@ class ForwardResult:
         return float(sum(self.timings.values()))
 
     def labels_scale4(self) -> np.ndarray:
-        return volume_labels(self.o4)
+        """``volume_labels(o4)``, read from the head's rows only."""
+        return _row_labels(self.o4, self.refined.coords)
 
     def labels_scale1(self) -> np.ndarray:
-        return volume_labels(self.o1)
+        """``volume_labels(o1)``, read from the decoder's rows only."""
+        return _row_labels(self.o1, self.decoder_coords)
 
     def stage_report(self) -> str:
         lines = ["stage            seconds   nonempty"]
@@ -92,6 +97,18 @@ def volume_labels(out21: np.ndarray) -> np.ndarray:
     return np.where(visible, sem, 0).astype(np.int64)
 
 
+def _row_labels(out21: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Labels of an output whose voxels off ``coords`` all hold the background row.
+
+    A background voxel's visibility argmax is empty, so its label is 0 and
+    only the rows at ``coords`` need an argmax.
+    """
+    labels = np.zeros(out21.shape[:-1], dtype=np.int64)
+    x, y, z = coords.T
+    labels[x, y, z] = volume_labels(out21[x, y, z])
+    return labels
+
+
 def _head_logits(grid: SparseVoxelGrid, channels: int, seed: int) -> np.ndarray:
     """Set-preserving conv, ReLU, then a 1x1 map to the 21 output channels."""
     spec = SparseConvSpec.seeded(channels, channels, 3, mode="submanifold", seed=seed)
@@ -107,13 +124,11 @@ def _split_probs(logits: np.ndarray) -> np.ndarray:
                            softmax_rows(logits[:, SEM_CHANNELS:])], axis=1)
 
 
-def _background(dims: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """One-hot empty class and one-hot empty visibility everywhere."""
-    sem = np.zeros(tuple(dims) + (SEM_CHANNELS,))
-    sem[..., 0] = 1.0
-    occ = np.zeros(tuple(dims) + (OCC_CHANNELS,))
-    occ[..., 0] = 1.0
-    return sem, occ
+def _background(dims: tuple) -> np.ndarray:
+    """One 21-channel volume holding the background row everywhere."""
+    vol = np.empty(tuple(dims) + (OUT_CHANNELS,))
+    vol[...] = _BACKGROUND_ROW
+    return vol
 
 
 def forward(pc: PointCloud, rig: list[CameraModel], maps: FeatureMap2D,
@@ -167,12 +182,9 @@ def forward(pc: PointCloud, rig: list[CameraModel], maps: FeatureMap2D,
 
     with _timed(timings, "head"):
         probs = _split_probs(_head_logits(refined, c, seeds["head"]))
-        geom4 = refined.geometry
-        sem_vol, occ_vol = _background(geom4.dims)
+        o4 = _background(refined.geometry.dims)
         cx, cy, cz = refined.coords.T
-        sem_vol[cx, cy, cz] = probs[:, :SEM_CHANNELS]
-        occ_vol[cx, cy, cz] = probs[:, SEM_CHANNELS:]
-        o4 = assemble_output(sem_vol, occ_vol)
+        o4[cx, cy, cz] = probs
     counts["head"] = len(refined)
 
     with _timed(timings, "decode"):
@@ -194,9 +206,9 @@ def _decode_fine(o4: np.ndarray, parents: np.ndarray, geom: GridGeometry,
     concatenated with the child's normalized offset inside the parent.
     """
     dims1 = geom.with_scale(1).dims
-    sem_vol, occ_vol = _background(dims1)
+    o1 = _background(dims1)
     if parents.shape[0] == 0:
-        return assemble_output(sem_vol, occ_vol), np.zeros((0, 3), dtype=np.int64)
+        return o1, np.zeros((0, 3), dtype=np.int64)
 
     children = subdivide_coords(parents, 4)
     parent_rows = np.repeat(np.arange(parents.shape[0]), 64)
@@ -209,10 +221,9 @@ def _decode_fine(o4: np.ndarray, parents: np.ndarray, geom: GridGeometry,
     w[:OUT_CHANNELS] += np.eye(OUT_CHANNELS)
     probs = _split_probs(np.hstack([parent_vecs, offsets]) @ w)
     keep = (children < np.asarray(dims1)).all(axis=1)
-    ch, pr = children[keep], probs[keep]
-    sem_vol[ch[:, 0], ch[:, 1], ch[:, 2]] = pr[:, :SEM_CHANNELS]
-    occ_vol[ch[:, 0], ch[:, 1], ch[:, 2]] = pr[:, SEM_CHANNELS:]
-    return assemble_output(sem_vol, occ_vol), ch
+    ch = children[keep]
+    o1[ch[:, 0], ch[:, 1], ch[:, 2]] = probs[keep]
+    return o1, ch
 
 
 def scene_inputs(scene: SyntheticScene, config: PipelineConfig,

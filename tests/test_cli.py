@@ -190,6 +190,16 @@ class TestLabelGen:
                      str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_non_positive_stride_exits_1(self, tmp_path, capsys, stride):
+        scene_path, _ = small_scene_file(tmp_path)
+        assert main(["label-gen", "--dataset", "synthetic", "--sequence",
+                     str(scene_path), "--out", str(tmp_path / "labels"),
+                     "--stride", stride]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stride" in err
+        assert "Traceback" not in err
+
 
 class TestLabelGenKitti:
     def make_sequence(self, root):
@@ -250,6 +260,16 @@ class TestLabelGenKitti:
         assert main(["label-gen", "--dataset", "semantickitti", "--sequence",
                      str(seq), "--out", str(tmp_path / "o")]) == 3
         capsys.readouterr()
+
+    def test_non_finite_point_exits_3(self, tmp_path, capsys):
+        seq = self.make_sequence(tmp_path)
+        pts = np.ones((10, 4), dtype="<f4")
+        pts[7, 1] = np.nan
+        pts.tofile(seq / "velodyne" / "000000.bin")
+        assert main(["label-gen", "--dataset", "semantickitti", "--sequence",
+                     str(seq), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "row 7" in err
 
 
 class TestBench:

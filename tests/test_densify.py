@@ -4,7 +4,6 @@ import pytest
 from voxfuse.densify import (
     MultiScaleFeatures,
     densify,
-    densify_broadcast,
     project_channels,
 )
 from voxfuse.errors import EmptyInput, InvalidScale, ShapeError
@@ -154,27 +153,3 @@ class TestDensify:
         counts = {tuple(c): n for c, n in zip(out.coords, out.meta["contributor_counts"])}
         assert counts[(4, 4, 4)] == 2
         assert counts[(0, 0, 0)] == 1
-
-
-class TestDensifyBroadcast:
-    def test_coarse_voxel_covers_footprint(self):
-        grids = empty_ms(channels=1)
-        grids[8] = grid_at(8, [[0, 0, 0]], [[2.0]])
-        out = densify_broadcast(MultiScaleFeatures(grids))
-        assert len(out) == 8
-        np.testing.assert_allclose(out.features[:, 0], 2.0)
-
-    def test_scale16_covers_64(self):
-        grids = empty_ms(channels=1)
-        grids[16] = grid_at(16, [[0, 0, 0]], [[1.0]])
-        out = densify_broadcast(MultiScaleFeatures(grids))
-        assert len(out) == 64
-
-    def test_overlap_still_mean(self):
-        grids = empty_ms(channels=1)
-        grids[4] = grid_at(4, [[0, 0, 0]], [[10.0]])
-        grids[8] = grid_at(8, [[0, 0, 0]], [[4.0]])
-        out = densify_broadcast(MultiScaleFeatures(grids))
-        at = {tuple(c): f[0] for c, f in zip(out.coords, out.features)}
-        assert at[(0, 0, 0)] == pytest.approx(7.0)
-        assert at[(1, 1, 1)] == pytest.approx(4.0)

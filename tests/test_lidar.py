@@ -60,6 +60,15 @@ class TestVelodyneReader:
         with pytest.raises(ParseError):
             read_velodyne_bin(path)
 
+    @pytest.mark.parametrize("col,value", [(0, np.nan), (3, np.inf)])
+    def test_non_finite_row(self, tmp_path, col, value):
+        rows = np.zeros((10, 4), dtype="<f4")
+        rows[4, col] = value
+        path = tmp_path / "nan.bin"
+        rows.tofile(path)
+        with pytest.raises(ParseError, match="first at row 4"):
+            read_velodyne_bin(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")

@@ -4,9 +4,45 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from voxfuse.errors import ShapeError
 from voxfuse.metrics import compute_metrics
+
+
+def loop_metrics(pred, gt, ignore_mask=None, empty_class=0, num_classes=None):
+    """Reference: four full-volume masks per class, counted one class at a time."""
+    pred, gt = np.asarray(pred).reshape(-1), np.asarray(gt).reshape(-1)
+    if ignore_mask is not None:
+        keep = ~np.asarray(ignore_mask, dtype=bool).reshape(-1)
+        pred, gt = pred[keep], gt[keep]
+    if num_classes is None:
+        num_classes = int(max(pred.max(initial=0), gt.max(initial=0))) + 1
+    p_occ, g_occ = pred != empty_class, gt != empty_class
+    union = int((p_occ | g_occ).sum())
+    iou = int((p_occ & g_occ).sum()) / union if union else 1.0
+    per_class = np.full(num_classes, np.nan)
+    for c in range(num_classes):
+        if c == empty_class:
+            continue
+        pc, gc = pred == c, gt == c
+        u = int((pc | gc).sum())
+        if u:
+            per_class[c] = int((pc & gc).sum()) / u
+    defined = ~np.isnan(per_class)
+    miou = float(per_class[defined].mean()) if defined.any() else 0.0
+    return float(iou), miou, per_class
+
+
+@st.composite
+def label_pairs(draw):
+    shape = draw(hnp.array_shapes(min_dims=3, max_dims=3, max_side=6))
+    dtype = draw(st.sampled_from([np.int64, np.uint8]))
+    labels = hnp.arrays(dtype, shape, elements=st.integers(0, 7))
+    mask = draw(st.none() | hnp.arrays(bool, shape))
+    return draw(labels), draw(labels), mask
 
 
 class TestGeometricIou:
@@ -82,6 +118,23 @@ class TestPerClassIou:
         assert np.isclose(rep.per_class_iou[1], 0.5)
         assert rep.per_class_iou[2] == 0.0
         assert np.isclose(rep.miou, 0.25)
+
+
+class TestAgainstLoopReference:
+    @settings(max_examples=200, deadline=None)
+    @given(label_pairs(), st.integers(-1, 8), st.none() | st.integers(0, 10))
+    def test_bincount_counts_equal_loop(self, pair, empty_class, num_classes):
+        pred, gt, mask = pair
+        rep = compute_metrics(pred, gt, ignore_mask=mask, empty_class=empty_class,
+                              num_classes=num_classes)
+        iou, miou, per_class = loop_metrics(pred, gt, mask, empty_class, num_classes)
+        assert rep.iou == iou
+        assert rep.miou == miou
+        assert np.array_equal(rep.per_class_iou, per_class, equal_nan=True)
+
+    def test_float_labels_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            compute_metrics(np.zeros((2, 2, 2)), np.zeros((2, 2, 2), int))
 
 
 class TestMasksAndIo:

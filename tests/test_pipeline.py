@@ -1,12 +1,21 @@
-"""Forward-pass composition tests: shapes, determinism, and the identity path."""
+"""Forward-pass composition tests: shapes, determinism, the identity path and the readout."""
+
+import importlib.resources
 
 import numpy as np
 import pytest
 
 from voxfuse.config import PipelineConfig
-from voxfuse.occlusion import OCC_CHANNELS, SEM_CHANNELS
-from voxfuse.pipeline import OUT_CHANNELS, forward_scene, volume_labels
-from voxfuse.synthetic import random_scene
+from voxfuse.grid import GridGeometry, subdivide_coords
+from voxfuse.occlusion import OCC_CHANNELS, SEM_CHANNELS, assemble_output, decoder_input_set
+from voxfuse.pipeline import (
+    OUT_CHANNELS,
+    _head_logits,
+    _split_probs,
+    forward_scene,
+    volume_labels,
+)
+from voxfuse.synthetic import load_scene, random_scene
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +115,69 @@ class TestCounts:
     def test_timings_nonnegative(self, result):
         assert all(t >= 0 for t in result.timings.values())
         assert result.total_seconds > 0
+
+
+def _dense_reference(dims, coords, rows):
+    """Separate one-hot semantic and visibility volumes, scattered, then assembled."""
+    sem = np.zeros(tuple(dims) + (SEM_CHANNELS,))
+    sem[..., 0] = 1.0
+    occ = np.zeros(tuple(dims) + (OCC_CHANNELS,))
+    occ[..., 0] = 1.0
+    x, y, z = coords.T
+    sem[x, y, z] = rows[:, :SEM_CHANNELS]
+    occ[x, y, z] = rows[:, SEM_CHANNELS:]
+    return assemble_output(sem, occ)
+
+
+def _reference_outputs(res, config):
+    """o4 and o1 rebuilt densely from the head and decoder definitions."""
+    refined = res.refined
+    probs4 = _split_probs(_head_logits(refined, config.lidar_channels, res.seeds["head"]))
+    o4 = _dense_reference(refined.geometry.dims, refined.coords, probs4)
+
+    parents = decoder_input_set(o4)
+    children = subdivide_coords(parents, 4)
+    parent_rows = np.repeat(np.arange(parents.shape[0]), 64)
+    offsets = (children - parents[parent_rows] * 4) / 4.0
+    w = np.random.default_rng(res.seeds["decoder"]).normal(
+        0.0, 1.0 / np.sqrt(OUT_CHANNELS + 3), size=(OUT_CHANNELS + 3, OUT_CHANNELS))
+    w[:OUT_CHANNELS] += np.eye(OUT_CHANNELS)
+    parent_vecs = o4[parents[:, 0], parents[:, 1], parents[:, 2]][parent_rows]
+    probs1 = _split_probs(np.hstack([parent_vecs, offsets]) @ w)
+    dims1 = res.geometry.dims
+    keep = (children < np.asarray(dims1)).all(axis=1)
+    return o4, _dense_reference(dims1, children[keep], probs1[keep])
+
+
+def _demo_scene():
+    path = importlib.resources.files("voxfuse").joinpath("data/demo_scene.json")
+    with importlib.resources.as_file(path) as p:
+        return load_scene(str(p))
+
+
+def _kitti_scene():
+    return random_scene(0, GridGeometry.preset("semantickitti"), min_foreground=0.02)
+
+
+@pytest.fixture(scope="module", params=["demo", "semantickitti"])
+def readout(request):
+    scene = _demo_scene() if request.param == "demo" else _kitti_scene()
+    return forward_scene(scene, PipelineConfig(), n_cameras=2, image_size=(32, 32))
+
+
+class TestRowReadout:
+    def test_labels_scale1_match_dense_argmax(self, readout):
+        assert readout.decoder_coords.shape[0] > 0
+        assert np.array_equal(readout.labels_scale1(), volume_labels(readout.o1))
+
+    def test_labels_scale4_match_dense_argmax(self, readout):
+        assert np.array_equal(readout.labels_scale4(), volume_labels(readout.o4))
+
+    @pytest.mark.parametrize("scene_name", ["demo", "random-7"])
+    def test_outputs_equal_dense_reference(self, scene_name):
+        scene = _demo_scene() if scene_name == "demo" else random_scene(7)
+        config = PipelineConfig()
+        res = forward_scene(scene, config)
+        o4, o1 = _reference_outputs(res, config)
+        assert np.array_equal(res.o4, o4)
+        assert np.array_equal(res.o1, o1)
