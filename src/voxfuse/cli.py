@@ -14,6 +14,9 @@ import os
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from .camera import CameraModel, FeatureMap2D, read_kitti_calib
 from .config import DATA_ROOT_ENV, PipelineConfig
 from .errors import ConfigError, EmptyInput, ParseError, ShapeError, VoxfuseError
 from .grid import GridGeometry, SparseVoxelGrid
-from .lidar import SparseConvSpec, read_velodyne_bin
+from .lidar import read_velodyne_bin
 from .metrics import compute_metrics
 from .occlusion import (
     OcclusionLabel,
@@ -33,15 +36,7 @@ from .occlusion import (
     read_volume,
     write_volume,
 )
-from .pipeline import forward_scene
-from .refine import (
-    estimate_importance,
-    fuse_refined,
-    gather_fine,
-    gather_semi_fine,
-    seeded_projection,
-    select_sets,
-)
+from .pipeline import SEED_NAMES, forward_scene, refine_stages
 from .synthetic import load_scene, ring_rig
 
 BENCH_HEADER = ["stage", "nonempty", "sets", "dims_x", "dims_y", "dims_z",
@@ -59,6 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
 
 
@@ -141,6 +137,8 @@ def _cmd_label_gen(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.classes is not None and args.classes < 1:
+        raise ConfigError(f"--classes must be a positive integer, got {args.classes}")
     pred, _ = read_volume(args.pred)
     gt, _ = read_volume(args.gt)
     report = compute_metrics(pred.astype(np.int64), gt.astype(np.int64),
@@ -201,21 +199,22 @@ def _bench_rig(geom: GridGeometry) -> list[CameraModel]:
     return cams
 
 
-def _timed_peak(fn):
+@contextmanager
+def _measured(stats: dict, name: str):
+    """Record a stage's wall time and its traced allocation peak in KiB."""
     tracemalloc.start()
     start = time.perf_counter()
-    out = fn()
+    yield
     wall = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return out, wall, peak / 1024.0
+    stats[name] = (wall, peak / 1024.0)
 
 
-def _bench_case(config: PipelineConfig, n: int, dims1: tuple, rows: list):
-    geom1 = GridGeometry(origin=(0.0, 0.0, 0.0), voxel_size=config.voxel_size,
-                         dims_scale1=dims1, scale=1)
-    geom4 = geom1.with_scale(4)
+def _bench_case(config: PipelineConfig, n: int, geom1: GridGeometry, rows: list):
+    """Run forward's select/gather/refine on ``n`` random coarse voxels."""
     c = config.lidar_channels
+    dims1 = geom1.dims
     rng = np.random.default_rng(config.seed_for(f"bench-{n}-{dims1[0]}"))
 
     def grid_at(scale: int, count: int) -> SparseVoxelGrid:
@@ -229,29 +228,17 @@ def _bench_case(config: PipelineConfig, n: int, dims1: tuple, rows: list):
         return SparseVoxelGrid(g, coords, rng.normal(size=(k, c)))
 
     fm4 = grid_at(4, n)
-    lidar2 = grid_at(2, 2 * n)
-    lidar1 = grid_at(1, 4 * n)
+    pyramid = {2: grid_at(2, 2 * n), 1: grid_at(1, 4 * n)}
     rig = _bench_rig(geom1)
     maps = FeatureMap2D.seeded(rig, config.image_channels, seed=11)
-    rie = SparseConvSpec.seeded(c, 1, 3, mode="submanifold", seed=config.seed_for("rie"))
-    proj = seeded_projection(c + config.image_channels, c, seed=3)
-    sconv1 = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=4)
-    sconv2 = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=5)
-
-    sets, t_select, m_select = _timed_peak(
-        lambda: select_sets(estimate_importance(fm4, rie), config.tau1, config.tau2))
+    seeds = {name: config.seed_for(name) for name in SEED_NAMES}
+    stats: dict = {}
+    sets, _, _, _ = refine_stages(fm4, pyramid, rig, maps, config, seeds,
+                                  partial(_measured, stats))
     n_sets = sets.semi_fine.shape[0] + sets.fine.shape[0]
-    (fs2, ff1), t_gather, m_gather = _timed_peak(
-        lambda: (gather_semi_fine(sets, lidar2, rig, maps, proj),
-                 gather_fine(sets, lidar1, rig, maps, proj)))
-    _, t_refine, m_refine = _timed_peak(
-        lambda: fuse_refined(ff1, fs2, fm4, sconv1, sconv2))
-
-    for stage, wall, peak in (("select", t_select, m_select),
-                              ("gather", t_gather, m_gather),
-                              ("refine", t_refine, m_refine),
-                              ("hvfr", t_select + t_gather + t_refine,
-                               max(m_select, m_gather, m_refine))):
+    stats["hvfr"] = (sum(wall for wall, _ in stats.values()),
+                     max(peak for _, peak in stats.values()))
+    for stage, (wall, peak) in stats.items():
         rows.append([stage, len(fm4), n_sets, dims1[0], dims1[1], dims1[2],
                      f"{wall:.6f}", f"{peak:.1f}"])
 
@@ -262,12 +249,14 @@ def _cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip() != ""]
     except ValueError:
         raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
+    if any(n < 0 for n in sizes):
+        raise ConfigError(f"--sizes must be non-negative, got {args.sizes!r}")
     rows: list = []
-    base = tuple(config.dims)
-    doubled = tuple(2 * d for d in base)
-    for dims1 in (base, doubled):
+    base = config.geometry()
+    doubled = replace(base, dims_scale1=tuple(2 * d for d in base.dims_scale1))
+    for geom1 in (base, doubled):
         for n in sizes:
-            _bench_case(config, n, dims1, rows)
+            _bench_case(config, n, geom1, rows)
     lines = [",".join(BENCH_HEADER)] + [",".join(str(v) for v in r) for r in rows]
     text = "\n".join(lines) + "\n"
     if args.out:

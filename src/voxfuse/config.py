@@ -1,8 +1,8 @@
 """Pipeline configuration: a sectioned key-value file with strict validation.
 
-Every tunable lives here; unknown sections or keys are rejected so config
-files cannot drift silently. All randomness derives from one root seed,
-split per consumer by name.
+Every tunable of ``forward`` and ``bench`` lives here; unknown sections or
+keys are rejected so config files cannot drift silently. All randomness
+derives from one root seed, split per consumer by name.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-import os
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -57,15 +56,7 @@ class PipelineConfig:
     tau1: float = 0.4
     tau2: float = 0.7
     n_ref: int = 4
-    ray_stride: int = 4
     root_seed: int = 1234
-    w_ce: float = 1.0
-    w_lovasz: float = 1.0
-    w_geo: float = 1.0
-    w_sem: float = 1.0
-    w_rie: float = 1.0
-    w_occ: float = 1.0
-    dataset_root: str = ""
     out_dir: str = "."
 
     def __post_init__(self):
@@ -77,14 +68,11 @@ class PipelineConfig:
             raise ConfigError(f"dims must be three positive integers, got {self.dims}")
         if self.tau1 < 0 or self.tau2 < 0:
             raise ConfigError("thresholds must be non-negative")
-        for name in ("lidar_channels", "image_channels", "n_ref", "ray_stride"):
+        for name in ("lidar_channels", "image_channels", "n_ref"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         if self.root_seed < 0:
             raise ConfigError("root_seed must be non-negative")
-        for name in ("w_ce", "w_lovasz", "w_geo", "w_sem", "w_rie", "w_occ"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
 
     def geometry(self) -> GridGeometry:
         if self.preset == "custom":
@@ -94,9 +82,6 @@ class PipelineConfig:
 
     def seed_for(self, name: str) -> int:
         return split_seed(self.root_seed, name)
-
-    def resolved_dataset_root(self) -> str:
-        return os.environ.get(DATA_ROOT_ENV, "") or self.dataset_root
 
     def with_overrides(self, **kwargs) -> "PipelineConfig":
         return replace(self, **kwargs)
@@ -116,14 +101,8 @@ class PipelineConfig:
         }
         cp["refine"] = {"tau1": repr(self.tau1), "tau2": repr(self.tau2)}
         cp["fusion"] = {"n_ref": str(self.n_ref)}
-        cp["camera"] = {"ray_stride": str(self.ray_stride)}
         cp["seeds"] = {"root": str(self.root_seed)}
-        cp["losses"] = {
-            "w_ce": repr(self.w_ce), "w_lovasz": repr(self.w_lovasz),
-            "w_geo": repr(self.w_geo), "w_sem": repr(self.w_sem),
-            "w_rie": repr(self.w_rie), "w_occ": repr(self.w_occ),
-        }
-        cp["paths"] = {"dataset_root": self.dataset_root, "out_dir": self.out_dir}
+        cp["paths"] = {"out_dir": self.out_dir}
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -154,14 +133,8 @@ class PipelineConfig:
             },
             "refine": {"tau1": ("tau1", float), "tau2": ("tau2", float)},
             "fusion": {"n_ref": ("n_ref", int)},
-            "camera": {"ray_stride": ("ray_stride", int)},
             "seeds": {"root": ("root_seed", int)},
-            "losses": {
-                "w_ce": ("w_ce", float), "w_lovasz": ("w_lovasz", float),
-                "w_geo": ("w_geo", float), "w_sem": ("w_sem", float),
-                "w_rie": ("w_rie", float), "w_occ": ("w_occ", float),
-            },
-            "paths": {"dataset_root": ("dataset_root", str), "out_dir": ("out_dir", str)},
+            "paths": {"out_dir": ("out_dir", str)},
         }
         kwargs = {}
         for section in cp.sections():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +38,9 @@ OUT_CHANNELS = SEM_CHANNELS + OCC_CHANNELS
 # every voxel no row was scattered to: empty class, empty visibility
 _BACKGROUND_ROW = np.zeros(OUT_CHANNELS)
 _BACKGROUND_ROW[[0, SEM_CHANNELS]] = 1.0
+# every stand-in weight of a forward pass, seeded by config.seed_for(name)
+SEED_NAMES = ("backbone", "stack-width", "queries", "fusion", "rie", "gather-semi",
+              "gather-fine", "refine-a", "refine-b", "head", "decoder")
 
 
 @contextmanager
@@ -131,13 +135,38 @@ def _background(dims: tuple) -> np.ndarray:
     return vol
 
 
+def refine_stages(fused: SparseVoxelGrid, pyramid: dict, rig: list[CameraModel],
+                  maps: FeatureMap2D, config: PipelineConfig, seeds: dict, stage):
+    """HVFR: select refinement sets, gather their children, fuse them back.
+
+    ``pyramid`` needs the scale-2 and scale-1 LiDAR grids; ``seeds`` holds
+    the ``SEED_NAMES`` entries. ``stage(name)`` is a context manager entered
+    around each of the "select", "gather" and "refine" stages. Returns
+    ``(sets, fs2, ff1, refined)``.
+    """
+    c = config.lidar_channels
+    with stage("select"):
+        rie = SparseConvSpec.seeded(c, 1, 3, mode="submanifold", seed=seeds["rie"])
+        sets = select_sets(estimate_importance(fused, rie), config.tau1, config.tau2)
+
+    with stage("gather"):
+        proj2 = seeded_projection(c + maps.channels, c, seed=seeds["gather-semi"])
+        proj1 = seeded_projection(c + maps.channels, c, seed=seeds["gather-fine"])
+        fs2 = gather_semi_fine(sets, pyramid[2], rig, maps, proj2)
+        ff1 = gather_fine(sets, pyramid[1], rig, maps, proj1)
+
+    with stage("refine"):
+        sconv1 = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=seeds["refine-a"])
+        sconv2 = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=seeds["refine-b"])
+        refined = fuse_refined(ff1, fs2, fused, sconv1, sconv2)
+    return sets, fs2, ff1, refined
+
+
 def forward(pc: PointCloud, rig: list[CameraModel], maps: FeatureMap2D,
             config: PipelineConfig, geometry: GridGeometry | None = None) -> ForwardResult:
     geom = geometry or config.geometry()
     c = config.lidar_channels
-    seeds = {name: config.seed_for(name) for name in
-             ("backbone", "stack-width", "queries", "fusion", "rie", "gather-semi",
-              "gather-fine", "refine-a", "refine-b", "head", "decoder")}
+    seeds = {name: config.seed_for(name) for name in SEED_NAMES}
     timings: dict = {}
     counts: dict = {}
 
@@ -160,22 +189,10 @@ def forward(pc: PointCloud, rig: list[CameraModel], maps: FeatureMap2D,
         fused = fuse(queries, rig, maps, params)
     counts["fuse"] = len(fused)
 
-    with _timed(timings, "select"):
-        rie = SparseConvSpec.seeded(c, 1, 3, mode="submanifold", seed=seeds["rie"])
-        sets = select_sets(estimate_importance(fused, rie), config.tau1, config.tau2)
+    sets, fs2, ff1, refined = refine_stages(fused, pyramid, rig, maps, config, seeds,
+                                            partial(_timed, timings))
     counts["select"] = sets.semi_fine.shape[0] + sets.fine.shape[0]
-
-    with _timed(timings, "gather"):
-        proj2 = seeded_projection(c + maps.channels, c, seed=seeds["gather-semi"])
-        proj1 = seeded_projection(c + maps.channels, c, seed=seeds["gather-fine"])
-        fs2 = gather_semi_fine(sets, pyramid[2], rig, maps, proj2)
-        ff1 = gather_fine(sets, pyramid[1], rig, maps, proj1)
     counts["gather"] = len(fs2) + len(ff1)
-
-    with _timed(timings, "refine"):
-        sconv1 = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=seeds["refine-a"])
-        sconv2 = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=seeds["refine-b"])
-        refined = fuse_refined(ff1, fs2, fused, sconv1, sconv2)
     counts["refine"] = len(refined)
     identity = bool(np.array_equal(refined.coords, fused.coords)
                     and np.array_equal(refined.features, fused.features))

@@ -201,30 +201,31 @@ class TestLabelGen:
         assert "Traceback" not in err
 
 
-class TestLabelGenKitti:
-    def make_sequence(self, root):
-        seq = root / "sequences" / "00"
-        (seq / "voxels").mkdir(parents=True)
-        (seq / "velodyne").mkdir()
-        sem = np.zeros(KITTI_DIMS, dtype="<u2")
-        sem[50, 128, 10] = 3   # wall cell ahead of the sensor
-        sem[60, 128, 10] = 4   # cell straight behind the wall
-        sem[50, 120, 31] = 5   # marked invalid below
-        sem.tofile(seq / "voxels" / "000000.label")
-        invalid = np.zeros(KITTI_DIMS, dtype=bool)
-        invalid[50, 120, 31] = True
-        np.packbits(invalid.reshape(-1)).tofile(seq / "voxels" / "000000.invalid")
-        pts = np.array([[10.1, 0.1, 0.1, 0.5]], dtype="<f4")
-        pts.tofile(seq / "velodyne" / "000000.bin")
-        calib = [
-            "P2: 100.0 0.0 641.0 0.0 0.0 100.0 193.0 0.0 0.0 0.0 1.0 0.0",
-            "Tr: 0.0 -1.0 0.0 0.0 0.0 0.0 -1.0 0.0 1.0 0.0 0.0 0.0",
-        ]
-        (seq / "calib.txt").write_text("\n".join(calib) + "\n")
-        return seq
+def make_kitti_sequence(root):
+    seq = root / "sequences" / "00"
+    (seq / "voxels").mkdir(parents=True)
+    (seq / "velodyne").mkdir()
+    sem = np.zeros(KITTI_DIMS, dtype="<u2")
+    sem[50, 128, 10] = 3   # wall cell ahead of the sensor
+    sem[60, 128, 10] = 4   # cell straight behind the wall
+    sem[50, 120, 31] = 5   # marked invalid below
+    sem.tofile(seq / "voxels" / "000000.label")
+    invalid = np.zeros(KITTI_DIMS, dtype=bool)
+    invalid[50, 120, 31] = True
+    np.packbits(invalid.reshape(-1)).tofile(seq / "voxels" / "000000.invalid")
+    pts = np.array([[10.1, 0.1, 0.1, 0.5]], dtype="<f4")
+    pts.tofile(seq / "velodyne" / "000000.bin")
+    calib = [
+        "P2: 100.0 0.0 641.0 0.0 0.0 100.0 193.0 0.0 0.0 0.0 1.0 0.0",
+        "Tr: 0.0 -1.0 0.0 0.0 0.0 0.0 -1.0 0.0 1.0 0.0 0.0 0.0",
+    ]
+    (seq / "calib.txt").write_text("\n".join(calib) + "\n")
+    return seq
 
+
+class TestLabelGenKitti:
     def test_frame_produces_256_256_32_volume(self, tmp_path, capsys):
-        seq = self.make_sequence(tmp_path)
+        seq = make_kitti_sequence(tmp_path)
         out = str(tmp_path / "labels")
         assert main(["label-gen", "--dataset", "semantickitti", "--sequence",
                      str(seq), "--out", out, "--stride", "64"]) == 0
@@ -240,7 +241,7 @@ class TestLabelGenKitti:
         assert vol[50, 120, 31] == OcclusionLabel.EMPTY
 
     def test_env_var_resolves_relative_sequence(self, tmp_path, capsys, monkeypatch):
-        self.make_sequence(tmp_path)
+        make_kitti_sequence(tmp_path)
         monkeypatch.setenv("VOXFUSE_DATA_ROOT", str(tmp_path))
         out = str(tmp_path / "labels")
         assert main(["label-gen", "--dataset", "semantickitti", "--sequence",
@@ -262,7 +263,7 @@ class TestLabelGenKitti:
         capsys.readouterr()
 
     def test_non_finite_point_exits_3(self, tmp_path, capsys):
-        seq = self.make_sequence(tmp_path)
+        seq = make_kitti_sequence(tmp_path)
         pts = np.ones((10, 4), dtype="<f4")
         pts[7, 1] = np.nan
         pts.tofile(seq / "velodyne" / "000000.bin")
@@ -298,3 +299,68 @@ class TestBench:
     def test_bad_sizes_exits_1(self, capsys):
         assert main(["bench", "--sizes", "a,b"]) == 1
         capsys.readouterr()
+
+
+def _message_lines(err):
+    """stderr lines after argparse's usage block, if there is one."""
+    lines = err.splitlines()
+    if lines and lines[0].startswith("usage:"):
+        lines = lines[1:]
+        while lines and lines[0].startswith(" "):
+            lines = lines[1:]
+    return lines
+
+
+def _eval_args(tmp_path, classes):
+    path = str(tmp_path / "vol.u8")
+    write_volume(path, np.zeros((4, 4, 4), dtype=np.uint8),
+                 GridGeometry(origin=(0.0, 0.0, 0.0), voxel_size=1.0,
+                              dims_scale1=(4, 4, 4), scale=1))
+    return ["eval", "--pred", path, "--gt", path, "--classes", classes]
+
+
+def _synthetic_label_args(tmp_path, stride):
+    scene_path, _ = small_scene_file(tmp_path)
+    return ["label-gen", "--dataset", "synthetic", "--sequence", str(scene_path),
+            "--out", str(tmp_path / "labels"), "--stride", stride]
+
+
+def _nan_scan_args(tmp_path):
+    seq = make_kitti_sequence(tmp_path)
+    pts = np.ones((10, 4), dtype="<f4")
+    pts[7, 1] = np.nan
+    pts.tofile(seq / "velodyne" / "000000.bin")
+    return ["label-gen", "--dataset", "semantickitti", "--sequence", str(seq),
+            "--out", str(tmp_path / "o")]
+
+
+def _corrupt_scene_args(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    return ["forward", "--scene", str(bad)]
+
+
+# (argv builder, documented exit code, text the message line must hold)
+ERROR_CASES = {
+    "eval-classes-zero": (lambda p: _eval_args(p, "0"), 1, "--classes"),
+    "eval-classes-negative": (lambda p: _eval_args(p, "-1"), 1, "--classes"),
+    "label-gen-stride-not-int": (lambda p: _synthetic_label_args(p, "abc"), 1, "--stride"),
+    "label-gen-stride-zero": (lambda p: _synthetic_label_args(p, "0"), 1, "stride"),
+    "label-gen-nan-scan": (_nan_scan_args, 3, "row 7"),
+    "forward-corrupt-scene": (_corrupt_scene_args, 3, "parse error"),
+    "bench-negative-size": (lambda p: ["bench", "--sizes", "-5"], 1, "--sizes"),
+}
+
+
+class TestErrorContract:
+    """Bad input ends in the documented exit code and one message line, never a traceback."""
+
+    @pytest.mark.parametrize("case", list(ERROR_CASES))
+    def test_one_line_message(self, tmp_path, capsys, case):
+        build, code, needle = ERROR_CASES[case]
+        argv = build(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == code
+        lines = _message_lines(capsys.readouterr().err)
+        assert len(lines) == 1, lines
+        assert needle in lines[0]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from voxfuse.config import DATA_ROOT_ENV, PipelineConfig, split_seed
+from voxfuse.config import PipelineConfig, split_seed
 from voxfuse.errors import ConfigError
 
 
@@ -57,10 +57,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(lidar_channels=0)
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(w_ce=-1.0)
-
 
 class TestSerialization:
     def test_round_trip_defaults(self):
@@ -70,9 +66,8 @@ class TestSerialization:
     def test_round_trip_nondefault(self):
         cfg = PipelineConfig(preset="custom", origin=(-51.2, -51.2, -5.0),
                              voxel_size=0.25, dims=(48, 48, 12), tau1=0.35,
-                             tau2=0.95, n_ref=6, ray_stride=2, root_seed=99,
-                             lidar_channels=12, image_channels=6, w_lovasz=0.5,
-                             dataset_root="/data", out_dir="/tmp/out")
+                             tau2=0.95, n_ref=6, root_seed=99,
+                             lidar_channels=12, image_channels=6, out_dir="/tmp/out")
         assert PipelineConfig.loads(cfg.dumps()) == cfg
 
     def test_file_round_trip(self, tmp_path):
@@ -88,6 +83,14 @@ class TestSerialization:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             PipelineConfig.loads("[refine]\ntau3 = 0.9\n")
+
+    @pytest.mark.parametrize("text", ["[camera]\nray_stride = 2\n",
+                                      "[losses]\nw_ce = 0.5\n",
+                                      "[paths]\ndataset_root = /data\n"],
+                             ids=["camera-ray_stride", "losses-w_ce", "paths-dataset_root"])
+    def test_removed_keys_rejected(self, text):
+        with pytest.raises(ConfigError, match="unknown"):
+            PipelineConfig.loads(text)
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -124,10 +127,3 @@ class TestSeeds:
         a = PipelineConfig(root_seed=1).seed_for("head")
         b = PipelineConfig(root_seed=2).seed_for("head")
         assert a != b
-
-    def test_env_var_overrides_dataset_root(self, monkeypatch):
-        cfg = PipelineConfig(dataset_root="/from/config")
-        monkeypatch.setenv(DATA_ROOT_ENV, "/from/env")
-        assert cfg.resolved_dataset_root() == "/from/env"
-        monkeypatch.delenv(DATA_ROOT_ENV)
-        assert cfg.resolved_dataset_root() == "/from/config"

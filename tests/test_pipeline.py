@@ -1,6 +1,7 @@
 """Forward-pass composition tests: shapes, determinism, the identity path and the readout."""
 
 import importlib.resources
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from voxfuse.pipeline import (
     OUT_CHANNELS,
     _head_logits,
     _split_probs,
+    forward,
     forward_scene,
+    refine_stages,
+    scene_inputs,
     volume_labels,
 )
 from voxfuse.synthetic import load_scene, random_scene
@@ -181,3 +185,27 @@ class TestRowReadout:
         o4, o1 = _reference_outputs(res, config)
         assert np.array_equal(res.o4, o4)
         assert np.array_equal(res.o1, o1)
+
+
+class TestRefineStages:
+    def test_reproduces_forward_on_demo_scene(self):
+        scene = _demo_scene()
+        config = PipelineConfig()
+        pc, rig, maps = scene_inputs(scene, config)
+        res = forward(pc, rig, maps, config, geometry=scene.geometry)
+        entered = []
+
+        @contextmanager
+        def stage(name):
+            entered.append(name)
+            yield
+
+        sets, fs2, ff1, refined = refine_stages(res.fused, res.pyramid, rig, maps,
+                                                config, res.seeds, stage)
+        assert entered == ["select", "gather", "refine"]
+        assert res.counts["select"] > 0
+        assert np.array_equal(sets.semi_fine, res.sets.semi_fine)
+        assert np.array_equal(sets.fine, res.sets.fine)
+        assert len(fs2) + len(ff1) == res.counts["gather"]
+        assert np.array_equal(refined.coords, res.refined.coords)
+        assert np.array_equal(refined.features, res.refined.features)
