@@ -41,6 +41,7 @@ from .synthetic import load_scene, ring_rig
 
 BENCH_HEADER = ["stage", "nonempty", "sets", "dims_x", "dims_y", "dims_z",
                 "wall_s", "peak_kb"]
+_WARMUP_SIZE = 64
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -71,15 +72,26 @@ def _histogram(labels: np.ndarray) -> dict:
 
 
 def _label_one(semantics: np.ndarray, pc, rig, geom: GridGeometry, stride: int):
+    """Both sensors' labels merged, plus each sensor's ray count and wall time."""
+    start = time.perf_counter()
     if pc is None:
         lidar_labels = np.zeros(geom.dims, dtype=np.uint8)
     else:
         lidar_labels = label_lidar(pc, semantics, geom)
+    mid = time.perf_counter()
     if rig:
         cam_labels = label_camera(rig, semantics, geom, pixel_stride=stride)
     else:
         cam_labels = np.zeros(geom.dims, dtype=np.uint8)
-    return build_volume(semantics, lidar_labels, cam_labels, geom)
+    end = time.perf_counter()
+    stats = {
+        "lidar_rays": 0 if pc is None else len(pc),
+        "camera_rays": sum(len(range(0, w, stride)) * len(range(0, h, stride))
+                           for w, h in (cam.image_size for cam in rig)),
+        "lidar_s": mid - start,
+        "camera_s": end - mid,
+    }
+    return build_volume(semantics, lidar_labels, cam_labels, geom), stats
 
 
 def _cmd_label_gen(args) -> int:
@@ -95,12 +107,12 @@ def _cmd_label_gen(args) -> int:
         except EmptyInput:
             pc = None
         rig = ring_rig(scene)
-        volume = _label_one(semantics, pc, rig, geom, args.stride)
+        volume, stats = _label_one(semantics, pc, rig, geom, args.stride)
         name = os.path.splitext(os.path.basename(args.sequence))[0]
         path = os.path.join(out_dir, f"{name}.occ.u8")
         write_volume(path, volume.occlusion.astype(np.uint8), geom)
         frames.append({"name": name, "volume": path,
-                       "histogram": _histogram(volume.occlusion)})
+                       "histogram": _histogram(volume.occlusion), **stats})
     else:
         root = os.environ.get(DATA_ROOT_ENV, "")
         seq_dir = args.sequence if os.path.isabs(args.sequence) \
@@ -123,11 +135,11 @@ def _cmd_label_gen(args) -> int:
                 semantics[read_kitti_bitmask(invalid_path, dims=geom.dims)] = 0
             bin_path = os.path.join(seq_dir, "velodyne", f"{stem}.bin")
             pc = read_velodyne_bin(bin_path) if os.path.exists(bin_path) else None
-            volume = _label_one(semantics, pc, rig, geom, args.stride)
+            volume, stats = _label_one(semantics, pc, rig, geom, args.stride)
             path = os.path.join(out_dir, f"{stem}.occ.u8")
             write_volume(path, volume.occlusion.astype(np.uint8), geom)
             frames.append({"name": stem, "volume": path,
-                           "histogram": _histogram(volume.occlusion)})
+                           "histogram": _histogram(volume.occlusion), **stats})
     summary = {"dataset": args.dataset, "stride": args.stride, "frames": frames}
     with open(os.path.join(out_dir, "labels_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
@@ -141,6 +153,11 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"--classes must be a positive integer, got {args.classes}")
     pred, _ = read_volume(args.pred)
     gt, _ = read_volume(args.gt)
+    if args.classes is not None:
+        top = int(max(pred.max(), gt.max()))
+        if top >= args.classes:
+            raise ConfigError(f"--classes {args.classes} leaves out label {top}, "
+                              f"which the volumes hold")
     report = compute_metrics(pred.astype(np.int64), gt.astype(np.int64),
                              num_classes=args.classes)
     text = report.to_json()
@@ -254,6 +271,9 @@ def _cmd_bench(args) -> int:
     rows: list = []
     base = config.geometry()
     doubled = replace(base, dims_scale1=tuple(2 * d for d in base.dims_scale1))
+    # untimed warm-up: the first non-empty case would otherwise also pay
+    # NumPy's one-time lazy imports
+    _bench_case(config, _WARMUP_SIZE, base, [])
     for geom1 in (base, doubled):
         for n in sizes:
             _bench_case(config, n, geom1, rows)

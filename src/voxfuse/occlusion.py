@@ -17,7 +17,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .camera import CameraModel, back_project
+from .camera import CameraModel
 from .errors import ConfigError, ParseError, ShapeError
 from .grid import GridGeometry, VoxelIndex
 from .lidar import PointCloud
@@ -40,6 +40,15 @@ _FROM_PRIORITY = np.array([0, 2, 1], dtype=np.uint8)
 _EPS = 1e-12
 
 
+def _length(d):
+    """Euclidean length over the last axis, summed in one fixed order.
+
+    One ray and a batch of rays then get bit-identical lengths, which
+    ``np.linalg.norm`` on a single 3-vector (a BLAS dot) does not give.
+    """
+    return np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2])
+
+
 def _traverse_arrays(origin, target, geom: GridGeometry, margin: float = 0.0):
     """Cells crossed by the segment origin->target (+margin), with entry parameters.
 
@@ -48,7 +57,7 @@ def _traverse_arrays(origin, target, geom: GridGeometry, margin: float = 0.0):
     """
     o = np.asarray(origin, dtype=np.float64).reshape(3)
     d = np.asarray(target, dtype=np.float64).reshape(3) - o
-    seg = float(np.linalg.norm(d))
+    seg = float(_length(d))
     lo = geom.origin_array
     h = geom.cell_size
     dims = geom.dims
@@ -123,41 +132,121 @@ def traverse(origin, target, geom: GridGeometry, margin: float = 0.0) -> list[Vo
     return [VoxelIndex(int(x), int(y), int(z), geom.scale) for x, y, z in coords]
 
 
+def _walk(origins, targets, geom: GridGeometry, margin: float = 0.0):
+    """:func:`_traverse_arrays` on many segments at once, all rays in lockstep.
+
+    Yields one ``(ray_ids, flat_cells, t_entry)`` triple per step: step k
+    holds row k of every ray that has one, with cells as flat C-order indices
+    into ``geom.dims``. The arithmetic is the scalar walk's, operation for
+    operation, so each ray's rows equal its scalar rows bit for bit. Finished
+    rays are dropped, so memory stays proportional to the ray count.
+    """
+    o = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
+    d = np.asarray(targets, dtype=np.float64).reshape(-1, 3) - o
+    seg = _length(d)
+    zero = seg < _EPS
+    # per-ray state is (3, rays): one contiguous row per axis
+    o = np.broadcast_to(o, d.shape).T
+    dirn = d.T / np.where(zero, 1.0, seg)
+    lo = geom.origin_array[:, None]
+    h = geom.cell_size
+    dims = np.asarray(geom.dims)[:, None]
+    hi = lo + dims * h
+    flat_axis = np.abs(dirn) < 1e-15
+    keep = ~zero & ~(flat_axis & ((o < lo) | (o >= hi))).any(axis=0)
+    t0 = np.zeros(seg.shape[0])
+    t1 = seg + margin
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ta = (lo - o) / dirn
+        tb = (hi - o) / dirn
+        for near, far, skip in zip(np.minimum(ta, tb), np.maximum(ta, tb), flat_axis):
+            t0 = np.where(~skip & (near > t0), near, t0)
+            t1 = np.where(~skip & (far < t1), far, t1)
+        keep &= t1 - t0 > _EPS
+        p = o + dirn * t0
+        cell = np.clip(np.floor((p - lo) / h), 0, dims - 1).astype(np.int64)
+        step = np.sign(dirn).astype(np.int64)
+        t_max = np.where(dirn > 0, (lo + (cell + 1) * h - o) / dirn,
+                         np.where(dirn < 0, (lo + cell * h - o) / dirn, np.inf))
+        t_delta = np.where(step != 0, h / np.abs(dirn), np.inf)
+
+    # a zero-length segment yields its own cell once, when that cell is inside
+    start = np.floor((o[:, zero] - lo) / h).astype(np.int64)
+    keep[zero] = ((start >= 0) & (start < dims)).all(axis=0)
+    cell[:, zero] = start
+    t0[zero] = 0.0
+    t_max[:, zero] = np.inf
+
+    # per axis: flat-index increment of one step, and steps left inside the grid
+    inc = step * np.array([[dims[1, 0] * dims[2, 0]], [dims[2, 0]], [1]])
+    left = np.where(step < 0, cell, dims - 1 - cell)
+    flat = np.ravel_multi_index(tuple(cell), geom.dims, mode="clip")[keep]
+    ids, t_cur, t1 = np.flatnonzero(keep), t0[keep], t1[keep]
+    t_max, t_delta, inc, left = (a.compress(keep, axis=1) for a in (t_max, t_delta, inc, left))
+    while ids.size:
+        yield ids, flat, t_cur
+        n = ids.size
+        # ties go to the lower axis, as with the scalar walk's strict comparisons
+        axis = (t_max[1] < t_max[0]).astype(np.intp)
+        axis[t_max[2] < np.minimum(t_max[0], t_max[1])] = 2
+        at = axis * n + np.arange(n)
+        tm, lf = t_max.reshape(-1), left.reshape(-1)
+        t_cur = tm[at]
+        tm[at] = t_cur + t_delta.reshape(-1)[at]
+        flat = flat + inc.reshape(-1)[at]
+        rem = lf[at] - 1
+        lf[at] = rem
+        go = (t1 - t_cur > _EPS) & (rem >= 0)
+        if not go.all():
+            ids, flat, t_cur, t1 = (a[go] for a in (ids, flat, t_cur, t1))
+            t_max, t_delta, inc, left = (a.compress(go, axis=1)
+                                         for a in (t_max, t_delta, inc, left))
+
+
 def label_lidar(pc: PointCloud, semantics: np.ndarray, geom: GridGeometry,
                 margin: float | None = None) -> np.ndarray:
     """Per-voxel visibility from the point sensor, as a dense label array.
 
     Each return's voxel becomes non-occluded; occupied voxels further along
     the same ray (continued ``margin`` meters, default the grid diagonal)
-    become occluded. Free space stays empty.
+    become occluded. Free space stays empty. Returns whose ray crosses no
+    cell mark nothing.
     """
     semantics = _check_semantics(semantics, geom)
     if margin is None:
         margin = geom.diagonal
-    prio = np.zeros(geom.dims, dtype=np.uint8)
-    lo = geom.origin_array
-    h = geom.cell_size
+    sem = semantics.reshape(-1)
+    prio = np.zeros(sem.shape[0], dtype=np.uint8)
     dims = np.asarray(geom.dims)
-    origin = pc.sensor_origin
-    for p in pc.points:
-        coords, entries = _traverse_arrays(origin, p, geom, margin)
-        if coords.shape[0] == 0:
-            continue
-        t_point = float(np.linalg.norm(p - origin))
-        cell_pt = np.floor((p - lo) / h).astype(np.int64)
-        if (cell_pt >= 0).all() and (cell_pt < dims).all():
-            c = tuple(cell_pt)
-            if prio[c] < 2:
-                prio[c] = 2
-        beyond = entries > t_point + 1e-9
-        if beyond.any():
-            bc = coords[beyond]
-            occupied = semantics[bc[:, 0], bc[:, 1], bc[:, 2]] > 0
-            bc = bc[occupied]
-            if bc.shape[0]:
-                sel = (bc[:, 0], bc[:, 1], bc[:, 2])
-                np.maximum.at(prio, sel, np.uint8(1))
-    return _FROM_PRIORITY[prio]
+    pts = pc.points
+    beyond = _length(pts - pc.sensor_origin) + 1e-9
+    cell_pt = np.floor((pts - geom.origin_array) / geom.cell_size).astype(np.int64)
+    inside = ((cell_pt >= 0) & (cell_pt < dims)).all(axis=1)
+    flat_pt = np.ravel_multi_index(tuple(cell_pt.T), geom.dims, mode="clip")
+    for k, (ids, cells, t_entry) in enumerate(_walk(pc.sensor_origin, pts, geom, margin)):
+        if k == 0:
+            prio[flat_pt[ids[inside[ids]]]] = 2
+        far = cells[t_entry > beyond[ids]]
+        far = far[sem[far] > 0]
+        prio[far] = np.maximum(prio[far], 1)
+    return _FROM_PRIORITY[prio].reshape(geom.dims)
+
+
+def _pixel_rays(cam: CameraModel, pixel_stride: int):
+    """Camera center and unit ray direction per sampled pixel.
+
+    Same arithmetic as :func:`back_project` at depth 1 for each pixel.
+    """
+    r = cam.extrinsics[:3, :3]
+    t = cam.extrinsics[:3, 3]
+    center = -r.T @ t
+    w, h_img = cam.image_size
+    v, u = np.meshgrid(np.arange(0, h_img, pixel_stride, dtype=np.float64),
+                       np.arange(0, w, pixel_stride, dtype=np.float64), indexing="ij")
+    pix = np.stack([(u.ravel() - cam.cx) / cam.fx, (v.ravel() - cam.cy) / cam.fy,
+                    np.ones(u.size)], axis=1)
+    direction = (pix - t) @ r - center
+    return center, direction / _length(direction)[:, None]
 
 
 def label_camera(rig: list[CameraModel], semantics: np.ndarray, geom: GridGeometry,
@@ -173,34 +262,29 @@ def label_camera(rig: list[CameraModel], semantics: np.ndarray, geom: GridGeomet
         raise ValueError("rig must hold at least one camera")
     if pixel_stride < 1:
         raise ConfigError(f"pixel stride must be a positive integer, got {pixel_stride}")
-    prio = np.zeros(geom.dims, dtype=np.uint8)
     lo = geom.origin_array
     span = np.asarray(geom.dims) * geom.cell_size
     corners = lo + span * np.stack(np.meshgrid([0, 1], [0, 1], [0, 1],
                                                indexing="ij"), axis=-1).reshape(-1, 3)
+    origins, targets = [], []
     for cam in rig:
-        r = cam.extrinsics[:3, :3]
-        center = -r.T @ cam.extrinsics[:3, 3]
+        center, direction = _pixel_rays(cam, pixel_stride)
         reach = float(np.linalg.norm(corners - center, axis=1).max()) + geom.cell_size
-        w, h_img = cam.image_size
-        for v in range(0, h_img, pixel_stride):
-            for u in range(0, w, pixel_stride):
-                direction = back_project(cam, float(u), float(v), 1.0) - center
-                direction /= np.linalg.norm(direction)
-                coords, _ = _traverse_arrays(center, center + direction * reach, geom)
-                if coords.shape[0] == 0:
-                    continue
-                occ = semantics[coords[:, 0], coords[:, 1], coords[:, 2]] > 0
-                hits = np.flatnonzero(occ)
-                if hits.size == 0:
-                    continue
-                first = tuple(coords[hits[0]])
-                if prio[first] < 2:
-                    prio[first] = 2
-                rest = coords[hits[1:]]
-                if rest.shape[0]:
-                    np.maximum.at(prio, (rest[:, 0], rest[:, 1], rest[:, 2]), np.uint8(1))
-    return _FROM_PRIORITY[prio]
+        origins.append(np.broadcast_to(center, direction.shape))
+        targets.append(center + direction * reach)
+    origins = np.concatenate(origins)
+    sem = semantics.reshape(-1)
+    prio = np.zeros(sem.shape[0], dtype=np.uint8)
+    struck = np.zeros(origins.shape[0], dtype=bool)
+    for ids, cells, _ in _walk(origins, np.concatenate(targets), geom):
+        hit = sem[cells] > 0
+        ids, cells = ids[hit], cells[hit]
+        first = ~struck[ids]
+        prio[cells[first]] = 2
+        rest = cells[~first]
+        prio[rest] = np.maximum(prio[rest], 1)
+        struck[ids] = True
+    return _FROM_PRIORITY[prio].reshape(geom.dims)
 
 
 def combine(lidar: int, cam: int) -> int:

@@ -62,6 +62,15 @@ class TestEval:
         assert report["iou"] == 1.0 and report["miou"] == 1.0
         assert json.load(open(out)) == report
 
+    def test_classes_must_cover_every_label(self, tmp_path, capsys):
+        vol = np.zeros((4, 4, 4), dtype=np.uint8)
+        vol[1, 1, 1] = 5
+        ppath, gpath = self.write_pair(tmp_path, vol, vol)
+        assert main(["eval", "--pred", ppath, "--gt", gpath, "--classes", "6"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["per_class_iou"]) == 6
+        assert main(["eval", "--pred", ppath, "--gt", gpath, "--classes", "5"]) == 1
+        assert "label 5" in capsys.readouterr().err
+
     def test_hand_fixture_iou_third(self, tmp_path, capsys):
         pred = np.zeros((4, 4, 4), dtype=np.uint8)
         gt = np.zeros((4, 4, 4), dtype=np.uint8)
@@ -166,10 +175,15 @@ class TestLabelGen:
                      str(scene_path), "--out", out, "--stride", "2"]) == 0
         capsys.readouterr()
         summary = json.load(open(os.path.join(out, "labels_summary.json")))
-        hist = summary["frames"][0]["histogram"]
+        frame = summary["frames"][0]
+        hist = frame["histogram"]
         # the second box hides behind the first from the sensor's viewpoint
         assert hist["non_occluded"] > 0
         assert hist["occluded"] > 0
+        # one ray per return, and per pixel of the 4 default 64x64 cameras at stride 2
+        assert frame["lidar_rays"] == len(scene.lidar_scan())
+        assert frame["camera_rays"] == 4 * 32 * 32
+        assert frame["lidar_s"] > 0.0 and frame["camera_s"] > 0.0
         vol, geom = read_volume(summary["frames"][0]["volume"])
         assert vol.shape == scene.geometry.dims
         assert set(np.unique(vol)) <= {0, 1, 2}
@@ -181,9 +195,11 @@ class TestLabelGen:
                      str(scene_path), "--out", out]) == 0
         capsys.readouterr()
         summary = json.load(open(os.path.join(out, "labels_summary.json")))
-        hist = summary["frames"][0]["histogram"]
+        frame = summary["frames"][0]
         total = int(np.prod(scene.geometry.dims))
-        assert hist == {"empty": total, "non_occluded": 0, "occluded": 0}
+        assert frame["histogram"] == {"empty": total, "non_occluded": 0, "occluded": 0}
+        # a scene without boxes has no scan, so no LiDAR rays
+        assert frame["lidar_rays"] == 0 and frame["camera_rays"] == 4 * 16 * 16
 
     def test_missing_sequence_exits_2(self, tmp_path, capsys):
         assert main(["label-gen", "--dataset", "synthetic", "--sequence",
@@ -231,7 +247,12 @@ class TestLabelGenKitti:
                      str(seq), "--out", out, "--stride", "64"]) == 0
         capsys.readouterr()
         summary = json.load(open(os.path.join(out, "labels_summary.json")))
-        vol, geom = read_volume(summary["frames"][0]["volume"])
+        frame = summary["frames"][0]
+        # one return; one calib camera at the default 1226x370 image, stride 64
+        assert (frame["lidar_rays"], frame["camera_rays"]) == (1, 20 * 6)
+        assert set(frame) == {"name", "volume", "histogram", "lidar_rays", "camera_rays",
+                              "lidar_s", "camera_s"}
+        vol, geom = read_volume(frame["volume"])
         assert vol.shape == KITTI_DIMS
         assert geom.dims == KITTI_DIMS
         # the measured cell is seen, the cell behind it is occluded
@@ -296,6 +317,16 @@ class TestBench:
             if parts[0] == "refine":
                 assert float(parts[6]) < 0.05
 
+    def test_repeated_size_rows_agree(self, tmp_path, capsys):
+        # the untimed warm-up case absorbs one-time costs, such as NumPy's
+        # lazy imports, which would otherwise inflate the first timed row
+        out = str(tmp_path / "bench.csv")
+        assert main(["bench", "--sizes", "64,64", "--out", out]) == 0
+        capsys.readouterr()
+        refine = [float(line.split(",")[7]) for line in open(out).read().splitlines()[1:]
+                  if line.startswith("refine,")]
+        assert refine[0] < 2 * refine[1]
+
     def test_bad_sizes_exits_1(self, capsys):
         assert main(["bench", "--sizes", "a,b"]) == 1
         capsys.readouterr()
@@ -311,11 +342,12 @@ def _message_lines(err):
     return lines
 
 
-def _eval_args(tmp_path, classes):
+def _eval_args(tmp_path, classes, label=0):
     path = str(tmp_path / "vol.u8")
-    write_volume(path, np.zeros((4, 4, 4), dtype=np.uint8),
-                 GridGeometry(origin=(0.0, 0.0, 0.0), voxel_size=1.0,
-                              dims_scale1=(4, 4, 4), scale=1))
+    vol = np.zeros((4, 4, 4), dtype=np.uint8)
+    vol[1, 1, 1] = label
+    write_volume(path, vol, GridGeometry(origin=(0.0, 0.0, 0.0), voxel_size=1.0,
+                                         dims_scale1=(4, 4, 4), scale=1))
     return ["eval", "--pred", path, "--gt", path, "--classes", classes]
 
 
@@ -344,6 +376,7 @@ def _corrupt_scene_args(tmp_path):
 ERROR_CASES = {
     "eval-classes-zero": (lambda p: _eval_args(p, "0"), 1, "--classes"),
     "eval-classes-negative": (lambda p: _eval_args(p, "-1"), 1, "--classes"),
+    "eval-label-beyond-classes": (lambda p: _eval_args(p, "2", label=5), 1, "config error"),
     "label-gen-stride-not-int": (lambda p: _synthetic_label_args(p, "abc"), 1, "--stride"),
     "label-gen-stride-zero": (lambda p: _synthetic_label_args(p, "0"), 1, "stride"),
     "label-gen-nan-scan": (_nan_scan_args, 3, "row 7"),

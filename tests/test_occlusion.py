@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voxfuse.camera import CameraModel
+from voxfuse.camera import CameraModel, back_project
 from voxfuse.errors import ParseError, ShapeError
 from voxfuse.grid import GridGeometry, VoxelIndex
 from voxfuse.lidar import PointCloud
 from voxfuse.occlusion import (
     OcclusionLabel,
     OcclusionVolume,
+    _length,
     _traverse_arrays,
+    _walk,
     assemble_output,
     build_volume,
     combine,
@@ -31,6 +35,8 @@ E, N, O = OcclusionLabel.EMPTY, OcclusionLabel.NON_OCCLUDED, OcclusionLabel.OCCL
 
 GEOM16 = GridGeometry((0.0, 0.0, 0.0), 0.2, (16, 16, 16))
 GEOM32 = GridGeometry((0.0, 0.0, 0.0), 0.2, (32, 32, 32))
+# off-origin, uneven dims, and a cell size whose faces are exact in binary
+GEOM_ODD = GridGeometry((-1.0, 0.5, -0.75), 0.25, (8, 12, 6))
 
 
 def center(cell, geom=GEOM16):
@@ -135,6 +141,170 @@ class TestTraverse:
             assert (np.diff(ts) > 0).all()
 
 
+def _coordinate(geom, axis):
+    """A generic coordinate near the grid, or one exactly on a cell face."""
+    lo = float(geom.origin_array[axis])
+    n = geom.dims[axis]
+    h = geom.cell_size
+    return (st.floats(lo - 1.0, lo + n * h + 1.0, allow_nan=False)
+            | st.integers(-3, n + 3).map(lambda k: lo + k * h))
+
+
+@st.composite
+def ray_batches(draw):
+    """Segments covering axis-parallel, near-parallel, face-start, outside,
+    missing and zero-length rays, plus a margin."""
+    geom = draw(st.sampled_from([GEOM16, GEOM_ODD]))
+    component = (st.sampled_from([0.0, 1e-17, -1e-17])
+                 | st.floats(-3.0, 3.0, allow_nan=False))
+    origins, targets = [], []
+    for _ in range(draw(st.integers(1, 25))):
+        o = np.array([draw(_coordinate(geom, i)) for i in range(3)])
+        d = np.array([draw(component) for _ in range(3)])
+        origins.append(o)
+        targets.append(o + d)
+    margin = draw(st.sampled_from([0.0, 0.3, geom.diagonal]) | st.floats(0.0, 2.0))
+    return geom, np.array(origins), np.array(targets), margin
+
+
+class TestBatchedWalk:
+    """The lockstep walk against one scalar walk per ray."""
+
+    # subnormal direction components overflow the scalar walk's t_max to inf,
+    # which the batched walk must reproduce
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(ray_batches())
+    def test_rows_equal_scalar_walk(self, batch):
+        geom, origins, targets, margin = batch
+        rows = {}
+        for ids, cells, t_entry in _walk(origins, targets, geom, margin):
+            assert len(set(ids.tolist())) == ids.size
+            for i, c, t in zip(ids.tolist(), cells, t_entry):
+                rows.setdefault(i, ([], []))
+                rows[i][0].append(c)
+                rows[i][1].append(t)
+        for i, (o, t) in enumerate(zip(origins, targets)):
+            coords, entries = _traverse_arrays(o, t, geom, margin)
+            cells, got = rows.pop(i, ([], []))
+            want_cells = np.ravel_multi_index(tuple(coords.T), geom.dims)
+            np.testing.assert_array_equal(cells, want_cells)
+            # bit for bit, signed zeros included
+            np.testing.assert_array_equal(np.array(got, dtype=np.float64).view(np.int64),
+                                          entries.view(np.int64))
+        assert not rows
+
+    def test_no_rays(self):
+        assert list(_walk(np.zeros((0, 3)), np.zeros((0, 3)), GEOM16)) == []
+
+    def test_length_matches_norm_to_rounding(self, rng):
+        d = rng.normal(size=(200, 3))
+        np.testing.assert_allclose(_length(d), np.linalg.norm(d, axis=1), rtol=1e-15)
+        assert float(_length(d[0])) == _length(d)[0]
+
+
+def loop_label_lidar(pc, semantics, geom, margin=None):
+    """Reference: one scalar walk per return, scattered into a priority volume."""
+    if margin is None:
+        margin = geom.diagonal
+    prio = np.zeros(geom.dims, dtype=np.uint8)
+    lo = geom.origin_array
+    h = geom.cell_size
+    dims = np.asarray(geom.dims)
+    origin = pc.sensor_origin
+    for p in pc.points:
+        coords, entries = _traverse_arrays(origin, p, geom, margin)
+        if coords.shape[0] == 0:
+            continue
+        t_point = float(_length(p - origin))
+        cell_pt = np.floor((p - lo) / h).astype(np.int64)
+        if (cell_pt >= 0).all() and (cell_pt < dims).all():
+            c = tuple(cell_pt)
+            if prio[c] < 2:
+                prio[c] = 2
+        beyond = entries > t_point + 1e-9
+        if beyond.any():
+            bc = coords[beyond]
+            occupied = semantics[bc[:, 0], bc[:, 1], bc[:, 2]] > 0
+            bc = bc[occupied]
+            if bc.shape[0]:
+                np.maximum.at(prio, (bc[:, 0], bc[:, 1], bc[:, 2]), np.uint8(1))
+    return np.array([0, 2, 1], dtype=np.uint8)[prio]
+
+
+def loop_label_camera(rig, semantics, geom, pixel_stride=4):
+    """Reference: one back-projected pixel and one scalar walk at a time."""
+    prio = np.zeros(geom.dims, dtype=np.uint8)
+    lo = geom.origin_array
+    span = np.asarray(geom.dims) * geom.cell_size
+    corners = lo + span * np.stack(np.meshgrid([0, 1], [0, 1], [0, 1],
+                                               indexing="ij"), axis=-1).reshape(-1, 3)
+    for cam in rig:
+        r = cam.extrinsics[:3, :3]
+        eye = -r.T @ cam.extrinsics[:3, 3]
+        reach = float(np.linalg.norm(corners - eye, axis=1).max()) + geom.cell_size
+        w, h_img = cam.image_size
+        for v in range(0, h_img, pixel_stride):
+            for u in range(0, w, pixel_stride):
+                direction = back_project(cam, float(u), float(v), 1.0) - eye
+                direction /= _length(direction)
+                coords, _ = _traverse_arrays(eye, eye + direction * reach, geom)
+                if coords.shape[0] == 0:
+                    continue
+                occ = semantics[coords[:, 0], coords[:, 1], coords[:, 2]] > 0
+                hits = np.flatnonzero(occ)
+                if hits.size == 0:
+                    continue
+                first = tuple(coords[hits[0]])
+                if prio[first] < 2:
+                    prio[first] = 2
+                rest = coords[hits[1:]]
+                if rest.shape[0]:
+                    np.maximum.at(prio, (rest[:, 0], rest[:, 1], rest[:, 2]), np.uint8(1))
+    return np.array([0, 2, 1], dtype=np.uint8)[prio]
+
+
+def random_labelling_scene(geom, seed):
+    """Sparse random occupancy, returns around and beyond the grid, and a rig
+    mixing an axis-aligned camera on a cell corner with free-standing ones."""
+    rng = np.random.default_rng(seed)
+    sem = (rng.uniform(size=geom.dims) < 0.12) * rng.integers(1, 5, size=geom.dims)
+    lo = geom.origin_array
+    span = np.asarray(geom.dims) * geom.cell_size
+    sensor = lo + span * rng.uniform(0.3, 0.7, size=3)
+    pts = lo + span * rng.uniform(-0.2, 1.2, size=(150, 3))
+    faces = lo + geom.cell_size * rng.integers(0, geom.dims[0], size=(20, 3))
+    pts = np.concatenate([pts, faces, [sensor]])
+    pc = PointCloud(pts, np.ones(len(pts)), sensor_origin=sensor)
+    corner = lo + geom.cell_size * (np.asarray(geom.dims) // 2)
+    rig = [CameraModel.from_lookat(corner, corner + [1.0, 0.0, 0.0],
+                                   8.0, 8.0, 7.5, 5.5, (16, 12))]
+    for eye in (sensor, lo - 0.5 * span):
+        target = lo + span * rng.uniform(0.3, 0.7, size=3)
+        rig.append(CameraModel.from_lookat(eye, target, 10.0, 9.0, 8.0, 6.0, (16, 12)))
+    return sem, pc, rig
+
+
+class TestLabelsMatchPerRayLoops:
+    @pytest.mark.parametrize("geom", [GEOM16, GEOM32], ids=["16", "32"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_label_lidar(self, geom, seed):
+        sem, pc, _ = random_labelling_scene(geom, seed)
+        got = label_lidar(pc, sem, geom)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, loop_label_lidar(pc, sem, geom))
+        np.testing.assert_array_equal(label_lidar(pc, sem, geom, margin=0.0),
+                                      loop_label_lidar(pc, sem, geom, margin=0.0))
+
+    @pytest.mark.parametrize("geom", [GEOM16, GEOM32], ids=["16", "32"])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4])
+    def test_label_camera(self, geom, stride):
+        sem, _, rig = random_labelling_scene(geom, stride)
+        got = label_camera(rig, sem, geom, pixel_stride=stride)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, loop_label_camera(rig, sem, geom, stride))
+
+
 class TestLabelLidar:
     def test_single_point_nothing_behind(self):
         sem = np.zeros(GEOM16.dims, dtype=np.uint16)
@@ -192,6 +362,13 @@ class TestLabelLidar:
         visited = {tuple(c): t for c, t in zip(coords, ts)}
         for cell in occluded:
             assert visited[tuple(cell)] > t_point
+
+    def test_return_whose_ray_crosses_no_cell_marks_nothing(self):
+        # the segment only touches the grid at its corner, where the return lies
+        sem = np.ones(GEOM16.dims, dtype=np.uint16)
+        pc = PointCloud([[0.0, 0.0, 0.0]], [1.0], sensor_origin=(-1.0, -1.0, -1.0))
+        assert (label_lidar(pc, sem, GEOM16, margin=0.0) == E).all()
+        assert label_lidar(pc, sem, GEOM16)[0, 0, 0] == N
 
     def test_point_outside_grid_marks_nothing_nonoccluded(self):
         sem = np.zeros(GEOM16.dims, dtype=np.uint16)
