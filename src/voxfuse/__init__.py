@@ -74,6 +74,7 @@ from .losses import (
 )
 from .metrics import MetricsReport, compute_metrics
 from .occlusion import (
+    BACKGROUND_ROW,
     OCC_CHANNELS,
     SEM_CHANNELS,
     OcclusionLabel,

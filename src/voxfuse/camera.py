@@ -241,11 +241,17 @@ def read_kitti_calib(path, image_size: tuple[int, int] = (1226, 370)) -> CameraM
     p2 = entries["P2"].reshape(3, 4)
     tr = entries["Tr"].reshape(3, 4)
     k = p2[:, :3]
-    t_cam = np.linalg.solve(k, p2[:, 3])
+    try:
+        t_cam = np.linalg.solve(k, p2[:, 3])
+    except np.linalg.LinAlgError as exc:
+        raise ParseError(f"{path}: P2 intrinsic block is singular") from exc
     e = np.eye(4)
     e[:3, :3] = tr[:, :3]
     e[:3, 3] = tr[:, 3] + t_cam
-    return CameraModel(k, e, image_size)
+    try:
+        return CameraModel(k, e, image_size)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_rig_json(path) -> list[CameraModel]:
@@ -269,6 +275,8 @@ def load_rig_json(path) -> list[CameraModel]:
                                    tuple(spec["image_size"])))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: camera {i} is missing {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(f"{path}: camera {i}: {exc}") from exc
     return rig
 
 

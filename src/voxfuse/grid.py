@@ -251,6 +251,16 @@ class SparseVoxelGrid:
     def scale(self) -> int:
         return self.geometry.scale
 
+    @property
+    def shape(self) -> tuple:
+        """Logical dense shape, ``geometry.dims + (channels,)``."""
+        return self.geometry.dims + (self.channels,)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the coords, features and lookup keys."""
+        return self.coords.nbytes + self.features.nbytes + self._keys.nbytes
+
     def rows_for(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row index (or -1) and found mask for each query coord (M, 3)."""
         q = pack_keys(coords)
@@ -283,9 +293,12 @@ class SparseVoxelGrid:
         """World-space centers of all cells, row-aligned with features."""
         return centers_for(self.coords, self.scale, self.geometry)
 
-    def to_dense(self, fill: float = 0.0) -> np.ndarray:
-        """Dense (X, Y, Z, C) array at this scale. Intended for small grids."""
-        out = np.full(self.geometry.dims + (self.channels,), fill, dtype=np.float64)
+    def to_dense(self, fill=0.0) -> np.ndarray:
+        """Dense (X, Y, Z, C) array at this scale. Intended for small grids.
+
+        ``fill`` is a scalar or a C-vector broadcast to every absent cell.
+        """
+        out = np.full(self.shape, fill, dtype=np.float64)
         if len(self):
             out[self.coords[:, 0], self.coords[:, 1], self.coords[:, 2]] = self.features
         return out

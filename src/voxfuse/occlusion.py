@@ -19,11 +19,15 @@ import numpy as np
 
 from .camera import CameraModel
 from .errors import ConfigError, ParseError, ShapeError
-from .grid import GridGeometry, VoxelIndex
+from .grid import GridGeometry, SparseVoxelGrid, VoxelIndex
 from .lidar import PointCloud
 
 SEM_CHANNELS = 18
 OCC_CHANNELS = 3
+# the 21-channel row of a voxel no prediction reached: empty class, empty visibility
+BACKGROUND_ROW = np.zeros(SEM_CHANNELS + OCC_CHANNELS)
+BACKGROUND_ROW[[0, SEM_CHANNELS]] = 1.0
+BACKGROUND_ROW.flags.writeable = False
 
 
 class OcclusionLabel(IntEnum):
@@ -90,15 +94,17 @@ def _traverse_arrays(origin, target, geom: GridGeometry, margin: float = 0.0):
     step = [0, 0, 0]
     t_max = [math.inf, math.inf, math.inf]
     t_delta = [math.inf, math.inf, math.inf]
-    for i in range(3):
-        if dirn[i] > 0:
-            step[i] = 1
-            t_max[i] = (lo[i] + (cell[i] + 1) * h - o[i]) / dirn[i]
-            t_delta[i] = h / dirn[i]
-        elif dirn[i] < 0:
-            step[i] = -1
-            t_max[i] = (lo[i] + cell[i] * h - o[i]) / dirn[i]
-            t_delta[i] = -h / dirn[i]
+    # a subnormal direction component overflows these to inf, which is exact
+    with np.errstate(over="ignore", divide="ignore"):
+        for i in range(3):
+            if dirn[i] > 0:
+                step[i] = 1
+                t_max[i] = (lo[i] + (cell[i] + 1) * h - o[i]) / dirn[i]
+                t_delta[i] = h / dirn[i]
+            elif dirn[i] < 0:
+                step[i] = -1
+                t_max[i] = (lo[i] + cell[i] * h - o[i]) / dirn[i]
+                t_delta[i] = -h / dirn[i]
 
     coords = []
     entries = []
@@ -156,7 +162,7 @@ def _walk(origins, targets, geom: GridGeometry, margin: float = 0.0):
     keep = ~zero & ~(flat_axis & ((o < lo) | (o >= hi))).any(axis=0)
     t0 = np.zeros(seg.shape[0])
     t1 = seg + margin
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ta = (lo - o) / dirn
         tb = (hi - o) / dirn
         for near, far, skip in zip(np.minimum(ta, tb), np.maximum(ta, tb), flat_axis):
@@ -358,17 +364,17 @@ def assemble_output(sem: np.ndarray, occ: np.ndarray) -> np.ndarray:
     return np.concatenate([sem, occ], axis=-1)
 
 
-def decoder_input_set(output21: np.ndarray) -> np.ndarray:
-    """Coordinates whose visibility argmax is non-occluded or occluded.
+def decoder_input_set(output: SparseVoxelGrid) -> SparseVoxelGrid:
+    """Rows of a 21-channel grid whose visibility argmax is non-occluded or occluded.
 
-    The all-zero visibility block argmaxes to empty, so untouched voxels are
-    excluded.
+    Cells absent from ``output`` hold :data:`BACKGROUND_ROW`, whose visibility
+    argmax is empty, so only the grid's rows are read. The result keeps the
+    grid's sorted row order, which is ``np.argwhere`` order over the dense view.
     """
-    out = np.asarray(output21)
-    if out.shape[-1] != SEM_CHANNELS + OCC_CHANNELS:
-        raise ShapeError(f"expected {SEM_CHANNELS + OCC_CHANNELS} channels, got {out.shape[-1]}")
-    occ_arg = np.argmax(out[..., SEM_CHANNELS:], axis=-1)
-    return np.argwhere(occ_arg != OcclusionLabel.EMPTY).astype(np.int64)
+    if output.channels != SEM_CHANNELS + OCC_CHANNELS:
+        raise ShapeError(f"expected {SEM_CHANNELS + OCC_CHANNELS} channels, got {output.channels}")
+    visible = np.argmax(output.features[:, SEM_CHANNELS:], axis=1) != OcclusionLabel.EMPTY
+    return SparseVoxelGrid(output.geometry, output.coords[visible], output.features[visible])
 
 
 def _check_semantics(semantics: np.ndarray, geom: GridGeometry) -> np.ndarray:

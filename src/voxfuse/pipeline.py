@@ -1,8 +1,11 @@
-"""Full forward pass: points and camera features in, 21-channel volumes out.
+"""Full forward pass: points and camera features in, 21-channel outputs out.
 
 Stages compose the library modules in fixed order — voxelize, pyramid,
 densify, camera fusion, importance-driven refinement, prediction head,
 fine decoder — with per-stage wall time and non-empty counts recorded.
+Both outputs are sparse grids of 21-channel probability rows. Every voxel
+not in a grid holds ``occlusion.BACKGROUND_ROW``, so ``to_dense(BACKGROUND_ROW)``
+is the dense view.
 Learned weights are replaced by seeded deterministic stand-ins throughout,
 all split from one root seed.
 """
@@ -35,9 +38,6 @@ from .refine import (
 from .synthetic import SyntheticScene, ring_rig
 
 OUT_CHANNELS = SEM_CHANNELS + OCC_CHANNELS
-# every voxel no row was scattered to: empty class, empty visibility
-_BACKGROUND_ROW = np.zeros(OUT_CHANNELS)
-_BACKGROUND_ROW[[0, SEM_CHANNELS]] = 1.0
 # every stand-in weight of a forward pass, seeded by config.seed_for(name)
 SEED_NAMES = ("backbone", "stack-width", "queries", "fusion", "rie", "gather-semi",
               "gather-fine", "refine-a", "refine-b", "head", "decoder")
@@ -61,9 +61,8 @@ class ForwardResult:
     fused: SparseVoxelGrid
     sets: RefinementSets
     refined: SparseVoxelGrid
-    o4: np.ndarray
-    o1: np.ndarray
-    decoder_coords: np.ndarray
+    o4: SparseVoxelGrid
+    o1: SparseVoxelGrid
     refine_identity: bool
     timings: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
@@ -74,12 +73,12 @@ class ForwardResult:
         return float(sum(self.timings.values()))
 
     def labels_scale4(self) -> np.ndarray:
-        """``volume_labels(o4)``, read from the head's rows only."""
-        return _row_labels(self.o4, self.refined.coords)
+        """``volume_labels`` of o4's dense view, read from its rows only."""
+        return _row_labels(self.o4)
 
     def labels_scale1(self) -> np.ndarray:
-        """``volume_labels(o1)``, read from the decoder's rows only."""
-        return _row_labels(self.o1, self.decoder_coords)
+        """``volume_labels`` of o1's dense view, read from its rows only."""
+        return _row_labels(self.o1)
 
     def stage_report(self) -> str:
         lines = ["stage            seconds   nonempty"]
@@ -101,15 +100,15 @@ def volume_labels(out21: np.ndarray) -> np.ndarray:
     return np.where(visible, sem, 0).astype(np.int64)
 
 
-def _row_labels(out21: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Labels of an output whose voxels off ``coords`` all hold the background row.
+def _row_labels(out: SparseVoxelGrid) -> np.ndarray:
+    """Label volume of a row grid whose absent voxels hold the background row.
 
     A background voxel's visibility argmax is empty, so its label is 0 and
-    only the rows at ``coords`` need an argmax.
+    only the grid's rows need an argmax.
     """
-    labels = np.zeros(out21.shape[:-1], dtype=np.int64)
-    x, y, z = coords.T
-    labels[x, y, z] = volume_labels(out21[x, y, z])
+    labels = np.zeros(out.geometry.dims, dtype=np.int64)
+    x, y, z = out.coords.T
+    labels[x, y, z] = volume_labels(out.features)
     return labels
 
 
@@ -126,13 +125,6 @@ def _split_probs(logits: np.ndarray) -> np.ndarray:
     """Row-normalize the semantic and visibility blocks independently."""
     return np.concatenate([softmax_rows(logits[:, :SEM_CHANNELS]),
                            softmax_rows(logits[:, SEM_CHANNELS:])], axis=1)
-
-
-def _background(dims: tuple) -> np.ndarray:
-    """One 21-channel volume holding the background row everywhere."""
-    vol = np.empty(tuple(dims) + (OUT_CHANNELS,))
-    vol[...] = _BACKGROUND_ROW
-    return vol
 
 
 def refine_stages(fused: SparseVoxelGrid, pyramid: dict, rig: list[CameraModel],
@@ -199,48 +191,39 @@ def forward(pc: PointCloud, rig: list[CameraModel], maps: FeatureMap2D,
 
     with _timed(timings, "head"):
         probs = _split_probs(_head_logits(refined, c, seeds["head"]))
-        o4 = _background(refined.geometry.dims)
-        cx, cy, cz = refined.coords.T
-        o4[cx, cy, cz] = probs
+        o4 = SparseVoxelGrid(refined.geometry, refined.coords, probs)
     counts["head"] = len(refined)
 
     with _timed(timings, "decode"):
-        parents = decoder_input_set(o4)
-        o1, children = _decode_fine(o4, parents, geom, seeds["decoder"])
-    counts["decode"] = children.shape[0]
+        o1 = _decode_fine(decoder_input_set(o4), geom, seeds["decoder"])
+    counts["decode"] = len(o1)
 
     return ForwardResult(geometry=geom, voxelized=f_l1, pyramid=pyramid, dense=dense,
                          fused=fused, sets=sets, refined=refined, o4=o4, o1=o1,
-                         decoder_coords=children, refine_identity=identity,
-                         timings=timings, counts=counts, seeds=seeds)
+                         refine_identity=identity, timings=timings, counts=counts,
+                         seeds=seeds)
 
 
-def _decode_fine(o4: np.ndarray, parents: np.ndarray, geom: GridGeometry,
-                 seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Emit 64 scale-1 children per visible coarse voxel.
+def _decode_fine(parents: SparseVoxelGrid, geom: GridGeometry, seed: int) -> SparseVoxelGrid:
+    """Emit 64 scale-1 children per row of ``parents`` (the visible coarse voxels).
 
     Child logits come from a seeded linear map over the parent's 21 channels
     concatenated with the child's normalized offset inside the parent.
+    Children past the scale-1 extent are dropped.
     """
-    dims1 = geom.with_scale(1).dims
-    o1 = _background(dims1)
-    if parents.shape[0] == 0:
-        return o1, np.zeros((0, 3), dtype=np.int64)
-
-    children = subdivide_coords(parents, 4)
-    parent_rows = np.repeat(np.arange(parents.shape[0]), 64)
-    parent_vecs = o4[parents[:, 0], parents[:, 1], parents[:, 2]][parent_rows]
-    offsets = (children - parents[parent_rows] * 4) / 4.0
+    geom1 = geom.with_scale(1)
+    children = subdivide_coords(parents.coords, 4)
+    parent_rows = np.repeat(np.arange(len(parents)), 64)
+    parent_vecs = parents.features[parent_rows]
+    offsets = (children - parents.coords[parent_rows] * 4) / 4.0
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, 1.0 / np.sqrt(OUT_CHANNELS + 3),
                    size=(OUT_CHANNELS + 3, OUT_CHANNELS))
     # identity carry plus a seeded perturbation so children track their parent
     w[:OUT_CHANNELS] += np.eye(OUT_CHANNELS)
     probs = _split_probs(np.hstack([parent_vecs, offsets]) @ w)
-    keep = (children < np.asarray(dims1)).all(axis=1)
-    ch = children[keep]
-    o1[ch[:, 0], ch[:, 1], ch[:, 2]] = probs[keep]
-    return o1, ch
+    keep = (children < np.asarray(geom1.dims)).all(axis=1)
+    return SparseVoxelGrid(geom1, children[keep], probs[keep])
 
 
 def scene_inputs(scene: SyntheticScene, config: PipelineConfig,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -260,4 +262,15 @@ class TestCalibIO:
         path = tmp_path / "rig.json"
         path.write_text("{\"nope\": []}")
         with pytest.raises(ParseError):
+            load_rig_json(path)
+
+    def test_rig_json_non_rotation(self, tmp_path, rng):
+        cam = random_rig_camera(rng)
+        extrinsics = cam.extrinsics.copy()
+        extrinsics[:3, :3] *= 2.0
+        path = tmp_path / "rig.json"
+        path.write_text(json.dumps({"cameras": [{"intrinsics": cam.intrinsics.tolist(),
+                                                 "extrinsics": extrinsics.tolist(),
+                                                 "image_size": list(cam.image_size)}]}))
+        with pytest.raises(ParseError, match="rig.json: camera 0"):
             load_rig_json(path)

@@ -366,6 +366,19 @@ def _nan_scan_args(tmp_path):
             "--out", str(tmp_path / "o")]
 
 
+def _bad_calib_args(key, row):
+    """label-gen on a KITTI sequence whose calib.txt has ``row`` as its ``key`` row."""
+    def build(tmp_path):
+        seq = make_kitti_sequence(tmp_path)
+        calib = seq / "calib.txt"
+        lines = [f"{key}: {row}" if line.startswith(f"{key}:") else line
+                 for line in calib.read_text().splitlines()]
+        calib.write_text("\n".join(lines) + "\n")
+        return ["label-gen", "--dataset", "semantickitti", "--sequence", str(seq),
+                "--out", str(tmp_path / "o"), "--stride", "64"]
+    return build
+
+
 def _corrupt_scene_args(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -381,6 +394,9 @@ ERROR_CASES = {
     "label-gen-stride-zero": (lambda p: _synthetic_label_args(p, "0"), 1, "stride"),
     "label-gen-nan-scan": (_nan_scan_args, 3, "row 7"),
     "forward-corrupt-scene": (_corrupt_scene_args, 3, "parse error"),
+    "label-gen-singular-p2": (_bad_calib_args("P2", "0 0 641 0 0 0 193 0 0 0 1 0"), 3,
+                              "calib.txt"),
+    "label-gen-scaled-tr": (_bad_calib_args("Tr", "2 0 0 0 0 2 0 0 0 0 2 0"), 3, "calib.txt"),
     "bench-negative-size": (lambda p: ["bench", "--sizes", "-5"], 1, "--sizes"),
 }
 

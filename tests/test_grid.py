@@ -274,6 +274,31 @@ class TestSparseVoxelGrid:
         for c, f in zip(coords, feats):
             np.testing.assert_array_equal(dense[tuple(c)], f)
 
+    def test_shape_is_logical_dense_shape(self):
+        g = GridGeometry((0, 0, 0), 0.1, (9, 8, 7), scale=4)
+        assert SparseVoxelGrid.empty(g, channels=21).shape == (3, 2, 2, 21)
+        grid = SparseVoxelGrid(g, [[2, 1, 1]], np.ones((1, 5)))
+        assert grid.shape == (3, 2, 2, 5)
+
+    def test_nbytes_counts_rows_not_volume(self):
+        g = GridGeometry((0, 0, 0), 0.1, (256, 256, 32))
+        grid = SparseVoxelGrid(g, [[0, 0, 0], [255, 255, 31]], np.zeros((2, 21)))
+        # two int64 coord triples, two float64 21-rows, two int64 keys
+        assert grid.nbytes == 2 * 3 * 8 + 2 * 21 * 8 + 2 * 8
+        assert SparseVoxelGrid.empty(g, channels=21).nbytes == 0
+
+    def test_to_dense_vector_fill(self, rng):
+        g = GridGeometry((0, 0, 0), 0.1, (4, 3, 2))
+        coords = np.array([[0, 0, 0], [3, 2, 1]])
+        feats = rng.normal(size=(2, 21))
+        fill = np.arange(21, dtype=np.float64)
+        dense = SparseVoxelGrid(g, coords, feats).to_dense(fill)
+        assert dense.shape == (4, 3, 2, 21)
+        mask = np.zeros((4, 3, 2), dtype=bool)
+        mask[tuple(coords.T)] = True
+        np.testing.assert_array_equal(dense[tuple(coords.T)], feats)
+        assert (dense[~mask] == fill).all()
+
     def test_features_immutable(self):
         g = small_geom()
         grid = SparseVoxelGrid(g, [[1, 1, 1]], [[1.0]])

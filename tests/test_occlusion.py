@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,10 @@ from hypothesis import strategies as st
 
 from voxfuse.camera import CameraModel, back_project
 from voxfuse.errors import ParseError, ShapeError
-from voxfuse.grid import GridGeometry, VoxelIndex
+from voxfuse.grid import GridGeometry, SparseVoxelGrid, VoxelIndex
 from voxfuse.lidar import PointCloud
 from voxfuse.occlusion import (
+    BACKGROUND_ROW,
     OcclusionLabel,
     OcclusionVolume,
     _length,
@@ -111,6 +114,17 @@ class TestTraverse:
         cells = traverse(center((3, 3, 3)), center((3, 3, 3)), GEOM16)
         assert [c.xyz for c in cells] == [(3, 3, 3)]
 
+    @pytest.mark.parametrize("tiny", [1e-310, -1e-310])
+    def test_subnormal_component_walks_silently(self, tiny):
+        # y = 0 is mid-cell, so a subnormal y step survives the subtraction
+        geom = GridGeometry((0.0, -0.1, 0.0), 0.2, (16, 16, 16))
+        o = np.array([0.05, 0.0, 0.45])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = traverse(o, o + [3.0, tiny, 0.0], geom)
+        # the tiny component never wins a step, so the walk stays on its row
+        assert [c.xyz for c in cells] == [(x, 0, 2) for x in range(16)]
+
     def test_matches_oracle_random_rays(self, rng):
         for _ in range(500):
             a = rng.uniform(-1.0, 7.4, size=3)
@@ -170,9 +184,6 @@ def ray_batches(draw):
 class TestBatchedWalk:
     """The lockstep walk against one scalar walk per ray."""
 
-    # subnormal direction components overflow the scalar walk's t_max to inf,
-    # which the batched walk must reproduce
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(ray_batches())
     def test_rows_equal_scalar_walk(self, batch):
@@ -465,15 +476,44 @@ class TestVolume:
             assemble_output(rng.normal(size=(2, 2, 2, 18)), rng.normal(size=(2, 2, 2, 4)))
 
     def test_decoder_set_empty_when_argmax_empty(self):
-        out = np.zeros((3, 3, 3, 21))
-        assert decoder_input_set(out).shape == (0, 3)
+        geom = GridGeometry((0, 0, 0), 0.2, (3, 3, 3))
+        out = SparseVoxelGrid(geom, [(0, 0, 0), (1, 2, 0)], np.zeros((2, 21)))
+        assert decoder_input_set(out).coords.shape == (0, 3)
 
     def test_decoder_set_picks_visible(self):
-        out = np.zeros((3, 3, 3, 21))
-        out[1, 2, 0, 18 + N] = 5.0
-        out[2, 2, 2, 18 + O] = 3.0
-        got = decoder_input_set(out)
+        geom = GridGeometry((0, 0, 0), 0.2, (3, 3, 3))
+        rows = np.zeros((3, 21))
+        rows[0, 18 + N] = 5.0
+        rows[1, 18 + O] = 3.0
+        out = SparseVoxelGrid(geom, [(1, 2, 0), (2, 2, 2), (0, 1, 1)], rows)
+        got = decoder_input_set(out).coords
         assert {tuple(c) for c in got} == {(1, 2, 0), (2, 2, 2)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_decoder_set_equals_dense_argwhere(self, data):
+        dims = tuple(data.draw(st.integers(1, 5), label=f"d{i}") for i in range(3))
+        geom = GridGeometry((0, 0, 0), 0.2, dims)
+        cells = np.argwhere(np.ones(dims, dtype=bool))
+        n = data.draw(st.integers(0, len(cells)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        coords = cells[rng.permutation(len(cells))[:n]]
+        rows = rng.normal(size=(n, 21))
+        # rows tied at zero: argmax picks the empty channel, as the background row does
+        rows[rng.random(n) < 0.2, 18:] = 0.0
+        grid = SparseVoxelGrid(geom, coords, rows)
+        dense = grid.to_dense(BACKGROUND_ROW)
+        want = np.argwhere(np.argmax(dense[..., 18:], axis=-1) != E)
+        got = decoder_input_set(grid)
+        assert np.array_equal(got.coords, want)
+        assert np.array_equal(got.features, dense[tuple(want.T)])
+
+    def test_decoder_set_rejects_other_widths(self):
+        grid = SparseVoxelGrid(GridGeometry((0, 0, 0), 0.2, (2, 2, 2)), [(0, 0, 0)],
+                               np.zeros((1, 20)))
+        with pytest.raises(ShapeError):
+            decoder_input_set(grid)
 
 
 class TestDownsample:

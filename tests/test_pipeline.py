@@ -2,15 +2,17 @@
 
 import importlib.resources
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from voxfuse.config import PipelineConfig
-from voxfuse.grid import GridGeometry, subdivide_coords
-from voxfuse.occlusion import OCC_CHANNELS, SEM_CHANNELS, assemble_output, decoder_input_set
+from voxfuse.grid import GridGeometry, SparseVoxelGrid, subdivide_coords
+from voxfuse.occlusion import BACKGROUND_ROW, OCC_CHANNELS, SEM_CHANNELS, assemble_output
 from voxfuse.pipeline import (
     OUT_CHANNELS,
+    _decode_fine,
     _head_logits,
     _split_probs,
     forward,
@@ -45,14 +47,14 @@ class TestShapes:
         assert result.o1.shape == scene.geometry.dims + (21,)
 
     def test_probability_blocks_normalized(self, result):
-        for vol in (result.o4, result.o1):
+        for vol in (result.o4.to_dense(BACKGROUND_ROW), result.o1.to_dense(BACKGROUND_ROW)):
             assert np.allclose(vol[..., :SEM_CHANNELS].sum(axis=-1), 1.0)
             assert np.allclose(vol[..., SEM_CHANNELS:].sum(axis=-1), 1.0)
 
     def test_decoder_emits_64_children_per_visible_voxel(self, result):
         n_visible = np.count_nonzero(
-            np.argmax(result.o4[..., SEM_CHANNELS:], axis=-1) != 0)
-        assert result.decoder_coords.shape[0] == 64 * n_visible
+            np.argmax(result.o4.to_dense(BACKGROUND_ROW)[..., SEM_CHANNELS:], axis=-1) != 0)
+        assert len(result.o1) == 64 * n_visible
         assert result.counts["decode"] == 64 * n_visible
 
     def test_stage_report_mentions_every_stage(self, result):
@@ -67,7 +69,7 @@ class TestLabels:
     def test_labels_zero_outside_decoder_set(self, result):
         labels = result.labels_scale1()
         mask = np.zeros(labels.shape, dtype=bool)
-        ch = result.decoder_coords
+        ch = result.o1.coords
         mask[ch[:, 0], ch[:, 1], ch[:, 2]] = True
         assert (labels[~mask] == 0).all()
 
@@ -86,13 +88,14 @@ class TestDeterminism:
         cfg = PipelineConfig(root_seed=31)
         a = forward_scene(scene, cfg)
         b = forward_scene(scene, cfg)
-        assert np.array_equal(a.o4, b.o4)
-        assert np.array_equal(a.o1, b.o1)
+        assert np.array_equal(a.o4.to_dense(BACKGROUND_ROW), b.o4.to_dense(BACKGROUND_ROW))
+        assert np.array_equal(a.o1.to_dense(BACKGROUND_ROW), b.o1.to_dense(BACKGROUND_ROW))
         assert np.array_equal(a.refined.features, b.refined.features)
 
     def test_different_seed_differs(self, scene, result):
         other = forward_scene(scene, PipelineConfig(root_seed=99))
-        assert not np.array_equal(other.o4, result.o4)
+        assert not np.array_equal(other.o4.to_dense(BACKGROUND_ROW),
+                                  result.o4.to_dense(BACKGROUND_ROW))
 
     def test_seeds_recorded(self, result):
         assert set(result.seeds) >= {"backbone", "queries", "fusion", "rie", "head"}
@@ -139,7 +142,7 @@ def _reference_outputs(res, config):
     probs4 = _split_probs(_head_logits(refined, config.lidar_channels, res.seeds["head"]))
     o4 = _dense_reference(refined.geometry.dims, refined.coords, probs4)
 
-    parents = decoder_input_set(o4)
+    parents = np.argwhere(np.argmax(o4[..., SEM_CHANNELS:], axis=-1) != 0)
     children = subdivide_coords(parents, 4)
     parent_rows = np.repeat(np.arange(parents.shape[0]), 64)
     offsets = (children - parents[parent_rows] * 4) / 4.0
@@ -171,11 +174,13 @@ def readout(request):
 
 class TestRowReadout:
     def test_labels_scale1_match_dense_argmax(self, readout):
-        assert readout.decoder_coords.shape[0] > 0
-        assert np.array_equal(readout.labels_scale1(), volume_labels(readout.o1))
+        assert len(readout.o1) > 0
+        assert np.array_equal(readout.labels_scale1(),
+                              volume_labels(readout.o1.to_dense(BACKGROUND_ROW)))
 
     def test_labels_scale4_match_dense_argmax(self, readout):
-        assert np.array_equal(readout.labels_scale4(), volume_labels(readout.o4))
+        assert np.array_equal(readout.labels_scale4(),
+                              volume_labels(readout.o4.to_dense(BACKGROUND_ROW)))
 
     @pytest.mark.parametrize("scene_name", ["demo", "random-7"])
     def test_outputs_equal_dense_reference(self, scene_name):
@@ -183,8 +188,17 @@ class TestRowReadout:
         config = PipelineConfig()
         res = forward_scene(scene, config)
         o4, o1 = _reference_outputs(res, config)
-        assert np.array_equal(res.o4, o4)
-        assert np.array_equal(res.o1, o1)
+        assert np.array_equal(res.o4.to_dense(BACKGROUND_ROW), o4)
+        assert np.array_equal(res.o1.to_dense(BACKGROUND_ROW), o1)
+
+    def test_no_visible_parent_gives_empty_o1(self, scene, result):
+        parents = SparseVoxelGrid.empty(scene.geometry.with_scale(4), OUT_CHANNELS)
+        o1 = _decode_fine(parents, scene.geometry, result.seeds["decoder"])
+        assert len(o1) == 0
+        assert o1.shape == scene.geometry.dims + (OUT_CHANNELS,)
+        labels = replace(result, o1=o1).labels_scale1()
+        assert labels.shape == scene.geometry.dims
+        assert not labels.any()
 
 
 class TestRefineStages:
