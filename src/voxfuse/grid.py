@@ -38,6 +38,8 @@ class GridGeometry:
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "dims_scale1", tuple(int(v) for v in self.dims_scale1))
+        if not all(math.isfinite(v) for v in self.origin):
+            raise ValueError(f"origin must be finite, got {self.origin}")
         if self.voxel_size <= 0:
             raise ValueError(f"voxel_size must be positive, got {self.voxel_size}")
         if self.scale not in VALID_SCALES:
@@ -200,6 +202,15 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
     return np.stack([(k >> (2 * _AXIS_BITS)) & mask, (k >> _AXIS_BITS) & mask, k & mask], axis=1)
 
 
+def unique_coords(coords: np.ndarray) -> np.ndarray:
+    """Distinct (N, 3) non-negative coords in lexicographic order.
+
+    The same rows as ``np.unique(coords, axis=0)``, found by one sort of the
+    packed keys.
+    """
+    return unpack_keys(np.unique(pack_keys(coords)))
+
+
 class SparseVoxelGrid:
     """Immutable coordinate-indexed feature storage at a single scale.
 
@@ -263,7 +274,10 @@ class SparseVoxelGrid:
 
     def rows_for(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row index (or -1) and found mask for each query coord (M, 3)."""
-        q = pack_keys(coords)
+        return self.rows_for_keys(pack_keys(coords))
+
+    def rows_for_keys(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`rows_for` on an array of packed keys of any shape."""
         if self._keys.size == 0:
             return np.full(q.shape, -1, dtype=np.int64), np.zeros(q.shape, dtype=bool)
         pos = np.searchsorted(self._keys, q)

@@ -2,8 +2,16 @@
 
 The feature encoding produced by :func:`voxelize` is a hand-crafted stand-in
 for a learned point encoder; everything downstream treats the channels as
-opaque. Convolutions accumulate taps in a fixed lexicographic order so
-repeated runs are bit-identical.
+opaque.
+
+:func:`sparse_conv` builds a kernel map (the "rulebook" of Graham et al.,
+CVPR 2018): a (taps, output rows) table of input rows, -1 for a missing
+neighbour, resolved in one batched key search. Each tap with hits runs one
+matmul over its hit rows, and the products are added onto the bias one tap
+at a time in lexicographic tap order. A matmul over all output rows at once
+is avoided on purpose: BLAS rounds a row differently depending on how many
+rows share the call, so only the per-tap row sets keep outputs bit-identical
+from run to run and to the per-tap reference loop in the tests.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, InvalidFactor, InvalidScale, ParseError, ShapeError
-from .grid import GridGeometry, SparseVoxelGrid
+from .grid import GridGeometry, SparseVoxelGrid, pack_keys, unique_coords
 
 # occupancy, mean intensity, mean offset-from-center (3)
 BASE_FEATURES = 5
@@ -98,9 +106,7 @@ def voxelize(pc: PointCloud, geom: GridGeometry, channels: int = 8) -> SparseVox
 
 def kernel_offsets(extent: int) -> np.ndarray:
     """All (extent^3, 3) tap offsets in lexicographic order, centered on zero."""
-    r = extent // 2
-    rng = np.arange(-r, r + 1, dtype=np.int64)
-    return np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
+    return np.indices((extent,) * 3, dtype=np.int64).reshape(3, -1).T - extent // 2
 
 
 @dataclass(frozen=True)
@@ -163,16 +169,26 @@ class SparseConvSpec:
         return cls(w, np.zeros(channels), mode)
 
 
-def _rows_or_missing(grid: SparseVoxelGrid, query: np.ndarray) -> np.ndarray:
-    """Row index per query coord, -1 where absent or outside the grid."""
-    q = np.asarray(query, dtype=np.int64).reshape(-1, 3)
-    dims = np.asarray(grid.geometry.dims)
-    ok = np.logical_and(q >= 0, q < dims).all(axis=1)
-    rows = np.full(q.shape[0], -1, dtype=np.int64)
-    if ok.any():
-        r, f = grid.rows_for(q[ok])
-        rows[np.flatnonzero(ok)[f]] = r[f]
-    return rows
+def _kernel_map(grid: SparseVoxelGrid, anchors: np.ndarray, extent: int) -> np.ndarray:
+    """(extent^3, anchors) table of the grid row at ``anchor + offset``.
+
+    Rows follow :func:`kernel_offsets` order. Every tap is resolved in one
+    batched key search; -1 marks a neighbour that is absent or outside the
+    grid. Keys are linear in in-bounds coords, so a neighbour's key is its
+    anchor's key plus the tap's key offset; an out-of-bounds neighbour's key
+    may alias another cell and is masked out afterwards.
+    """
+    r = extent // 2
+    steps = np.arange(-r, r + 1)
+    per_axis = []
+    for ax, dim in enumerate(grid.geometry.dims):
+        c = anchors[None, :, ax] + steps[:, None]
+        per_axis.append((c >= 0) & (c < dim))
+    x, y, z = per_axis
+    inside = (x[:, None, None] & y[None, :, None] & z[None, None, :]).reshape(extent ** 3, -1)
+    tap_keys = pack_keys(kernel_offsets(extent) + r) - pack_keys(np.full((1, 3), r))
+    rows, _ = grid.rows_for_keys(pack_keys(anchors)[None, :] + tap_keys[:, None])
+    return np.where(inside, rows, -1)
 
 
 def sparse_conv(grid: SparseVoxelGrid, spec: SparseConvSpec, stride: int = 1) -> SparseVoxelGrid:
@@ -182,67 +198,65 @@ def sparse_conv(grid: SparseVoxelGrid, spec: SparseConvSpec, stride: int = 1) ->
     each kernel window at ``stride * coord`` on a grid one scale level coarser
     whose non-empty set is the integer-division image of the input set.
     Missing neighbors contribute zero.
+
+    The kernel map (taps x output rows) is built once per call. Each tap's
+    hit rows are multiplied by that tap's weights and added onto the bias,
+    one tap at a time in lexicographic tap order.
     """
     if spec.in_channels != grid.channels:
         raise ShapeError(f"spec expects {spec.in_channels} channels, grid has {grid.channels}")
-    offsets = kernel_offsets(spec.kernel_extent)
-
     if stride == 1:
         out_geom = grid.geometry
         if spec.mode == "submanifold":
             out_coords = grid.coords
         else:
+            offsets = kernel_offsets(spec.kernel_extent)
             dil = (grid.coords[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-            dims = np.asarray(out_geom.dims)
-            dil = dil[np.logical_and(dil >= 0, dil < dims).all(axis=1)]
-            out_coords = np.unique(dil, axis=0)
+            out_coords = unique_coords(dil[out_geom.contains_index(dil)])
         anchors = out_coords
     else:
         out_geom = grid.geometry.with_scale(grid.scale * stride)
-        out_coords = np.unique(grid.coords // stride, axis=0)
+        out_coords = unique_coords(grid.coords // stride)
         anchors = out_coords * stride
 
+    kmap = _kernel_map(grid, anchors, spec.kernel_extent)
+    taps, outs = np.nonzero(kmap >= 0)
+    src = grid.features[kmap[taps, outs]]
+    weights = spec.weights.reshape(-1, spec.in_channels, spec.out_channels)
+    products = np.empty((src.shape[0], spec.out_channels))
+    start = 0
+    for t, n in enumerate(np.bincount(taps, minlength=weights.shape[0]).tolist()):
+        if n:
+            hits = slice(start, start + n)
+            np.matmul(src[hits], weights[t], out=products[hits])
+            start += n
+    # np.add.at applies the products in index order, which is tap-major, so
+    # every output element sums its taps in lexicographic order.
     out = np.tile(spec.bias, (out_coords.shape[0], 1))
-    for o, d in enumerate(offsets):
-        rows = _rows_or_missing(grid, anchors + d)
-        hit = rows >= 0
-        if hit.any():
-            i, j, k = np.unravel_index(o, (spec.kernel_extent,) * 3)
-            out[hit] += grid.features[rows[hit]] @ spec.weights[i, j, k]
+    flat = outs[:, None] * spec.out_channels + np.arange(spec.out_channels)
+    np.add.at(out.reshape(-1), flat.reshape(-1), products.reshape(-1))
     return SparseVoxelGrid(out_geom, out_coords, out, grid.meta)
 
 
-def downsample(grid: SparseVoxelGrid, factor: int = 2, mode: str = "conv",
+def downsample(grid: SparseVoxelGrid, factor: int = 2,
                spec: SparseConvSpec | None = None, seed: int = 0) -> SparseVoxelGrid:
     """Coarsen a grid so the non-empty set is the integer-division image.
 
-    mode "conv" runs a stride-``factor`` step of seeded 3x3x3 convolutions
-    (one per factor-2 level); mode "mean" averages child features per parent
-    and exists as the oracle-friendly path.
+    Runs a stride-``factor`` step of seeded 3x3x3 convolutions, one stride-2
+    convolution per factor-2 level.
     """
     if factor not in (2, 4):
         raise InvalidFactor(f"downsample factor must be 2 or 4, got {factor}")
     if len(grid) == 0:
         return SparseVoxelGrid.empty(grid.geometry.with_scale(grid.scale * factor), grid.channels)
-
-    if mode == "mean":
-        parents, inverse = np.unique(grid.coords // factor, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        sums = np.zeros((parents.shape[0], grid.channels))
-        np.add.at(sums, inverse, grid.features)
-        counts = np.bincount(inverse, minlength=parents.shape[0]).astype(np.float64)
-        return SparseVoxelGrid(grid.geometry.with_scale(grid.scale * factor),
-                               parents, sums / counts[:, None], grid.meta)
-    if mode == "conv":
-        out = grid
-        for level in range(factor // 2):
-            s = spec or SparseConvSpec.seeded(out.channels, out.channels, seed=seed + level)
-            out = sparse_conv(out, s, stride=2)
-        return out
-    raise ValueError(f"mode must be 'conv' or 'mean', got {mode!r}")
+    out = grid
+    for level in range(factor // 2):
+        s = spec or SparseConvSpec.seeded(out.channels, out.channels, seed=seed + level)
+        out = sparse_conv(out, s, stride=2)
+    return out
 
 
-def multi_scale_stack(grid: SparseVoxelGrid, scales=(1, 2, 4, 8, 16), mode: str = "conv",
+def multi_scale_stack(grid: SparseVoxelGrid, scales=(1, 2, 4, 8, 16),
                       seed: int = 0) -> dict[int, SparseVoxelGrid]:
     """Downsample a scale-1 grid into a {scale: grid} pyramid over the given scales."""
     if grid.scale != 1:
@@ -254,6 +268,6 @@ def multi_scale_stack(grid: SparseVoxelGrid, scales=(1, 2, 4, 8, 16), mode: str 
             continue
         if s != cur.scale * 2:
             raise InvalidScale(f"scales {scales} must step by factors of 2")
-        cur = downsample(cur, 2, mode=mode, seed=seed + s)
+        cur = downsample(cur, 2, seed=seed + s)
         stack[s] = cur
     return {s: stack[s] for s in scales}

@@ -16,7 +16,7 @@ import numpy as np
 
 from .camera import CameraModel, FeatureMap2D, project_points, sample_array
 from .errors import ShapeError
-from .grid import SparseVoxelGrid, centers_for, pack_keys, subdivide_coords
+from .grid import SparseVoxelGrid, centers_for, pack_keys, subdivide_coords, unique_coords
 from .lidar import SparseConvSpec, sparse_conv
 
 
@@ -160,7 +160,7 @@ def _aligned_sum(a: SparseVoxelGrid, b: SparseVoxelGrid) -> SparseVoxelGrid:
         return b.with_features(b.features.copy())
     if len(b) == 0:
         return a.with_features(a.features.copy())
-    coords = np.unique(np.vstack([a.coords, b.coords]), axis=0)
+    coords = unique_coords(np.vstack([a.coords, b.coords]))
     feats = np.zeros((coords.shape[0], a.channels))
     for g in (a, b):
         rows, found = g.rows_for(coords)

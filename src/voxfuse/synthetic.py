@@ -32,6 +32,8 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != 3 or len(self.hi) != 3:
             raise ShapeError("box corners must be 3-vectors")
+        if not np.isfinite(np.asarray([self.lo, self.hi], dtype=np.float64)).all():
+            raise ValueError(f"box corners must be finite, got lo={self.lo} hi={self.hi}")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ValueError(f"box must have positive extent, got lo={self.lo} hi={self.hi}")
         if not 1 <= self.class_id < SEM_CHANNELS:
@@ -90,7 +92,10 @@ class SyntheticScene:
         if self.geometry.scale != 1:
             raise ValueError("scene geometry must be at scale 1")
         object.__setattr__(self, "boxes", tuple(self.boxes))
-        object.__setattr__(self, "sensor_origin", tuple(float(v) for v in self.sensor_origin))
+        origin = tuple(float(v) for v in self.sensor_origin)
+        if len(origin) != 3 or not np.isfinite(origin).all():
+            raise ValueError(f"sensor_origin must be 3 finite numbers, got {self.sensor_origin}")
+        object.__setattr__(self, "sensor_origin", origin)
 
     def gt_volume(self) -> np.ndarray:
         """Exact semantic labels: a voxel is inside a box iff the open
@@ -208,7 +213,7 @@ def random_scene(seed: int, geometry: GridGeometry | None = None,
         if len(boxes) >= 3 and scene.foreground_fraction() >= min_foreground:
             return scene
     if scene is None or scene.foreground_fraction() < min_foreground:
-        raise EmptyInput(f"could not reach {min_foreground:.0%} foreground for seed {seed}")
+        raise EmptyInput(f"could not reach {min_foreground * 100:.4g}% foreground for seed {seed}")
     return scene
 
 

@@ -1,5 +1,6 @@
 """Command-line tests: exit codes, file outputs, and format handling."""
 
+import importlib.resources
 import json
 import os
 
@@ -385,6 +386,21 @@ def _corrupt_scene_args(tmp_path):
     return ["forward", "--scene", str(bad)]
 
 
+def _demo_scene_with(section, key, value, command="forward"):
+    """``command`` on the bundled demo scene with ``data[section][key] = value``."""
+    def build(tmp_path):
+        demo = importlib.resources.files("voxfuse").joinpath("data/demo_scene.json")
+        data = json.loads(demo.read_text(encoding="utf-8"))
+        (data[section] if section else data)[key] = value
+        bad = tmp_path / "bad_scene.json"
+        bad.write_text(json.dumps(data))
+        if command == "forward":
+            return ["forward", "--scene", str(bad), "--out", str(tmp_path / "o")]
+        return ["label-gen", "--dataset", "synthetic", "--sequence", str(bad),
+                "--out", str(tmp_path / "o")]
+    return build
+
+
 # (argv builder, documented exit code, text the message line must hold)
 ERROR_CASES = {
     "eval-classes-zero": (lambda p: _eval_args(p, "0"), 1, "--classes"),
@@ -394,6 +410,13 @@ ERROR_CASES = {
     "label-gen-stride-zero": (lambda p: _synthetic_label_args(p, "0"), 1, "stride"),
     "label-gen-nan-scan": (_nan_scan_args, 3, "row 7"),
     "forward-corrupt-scene": (_corrupt_scene_args, 3, "parse error"),
+    "forward-nan-sensor-origin": (_demo_scene_with(None, "sensor_origin", ["nan", 1, 1]), 3,
+                                  "sensor_origin"),
+    "forward-nan-grid-origin": (_demo_scene_with("geometry", "origin", ["nan", 0, 0]), 3,
+                                "origin must be finite"),
+    "label-gen-nan-grid-origin": (_demo_scene_with("geometry", "origin", [0, "inf", 0],
+                                                   command="label-gen"), 3,
+                                  "origin must be finite"),
     "label-gen-singular-p2": (_bad_calib_args("P2", "0 0 641 0 0 0 193 0 0 0 1 0"), 3,
                               "calib.txt"),
     "label-gen-scaled-tr": (_bad_calib_args("Tr", "2 0 0 0 0 2 0 0 0 0 2 0"), 3, "calib.txt"),

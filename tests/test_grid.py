@@ -12,6 +12,7 @@ from voxfuse.grid import (
     pack_keys,
     subdivide,
     subdivide_coords,
+    unique_coords,
     unpack_keys,
     voxel_center,
 )
@@ -48,6 +49,11 @@ class TestGeometry:
     def test_invalid_scale_rejected(self):
         with pytest.raises(InvalidScale):
             GridGeometry((0, 0, 0), 0.2, (16, 16, 16), scale=3)
+
+    @pytest.mark.parametrize("origin", [(float("nan"), 0, 0), (0, 0, float("-inf"))])
+    def test_non_finite_origin_rejected(self, origin):
+        with pytest.raises(ValueError, match="origin must be finite"):
+            GridGeometry(origin, 0.2, (16, 16, 16))
 
     def test_world_to_index_floor(self):
         g = small_geom()
@@ -197,6 +203,13 @@ class TestKeyPacking:
         with pytest.raises(OutOfBounds):
             pack_keys(np.array([[-1, 0, 0]]))
 
+    @pytest.mark.parametrize("n", [0, 1, 300])
+    def test_unique_coords_matches_row_unique(self, rng, n):
+        coords = rng.integers(0, 6, size=(n, 3))
+        got = unique_coords(coords)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.unique(coords, axis=0).reshape(-1, 3))
+
 
 class TestSparseVoxelGrid:
     def test_insert_then_lookup_exact(self, rng):
@@ -257,6 +270,15 @@ class TestSparseVoxelGrid:
         np.testing.assert_array_equal(grid.coords[rows[:5]], coords[:5])
         if grid.lookup((63, 63, 63)) is None:
             assert not found[5] and rows[5] == -1
+
+    def test_rows_for_keys_keeps_query_shape(self, rng):
+        coords = np.unique(rng.integers(0, 64, size=(40, 3)), axis=0)
+        grid = SparseVoxelGrid(small_geom(), coords, rng.normal(size=(coords.shape[0], 1)))
+        queries = np.vstack([coords[:6], [[63, 63, 63]] * 2])
+        rows, found = grid.rows_for_keys(pack_keys(queries).reshape(2, 4))
+        flat_rows, flat_found = grid.rows_for(queries)
+        np.testing.assert_array_equal(rows, flat_rows.reshape(2, 4))
+        np.testing.assert_array_equal(found, flat_found.reshape(2, 4))
 
     def test_empty_grid(self):
         g = small_geom()

@@ -1,5 +1,7 @@
 """Synthetic scene tests: exact rasterization and sensor-consistency checks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,12 @@ class TestRandomScene:
         for seed in range(8):
             assert random_scene(seed).foreground_fraction() >= 0.05
 
+    def test_unreachable_floor_message_keeps_precision(self):
+        # no box fits beside the sensor in a 4x4x4 grid, so every floor is out of reach
+        geom = GridGeometry((0.0, 0.0, 0.0), 0.2, (4, 4, 4))
+        with pytest.raises(EmptyInput, match=r"reach 0\.5% foreground for seed 3"):
+            random_scene(3, geom, min_foreground=0.005)
+
     def test_sensor_outside_every_box(self):
         for seed in range(8):
             scene = random_scene(seed)
@@ -197,6 +205,27 @@ class TestSceneJson:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_scene(str(path))
+
+    @staticmethod
+    def _load_edited(tmp_path, edit):
+        """Save a scene, apply ``edit`` to its JSON dict, and load it back."""
+        path = tmp_path / "scene.json"
+        save_scene(random_scene(13), str(path))
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        return load_scene(str(path))
+
+    @pytest.mark.parametrize("origin", [["nan", 1, 1], [1, float("inf"), 1], [1, 1]])
+    def test_bad_sensor_origin_rejected(self, tmp_path, origin):
+        with pytest.raises(ParseError, match="sensor_origin"):
+            self._load_edited(tmp_path, lambda d: d.update(sensor_origin=origin))
+
+    def test_non_finite_box_corner_rejected(self, tmp_path):
+        def nan_corner(data):
+            data["boxes"][0]["hi"][2] = "nan"
+        with pytest.raises(ParseError, match="box corners must be finite"):
+            self._load_edited(tmp_path, nan_corner)
 
     def test_missing_file_raises_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
