@@ -84,14 +84,10 @@ from .occlusion import (
     combine,
     combine_volumes,
     decoder_input_set,
-    dense_from_sparse_labels,
-    downsample_occlusion,
-    downsample_semantics,
     label_camera,
     label_lidar,
     read_kitti_bitmask,
     read_kitti_label_volume,
-    read_nuscenes_occupancy,
     read_volume,
     traverse,
     write_volume,

@@ -64,15 +64,16 @@ def _load_config(path: str | None) -> PipelineConfig:
 
 
 def _histogram(labels: np.ndarray) -> dict:
+    counts = np.bincount(labels.ravel(), minlength=3)
     return {
-        "empty": int((labels == OcclusionLabel.EMPTY).sum()),
-        "non_occluded": int((labels == OcclusionLabel.NON_OCCLUDED).sum()),
-        "occluded": int((labels == OcclusionLabel.OCCLUDED).sum()),
+        "empty": int(counts[OcclusionLabel.EMPTY]),
+        "non_occluded": int(counts[OcclusionLabel.NON_OCCLUDED]),
+        "occluded": int(counts[OcclusionLabel.OCCLUDED]),
     }
 
 
 def _label_one(semantics: np.ndarray, pc, rig, geom: GridGeometry, stride: int):
-    """Both sensors' labels merged, plus each sensor's ray count and wall time."""
+    """Both sensors' labels merged, plus ray counts and each stage's wall time."""
     start = time.perf_counter()
     if pc is None:
         lidar_labels = np.zeros(geom.dims, dtype=np.uint8)
@@ -84,14 +85,16 @@ def _label_one(semantics: np.ndarray, pc, rig, geom: GridGeometry, stride: int):
     else:
         cam_labels = np.zeros(geom.dims, dtype=np.uint8)
     end = time.perf_counter()
+    volume = build_volume(semantics, lidar_labels, cam_labels, geom)
     stats = {
         "lidar_rays": 0 if pc is None else len(pc),
         "camera_rays": sum(len(range(0, w, stride)) * len(range(0, h, stride))
                            for w, h in (cam.image_size for cam in rig)),
         "lidar_s": mid - start,
         "camera_s": end - mid,
+        "build_s": time.perf_counter() - end,
     }
-    return build_volume(semantics, lidar_labels, cam_labels, geom), stats
+    return volume, stats
 
 
 def _cmd_label_gen(args) -> int:
@@ -110,7 +113,7 @@ def _cmd_label_gen(args) -> int:
         volume, stats = _label_one(semantics, pc, rig, geom, args.stride)
         name = os.path.splitext(os.path.basename(args.sequence))[0]
         path = os.path.join(out_dir, f"{name}.occ.u8")
-        write_volume(path, volume.occlusion.astype(np.uint8), geom)
+        write_volume(path, volume.occlusion, geom)
         frames.append({"name": name, "volume": path,
                        "histogram": _histogram(volume.occlusion), **stats})
     else:
@@ -129,7 +132,7 @@ def _cmd_label_gen(args) -> int:
         for fname in label_files:
             stem = fname[:-len(".label")]
             semantics = read_kitti_label_volume(os.path.join(voxel_dir, fname),
-                                                dims=geom.dims).astype(np.int64)
+                                                dims=geom.dims)
             invalid_path = os.path.join(voxel_dir, f"{stem}.invalid")
             if os.path.exists(invalid_path):
                 semantics[read_kitti_bitmask(invalid_path, dims=geom.dims)] = 0
@@ -137,7 +140,7 @@ def _cmd_label_gen(args) -> int:
             pc = read_velodyne_bin(bin_path) if os.path.exists(bin_path) else None
             volume, stats = _label_one(semantics, pc, rig, geom, args.stride)
             path = os.path.join(out_dir, f"{stem}.occ.u8")
-            write_volume(path, volume.occlusion.astype(np.uint8), geom)
+            write_volume(path, volume.occlusion, geom)
             frames.append({"name": stem, "volume": path,
                            "histogram": _histogram(volume.occlusion), **stats})
     summary = {"dataset": args.dataset, "stride": args.stride, "frames": frames}

@@ -36,12 +36,9 @@ class OcclusionLabel(IntEnum):
     OCCLUDED = 2
 
 
-# merge priority per label value: non-occluded beats occluded beats empty
-_PRIORITY = np.array([0, 2, 1], dtype=np.uint8)
-# inverse: priority-encoded value back to label
-_FROM_PRIORITY = np.array([0, 2, 1], dtype=np.uint8)
-
 _EPS = 1e-12
+# _walk compacts its state once fewer than this share of the stored rays are alive
+_COMPACT = 7 / 8
 
 
 def _length(d):
@@ -144,8 +141,13 @@ def _walk(origins, targets, geom: GridGeometry, margin: float = 0.0):
     Yields one ``(ray_ids, flat_cells, t_entry)`` triple per step: step k
     holds row k of every ray that has one, with cells as flat C-order indices
     into ``geom.dims``. The arithmetic is the scalar walk's, operation for
-    operation, so each ray's rows equal its scalar rows bit for bit. Finished
-    rays are dropped, so memory stays proportional to the ray count.
+    operation, so each ray's rows equal its scalar rows bit for bit.
+
+    Compaction is lazy: a finished ray stays in the state arrays behind an
+    ``alive`` mask and keeps stepping on values nothing reads, and the state
+    is compacted only once fewer than ``_COMPACT`` of its rows are alive. So
+    a step copies the yielded rows, not every per-ray array, and memory stays
+    proportional to the ray count.
     """
     o = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     d = np.asarray(targets, dtype=np.float64).reshape(-1, 3) - o
@@ -189,24 +191,48 @@ def _walk(origins, targets, geom: GridGeometry, margin: float = 0.0):
     flat = np.ravel_multi_index(tuple(cell), geom.dims, mode="clip")[keep]
     ids, t_cur, t1 = np.flatnonzero(keep), t0[keep], t1[keep]
     t_max, t_delta, inc, left = (a.compress(keep, axis=1) for a in (t_max, t_delta, inc, left))
-    while ids.size:
-        yield ids, flat, t_cur
+    alive = np.ones(ids.size, dtype=bool)
+    live = ids.size
+    rows = np.arange(ids.size)
+    while live:
+        if live == ids.size:
+            yield ids, flat, t_cur
+        else:
+            yield ids[alive], flat[alive], t_cur[alive]
         n = ids.size
         # ties go to the lower axis, as with the scalar walk's strict comparisons
-        axis = (t_max[1] < t_max[0]).astype(np.intp)
-        axis[t_max[2] < np.minimum(t_max[0], t_max[1])] = 2
-        at = axis * n + np.arange(n)
+        at = (t_max[1] < t_max[0]).astype(np.intp)
+        at[t_max[2] < np.minimum(t_max[0], t_max[1])] = 2
+        # flat index of (axis, ray) into the (3, n) state
+        at *= n
+        at += rows
         tm, lf = t_max.reshape(-1), left.reshape(-1)
         t_cur = tm[at]
+        # a finished ray's t_cur may be inf; inf + t_delta (>= 0) stays inf
         tm[at] = t_cur + t_delta.reshape(-1)[at]
         flat = flat + inc.reshape(-1)[at]
         rem = lf[at] - 1
         lf[at] = rem
-        go = (t1 - t_cur > _EPS) & (rem >= 0)
-        if not go.all():
-            ids, flat, t_cur, t1 = (a[go] for a in (ids, flat, t_cur, t1))
-            t_max, t_delta, inc, left = (a.compress(go, axis=1)
+        alive &= t1 - t_cur > _EPS
+        alive &= rem >= 0
+        live = np.count_nonzero(alive)
+        if live < _COMPACT * n:
+            ids, flat, t_cur, t1 = (a[alive] for a in (ids, flat, t_cur, t1))
+            t_max, t_delta, inc, left = (a.compress(alive, axis=1)
                                          for a in (t_max, t_delta, inc, left))
+            alive, rows = np.ones(live, dtype=bool), rows[:live]
+
+
+def _labels_from_priority(prio: np.ndarray, geom: GridGeometry) -> np.ndarray:
+    """Merge priorities 0, 1, 2 (empty < occluded < non-occluded) to labels, in place.
+
+    ``(5p >> 1) & 3`` maps 0, 1, 2 to 0, 2, 1 (empty, occluded, non-occluded)
+    in three passes with no division and no second volume.
+    """
+    prio *= 5
+    prio >>= 1
+    prio &= 3
+    return prio.reshape(geom.dims)
 
 
 def label_lidar(pc: PointCloud, semantics: np.ndarray, geom: GridGeometry,
@@ -221,8 +247,8 @@ def label_lidar(pc: PointCloud, semantics: np.ndarray, geom: GridGeometry,
     semantics = _check_semantics(semantics, geom)
     if margin is None:
         margin = geom.diagonal
-    sem = semantics.reshape(-1)
-    prio = np.zeros(sem.shape[0], dtype=np.uint8)
+    occupied = semantics.reshape(-1) > 0
+    prio = np.zeros(occupied.shape[0], dtype=np.uint8)
     dims = np.asarray(geom.dims)
     pts = pc.points
     beyond = _length(pts - pc.sensor_origin) + 1e-9
@@ -233,9 +259,9 @@ def label_lidar(pc: PointCloud, semantics: np.ndarray, geom: GridGeometry,
         if k == 0:
             prio[flat_pt[ids[inside[ids]]]] = 2
         far = cells[t_entry > beyond[ids]]
-        far = far[sem[far] > 0]
+        far = far[occupied[far]]
         prio[far] = np.maximum(prio[far], 1)
-    return _FROM_PRIORITY[prio].reshape(geom.dims)
+    return _labels_from_priority(prio, geom)
 
 
 def _pixel_rays(cam: CameraModel, pixel_stride: int):
@@ -279,18 +305,18 @@ def label_camera(rig: list[CameraModel], semantics: np.ndarray, geom: GridGeomet
         origins.append(np.broadcast_to(center, direction.shape))
         targets.append(center + direction * reach)
     origins = np.concatenate(origins)
-    sem = semantics.reshape(-1)
-    prio = np.zeros(sem.shape[0], dtype=np.uint8)
+    occupied = semantics.reshape(-1) > 0
+    prio = np.zeros(occupied.shape[0], dtype=np.uint8)
     struck = np.zeros(origins.shape[0], dtype=bool)
     for ids, cells, _ in _walk(origins, np.concatenate(targets), geom):
-        hit = sem[cells] > 0
+        hit = occupied[cells]
         ids, cells = ids[hit], cells[hit]
         first = ~struck[ids]
         prio[cells[first]] = 2
         rest = cells[~first]
         prio[rest] = np.maximum(prio[rest], 1)
         struck[ids] = True
-    return _FROM_PRIORITY[prio].reshape(geom.dims)
+    return _labels_from_priority(prio, geom)
 
 
 def combine(lidar: int, cam: int) -> int:
@@ -307,14 +333,18 @@ def combine(lidar: int, cam: int) -> int:
 
 
 def combine_volumes(lidar: np.ndarray, cam: np.ndarray) -> np.ndarray:
-    """Array form of :func:`combine`."""
+    """Array form of :func:`combine` on integer label arrays, as uint8.
+
+    Non-occluded (1) is the only label with bit 0 set and occluded (2) the
+    only one with bit 1 set. ``(l | c) & 1`` is 1 when either sensor saw the
+    voxel; ``l & c`` is non-zero only when both labels are equal, so it adds
+    occluded exactly when both agree on it.
+    """
     if lidar.shape != cam.shape:
         raise ShapeError(f"label arrays differ in shape: {lidar.shape} vs {cam.shape}")
-    out = np.zeros(lidar.shape, dtype=np.uint8)
-    out[(lidar == OcclusionLabel.OCCLUDED) & (cam == OcclusionLabel.OCCLUDED)] = \
-        OcclusionLabel.OCCLUDED
-    out[(lidar == OcclusionLabel.NON_OCCLUDED) | (cam == OcclusionLabel.NON_OCCLUDED)] = \
-        OcclusionLabel.NON_OCCLUDED
+    out = np.bitwise_or(lidar, cam, dtype=np.uint8, casting="unsafe")
+    out &= 1
+    out |= np.bitwise_and(lidar, cam, dtype=np.uint8, casting="unsafe")
     return out
 
 
@@ -347,7 +377,8 @@ def build_volume(semantics: np.ndarray, lidar_labels: np.ndarray, cam_labels: np
                  geom: GridGeometry) -> OcclusionVolume:
     """Combine both sensors and force unoccupied voxels to empty."""
     merged = combine_volumes(lidar_labels, cam_labels)
-    merged[np.asarray(semantics) == 0] = OcclusionLabel.EMPTY
+    # EMPTY is 0, so zeroing unoccupied voxels is one in-place product
+    np.multiply(merged, np.asarray(semantics) != 0, out=merged)
     return OcclusionVolume(geom, np.asarray(semantics), merged)
 
 
@@ -382,41 +413,6 @@ def _check_semantics(semantics: np.ndarray, geom: GridGeometry) -> np.ndarray:
     if semantics.shape != geom.dims:
         raise ShapeError(f"semantic volume must have shape {geom.dims}, got {semantics.shape}")
     return semantics
-
-
-def _blocks(vol: np.ndarray, factor: int) -> np.ndarray:
-    x, y, z = vol.shape
-    if x % factor or y % factor or z % factor:
-        raise ShapeError(f"dims {vol.shape} not divisible by {factor}")
-    return (vol.reshape(x // factor, factor, y // factor, factor, z // factor, factor)
-            .transpose(0, 2, 4, 1, 3, 5)
-            .reshape(-1, factor ** 3))
-
-
-def downsample_semantics(sem: np.ndarray, factor: int) -> np.ndarray:
-    """Majority vote over each block's occupied voxels; empty when none are.
-
-    Ties resolve to the smallest class id.
-    """
-    sem = np.asarray(sem)
-    blocks = _blocks(sem, factor)
-    n_classes = int(sem.max()) + 1 if sem.size else 1
-    counts = np.zeros((blocks.shape[0], max(n_classes, 1)), dtype=np.int64)
-    np.add.at(counts, (np.repeat(np.arange(blocks.shape[0]), blocks.shape[1]),
-                       blocks.reshape(-1)), 1)
-    counts[:, 0] = 0
-    maj = np.argmax(counts, axis=1)
-    maj[counts.sum(axis=1) == 0] = 0
-    shape = tuple(d // factor for d in sem.shape)
-    return maj.reshape(shape).astype(sem.dtype)
-
-
-def downsample_occlusion(occ: np.ndarray, factor: int) -> np.ndarray:
-    """Priority merge over each block: any non-occluded child wins, then occluded."""
-    occ = np.asarray(occ, dtype=np.uint8)
-    blocks = _blocks(occ, factor)
-    merged = _FROM_PRIORITY[_PRIORITY[blocks].max(axis=1)]
-    return merged.reshape(tuple(d // factor for d in occ.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +478,7 @@ def read_kitti_label_volume(path, dims=(256, 256, 32)) -> np.ndarray:
     want = dims[0] * dims[1] * dims[2]
     if raw.size != want:
         raise ParseError(f"{path}: expected {want} voxels, got {raw.size}")
-    return raw.reshape(dims).astype(np.uint16)
+    return raw.reshape(dims).astype(np.uint16, copy=False)
 
 
 def read_kitti_bitmask(path, dims=(256, 256, 32)) -> np.ndarray:
@@ -493,40 +489,3 @@ def read_kitti_bitmask(path, dims=(256, 256, 32)) -> np.ndarray:
         raise ParseError(f"{path}: expected at least {want} bits, got {raw.size * 8}")
     bits = np.unpackbits(raw)[:want]
     return bits.reshape(dims).astype(bool)
-
-
-def read_nuscenes_occupancy(path):
-    """Sparse annotation rows (x, y, z, class) -> (coords (N, 3), labels (N,)).
-
-    Accepts an .npy/.npz holding an (N, 4) integer array. Other layouts exist
-    in the wild; they must be converted to flat rows first.
-    """
-    try:
-        loaded = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if isinstance(loaded, np.lib.npyio.NpzFile):
-        keys = list(loaded.keys())
-        arr = loaded[keys[0]]
-    else:
-        arr = loaded
-    arr = np.asarray(arr)
-    if arr.ndim != 2 or arr.shape[1] != 4:
-        raise ParseError(f"{path}: expected flat (x, y, z, class) rows of shape (N, 4), "
-                         f"got {arr.shape}")
-    return arr[:, :3].astype(np.int64), arr[:, 3].astype(np.int64)
-
-
-def dense_from_sparse_labels(coords: np.ndarray, labels: np.ndarray,
-                             geom: GridGeometry) -> np.ndarray:
-    """Scatter sparse class rows into a dense uint16 volume (0 where absent)."""
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    labels = np.asarray(labels).reshape(-1)
-    if coords.shape[0] != labels.shape[0]:
-        raise ShapeError(f"{coords.shape[0]} coords but {labels.shape[0]} labels")
-    dims = np.asarray(geom.dims)
-    if coords.size and ((coords < 0).any() or (coords >= dims).any()):
-        raise ParseError("sparse label coordinates fall outside the grid")
-    out = np.zeros(geom.dims, dtype=np.uint16)
-    out[coords[:, 0], coords[:, 1], coords[:, 2]] = labels.astype(np.uint16)
-    return out

@@ -252,7 +252,7 @@ class TestLabelGenKitti:
         # one return; one calib camera at the default 1226x370 image, stride 64
         assert (frame["lidar_rays"], frame["camera_rays"]) == (1, 20 * 6)
         assert set(frame) == {"name", "volume", "histogram", "lidar_rays", "camera_rays",
-                              "lidar_s", "camera_s"}
+                              "lidar_s", "camera_s", "build_s"}
         vol, geom = read_volume(frame["volume"])
         assert vol.shape == KITTI_DIMS
         assert geom.dims == KITTI_DIMS

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxfuse import occlusion
 from voxfuse.camera import CameraModel, back_project
 from voxfuse.errors import ParseError, ShapeError
 from voxfuse.grid import GridGeometry, SparseVoxelGrid, VoxelIndex
@@ -21,14 +22,10 @@ from voxfuse.occlusion import (
     combine,
     combine_volumes,
     decoder_input_set,
-    dense_from_sparse_labels,
-    downsample_occlusion,
-    downsample_semantics,
     label_camera,
     label_lidar,
     read_kitti_bitmask,
     read_kitti_label_volume,
-    read_nuscenes_occupancy,
     read_volume,
     traverse,
     write_volume,
@@ -207,6 +204,46 @@ class TestBatchedWalk:
 
     def test_no_rays(self):
         assert list(_walk(np.zeros((0, 3)), np.zeros((0, 3)), GEOM16)) == []
+
+    @pytest.mark.parametrize("share", [0.0, occlusion._COMPACT, 1.0],
+                             ids=["never", "default", "every-step"])
+    def test_finished_rays_left_in_place(self, monkeypatch, share):
+        """One long ray among zero-length, short, axis-parallel, subnormal,
+        grid-leaving and outside-start rays.
+
+        With share 0 the state is never compacted, so the finished rays step
+        on (inf included) beside the long one for its whole walk; share 1
+        compacts on every step a ray finishes. All rows match the scalar walk.
+        """
+        monkeypatch.setattr(occlusion, "_COMPACT", share)
+        c = center((3, 5, 7))
+        segments = [
+            (center((0, 0, 0)) - 0.01, center((15, 15, 15)) + 0.01),  # long diagonal
+            (c, c),  # zero length: its own cell once
+            (c, c + 1e-13),  # shorter than _EPS
+            (c + [0.04, 0.0, 0.0], c + [0.04, 0.0, 0.0]),  # zero length, off-centre
+            (c, c + [0.2, 0.0, 0.0]),  # two cells along x
+            (c, c + [0.0, -0.3, 0.0]),  # two cells along -y
+            (c, c + [0.05, 0.05, 0.05]),  # stays in its cell
+            (c * [0, 1, 1], c * [0, 1, 1] + [1e-310, 0.3, 0.0]),  # subnormal x step on x = 0
+            (c, c + [0.1, 0.0, 0.0]),  # ends on a cell face
+            (c, c + [-9.0, 0.0, 0.0]),  # leaves the grid through x = 0
+            ([-1.0, -1.0, -1.0], c),  # starts outside, enters at the corner
+        ]
+        origins, targets = (np.array(side, dtype=np.float64) for side in zip(*segments))
+        rows = {}
+        steps = 0
+        for ids, cells, t_entry in _walk(origins, targets, GEOM16):
+            steps += 1
+            for i, cell, t in zip(ids.tolist(), cells.tolist(), t_entry.tolist()):
+                rows.setdefault(i, []).append((cell, t))
+        for i, (o, t) in enumerate(zip(origins, targets)):
+            coords, entries = _traverse_arrays(o, t, GEOM16)
+            want = list(zip(np.ravel_multi_index(tuple(coords.T), GEOM16.dims).tolist(),
+                            entries.tolist()))
+            assert rows.pop(i, []) == want, i
+        assert not rows
+        assert steps == len(_traverse_arrays(origins[0], targets[0], GEOM16)[0])
 
     def test_length_matches_norm_to_rounding(self, rng):
         d = rng.normal(size=(200, 3))
@@ -431,6 +468,14 @@ class TestCombine:
         for (a, b), want in table.items():
             assert combine(a, b) == want, (a, b)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_array_all_pairs(self, dtype):
+        lidar = np.repeat(np.array([E, N, O], dtype=dtype), 3)
+        cam = np.tile(np.array([E, N, O], dtype=dtype), 3)
+        merged = combine_volumes(lidar, cam)
+        assert merged.dtype == np.uint8
+        assert merged.tolist() == [combine(a, b) for a, b in zip(lidar.tolist(), cam.tolist())]
+
     def test_array_matches_scalar(self, rng):
         a = rng.integers(0, 3, size=(4, 4, 4)).astype(np.uint8)
         b = rng.integers(0, 3, size=(4, 4, 4)).astype(np.uint8)
@@ -516,37 +561,6 @@ class TestVolume:
             decoder_input_set(grid)
 
 
-class TestDownsample:
-    def test_semantics_majority_among_occupied(self):
-        sem = np.zeros((2, 2, 2), dtype=np.uint16)
-        sem[0, 0, 0] = 3
-        sem[0, 0, 1] = 3
-        sem[0, 1, 0] = 5
-        out = downsample_semantics(sem, 2)
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 3
-
-    def test_semantics_all_empty_block(self):
-        assert downsample_semantics(np.zeros((2, 2, 2), dtype=np.uint16), 2)[0, 0, 0] == 0
-
-    def test_semantics_tie_resolves_to_smaller_id(self):
-        sem = np.zeros((2, 2, 2), dtype=np.uint16)
-        sem[0, 0, 0] = 4
-        sem[1, 1, 1] = 2
-        assert downsample_semantics(sem, 2)[0, 0, 0] == 2
-
-    def test_occlusion_priority(self):
-        occ = np.zeros((2, 2, 2), dtype=np.uint8)
-        occ[0, 0, 0] = O
-        assert downsample_occlusion(occ, 2)[0, 0, 0] == O
-        occ[1, 1, 1] = N
-        assert downsample_occlusion(occ, 2)[0, 0, 0] == N
-
-    def test_factor4_block_shape(self, rng):
-        occ = rng.integers(0, 3, size=(8, 8, 8)).astype(np.uint8)
-        assert downsample_occlusion(occ, 4).shape == (2, 2, 2)
-
-
 class TestVolumeIO:
     def test_uint8_roundtrip(self, tmp_path, rng):
         geom = GridGeometry((-1.0, 0.0, 0.5), 0.25, (8, 4, 4), scale=4)
@@ -598,25 +612,3 @@ class TestVolumeIO:
         np.packbits(bits).tofile(path)
         mask = read_kitti_bitmask(path, dims=(4, 4, 4))
         np.testing.assert_array_equal(mask.reshape(-1), bits.astype(bool))
-
-    def test_nuscenes_sparse_rows(self, tmp_path, rng):
-        rows = np.column_stack([rng.integers(0, 100, size=(30, 3)),
-                                rng.integers(1, 18, size=30)]).astype(np.int32)
-        path = tmp_path / "occupancy.npy"
-        np.save(path, rows)
-        coords, labels = read_nuscenes_occupancy(path)
-        np.testing.assert_array_equal(coords, rows[:, :3])
-        np.testing.assert_array_equal(labels, rows[:, 3])
-
-    def test_nuscenes_wrong_shape(self, tmp_path):
-        path = tmp_path / "bad.npy"
-        np.save(path, np.zeros((5, 3)))
-        with pytest.raises(ParseError):
-            read_nuscenes_occupancy(path)
-
-    def test_dense_from_sparse(self):
-        geom = GridGeometry((0, 0, 0), 0.2, (4, 4, 4))
-        dense = dense_from_sparse_labels([[1, 2, 3], [0, 0, 0]], [7, 2], geom)
-        assert dense[1, 2, 3] == 7
-        assert dense[0, 0, 0] == 2
-        assert dense.sum() == 9
