@@ -161,8 +161,7 @@ def _cmd_eval(args) -> int:
         if top >= args.classes:
             raise ConfigError(f"--classes {args.classes} leaves out label {top}, "
                               f"which the volumes hold")
-    report = compute_metrics(pred.astype(np.int64), gt.astype(np.int64),
-                             num_classes=args.classes)
+    report = compute_metrics(pred, gt, num_classes=args.classes)
     text = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -189,10 +188,8 @@ def _cmd_forward(args) -> int:
     out_dir = args.out or config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     geom4 = result.refined.geometry
-    write_volume(os.path.join(out_dir, "o4_labels.u8"),
-                 result.labels_scale4().astype(np.uint8), geom4)
-    write_volume(os.path.join(out_dir, "o1_labels.u8"),
-                 result.labels_scale1().astype(np.uint8), result.geometry)
+    write_volume(os.path.join(out_dir, "o4_labels.u8"), result.labels_scale4(), geom4)
+    write_volume(os.path.join(out_dir, "o1_labels.u8"), result.labels_scale1(), result.geometry)
     report = {
         "seeds": result.seeds,
         "timings": result.timings,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, InvalidFactor, InvalidScale, ParseError, ShapeError
-from .grid import GridGeometry, SparseVoxelGrid, pack_keys, unique_coords
+from .grid import GridGeometry, SparseVoxelGrid, pack_keys, unique_coords, unpack_keys
 
 # occupancy, mean intensity, mean offset-from-center (3)
 BASE_FEATURES = 5
@@ -89,8 +89,9 @@ def voxelize(pc: PointCloud, geom: GridGeometry, channels: int = 8) -> SparseVox
     pts = pc.points[inside]
     intens = pc.intensity[inside]
 
-    cells, inverse, counts = np.unique(idx, axis=0, return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(-1)
+    # packed keys sort in lexicographic cell order, like np.unique(idx, axis=0)
+    keys, inverse, counts = np.unique(pack_keys(idx), return_inverse=True, return_counts=True)
+    cells = unpack_keys(keys)
     centers = geom.origin_array + (cells + 0.5) * geom.cell_size
     offsets = (pts - centers[inverse]) / geom.cell_size
 

@@ -42,18 +42,27 @@ def compute_metrics(pred_labels: np.ndarray, gt_labels: np.ndarray, ignore_mask=
         pred, gt = pred[keep], gt[keep]
     if pred.dtype.kind not in "biu" or gt.dtype.kind not in "biu":
         raise ValueError("labels must be integers")
-    if pred.min(initial=0) < 0 or gt.min(initial=0) < 0:
+    # Volumes are mostly empty, so only the non-zero voxels are counted; a
+    # negative label is non-zero and so still reaches the check below.
+    pred_at, gt_at = np.flatnonzero(pred != 0), np.flatnonzero(gt != 0)
+    pred_val, gt_val = pred[pred_at], gt[gt_at]
+    if pred_val.min(initial=0) < 0 or gt_val.min(initial=0) < 0:
         raise ValueError("labels must be non-negative")
-    pred, gt = pred.astype(np.intp, copy=False), gt.astype(np.intp, copy=False)
+    pred_val, gt_val = pred_val.astype(np.intp, copy=False), gt_val.astype(np.intp, copy=False)
+    gt_under_pred = gt[pred_at].astype(np.intp, copy=False)
 
     if num_classes is None:
-        num_classes = int(max(pred.max(initial=0), gt.max(initial=0))) + 1
+        num_classes = int(max(pred_val.max(initial=0), gt_val.max(initial=0))) + 1
 
-    # per-class voxel counts: predicted, ground truth, and both agreeing
-    size = max(num_classes, empty_class + 1)
-    pred_n = np.bincount(pred, minlength=size)
-    gt_n = np.bincount(gt, minlength=size)
-    agree_n = np.bincount(pred[pred == gt], minlength=size)
+    # per-class voxel counts: predicted, ground truth, and both agreeing; the
+    # label-0 counts follow from the totals
+    size = max(num_classes, empty_class + 1, 1)
+    pred_n = np.bincount(pred_val, minlength=size)
+    gt_n = np.bincount(gt_val, minlength=size)
+    agree_n = np.bincount(pred_val[gt_under_pred == pred_val], minlength=size)
+    pred_n[0] = pred.size - pred_at.size
+    gt_n[0] = gt.size - gt_at.size
+    agree_n[0] = pred_n[0] - gt_at.size + np.count_nonzero(gt_under_pred)
 
     # empty voxels; a negative empty class matches no label
     p_empty, g_empty, both_empty = ((int(n[empty_class]) for n in (pred_n, gt_n, agree_n))

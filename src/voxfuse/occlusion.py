@@ -365,7 +365,9 @@ class OcclusionVolume:
                              f"{self.semantics.shape} and {self.occlusion.shape}")
         if self.occlusion.size and self.occlusion.max() > 2:
             raise ValueError("occlusion labels must be 0, 1 or 2")
-        if (self.occlusion[self.semantics == 0] != OcclusionLabel.EMPTY).any():
+        # gather the few labelled voxels, not the ~98% unoccupied ones
+        labelled = np.flatnonzero(self.occlusion != OcclusionLabel.EMPTY)
+        if (self.semantics.reshape(-1)[labelled] == 0).any():
             raise ValueError("unoccupied voxels must carry the empty label")
 
     @property

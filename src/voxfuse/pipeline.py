@@ -93,11 +93,15 @@ class ForwardResult:
 
 
 def volume_labels(out21: np.ndarray) -> np.ndarray:
-    """Semantic argmax where the visibility argmax is not empty, else 0."""
+    """Semantic argmax where the visibility argmax is not empty, else 0.
+
+    Labels lie in [0, SEM_CHANNELS), so the volume is uint8, the dtype
+    ``write_volume`` stores.
+    """
     out21 = np.asarray(out21)
     sem = np.argmax(out21[..., :SEM_CHANNELS], axis=-1)
     visible = np.argmax(out21[..., SEM_CHANNELS:], axis=-1) != 0
-    return np.where(visible, sem, 0).astype(np.int64)
+    return np.where(visible, sem, 0).astype(np.uint8)
 
 
 def _row_labels(out: SparseVoxelGrid) -> np.ndarray:
@@ -106,7 +110,7 @@ def _row_labels(out: SparseVoxelGrid) -> np.ndarray:
     A background voxel's visibility argmax is empty, so its label is 0 and
     only the grid's rows need an argmax.
     """
-    labels = np.zeros(out.geometry.dims, dtype=np.int64)
+    labels = np.zeros(out.geometry.dims, dtype=np.uint8)
     x, y, z = out.coords.T
     labels[x, y, z] = volume_labels(out.features)
     return labels

@@ -79,6 +79,22 @@ def first_hits(origin, directions, boxes):
     return best_t, best_c, hit
 
 
+def _box_cells(geom: GridGeometry, box: Box):
+    """Slices of the voxels whose open interiors overlap the box, or None."""
+    origin = geom.origin_array
+    h = geom.voxel_size
+    cells = []
+    for ax in range(3):
+        idx = np.arange(geom.dims[ax])
+        vox_lo = origin[ax] + idx * h
+        vox_hi = vox_lo + h
+        keep = np.nonzero((vox_lo < box.hi[ax]) & (vox_hi > box.lo[ax]))[0]
+        if keep.size == 0:
+            return None
+        cells.append(slice(keep[0], keep[-1] + 1))
+    return tuple(cells)
+
+
 @dataclass(frozen=True)
 class SyntheticScene:
     """Box world plus the sensor pose all measurements are cast from."""
@@ -100,24 +116,11 @@ class SyntheticScene:
     def gt_volume(self) -> np.ndarray:
         """Exact semantic labels: a voxel is inside a box iff the open
         interiors overlap; later boxes overwrite earlier ones."""
-        geom = self.geometry
-        vol = np.zeros(geom.dims, dtype=np.int64)
-        origin = geom.origin_array
-        h = geom.voxel_size
+        vol = np.zeros(self.geometry.dims, dtype=np.int64)
         for box in self.boxes:
-            ranges = []
-            for ax in range(3):
-                idx = np.arange(geom.dims[ax])
-                vox_lo = origin[ax] + idx * h
-                vox_hi = vox_lo + h
-                keep = np.nonzero((vox_lo < box.hi[ax]) & (vox_hi > box.lo[ax]))[0]
-                if keep.size == 0:
-                    ranges = None
-                    break
-                ranges.append((keep[0], keep[-1] + 1))
-            if ranges is not None:
-                (x0, x1), (y0, y1), (z0, z1) = ranges
-                vol[x0:x1, y0:y1, z0:z1] = box.class_id
+            cells = _box_cells(self.geometry, box)
+            if cells is not None:
+                vol[cells] = box.class_id
         return vol
 
     def foreground_fraction(self) -> float:
@@ -198,6 +201,9 @@ def random_scene(seed: int, geometry: GridGeometry | None = None,
 
     boxes = []
     scene = None
+    # foreground is counted box by box: each box adds its not yet covered cells
+    covered = np.zeros(geom.dims, dtype=bool)
+    n_covered = 0
     for _ in range(80):
         center = rng.uniform(lo_bound, hi_bound)
         half = rng.uniform([0.3, 0.3, 0.25], [1.4, 1.4, 0.9])
@@ -207,12 +213,17 @@ def random_scene(seed: int, geometry: GridGeometry | None = None,
             continue
         if ((lo - 0.4 < sensor) & (sensor < hi + 0.4)).all():
             continue  # keep the sensor outside every box
-        boxes.append(Box(lo=tuple(lo), hi=tuple(hi), class_id=int(rng.integers(1, SEM_CHANNELS))))
+        box = Box(lo=tuple(lo), hi=tuple(hi), class_id=int(rng.integers(1, SEM_CHANNELS)))
+        boxes.append(box)
+        cells = _box_cells(geom, box)
+        if cells is not None:
+            n_covered += np.count_nonzero(~covered[cells])
+            covered[cells] = True
         scene = SyntheticScene(geometry=geom, boxes=tuple(boxes),
                                sensor_origin=tuple(sensor), seed=seed)
-        if len(boxes) >= 3 and scene.foreground_fraction() >= min_foreground:
+        if len(boxes) >= 3 and n_covered / covered.size >= min_foreground:
             return scene
-    if scene is None or scene.foreground_fraction() < min_foreground:
+    if scene is None or n_covered / covered.size < min_foreground:
         raise EmptyInput(f"could not reach {min_foreground * 100:.4g}% foreground for seed {seed}")
     return scene
 

@@ -195,6 +195,62 @@ class TestVoxelize:
         assert grid.meta["points_dropped"] == 1
 
 
+def _reference_voxelize(pc, geom, channels=8):
+    """voxelize's cells and features found with np.unique(axis=0) on the index rows."""
+    idx = geom.world_to_index(pc.points)
+    inside = geom.contains_index(idx)
+    idx = idx[inside]
+    if idx.shape[0] == 0:
+        return np.zeros((0, 3), dtype=np.int64), np.zeros((0, channels))
+    cells, inverse, counts = np.unique(idx, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)
+    centers = geom.origin_array + (cells + 0.5) * geom.cell_size
+    offsets = (pc.points[inside] - centers[inverse]) / geom.cell_size
+    feats = np.zeros((cells.shape[0], channels))
+    feats[:, 0] = counts / (counts + 1.0)
+    np.add.at(feats[:, 1], inverse, pc.intensity[inside])
+    sums = np.zeros((cells.shape[0], 3))
+    np.add.at(sums, inverse, offsets)
+    feats[:, 1] /= counts
+    feats[:, 2:5] = sums / counts[:, None]
+    return cells, feats
+
+
+@st.composite
+def voxelize_cases(draw):
+    """Small grids and clouds whose cells repeat and that reach one cell past each face."""
+    dims = tuple(draw(st.integers(1, 5), label=f"d{i}") for i in range(3))
+    cell = st.tuples(*(st.integers(-1, d) for d in dims))
+    size = draw(st.one_of(st.just(1), st.integers(1, 40)), label="size")
+    cells = draw(st.lists(cell, min_size=size, max_size=size), label="cells")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    geom = GridGeometry((-0.4, 0.2, 1.0), 0.2, dims)
+    frac = rng.uniform(size=(size, 3))
+    pts = geom.origin_array + (np.asarray(cells) + frac) * geom.voxel_size
+    return geom, PointCloud(pts, rng.uniform(size=size))
+
+
+class TestVoxelizeAgainstAxisUnique:
+    @settings(max_examples=150, deadline=None)
+    @given(voxelize_cases())
+    def test_bit_identical_to_axis_unique(self, case):
+        geom, pc = case
+        grid = voxelize(pc, geom)
+        cells, feats = _reference_voxelize(pc, geom)
+        assert np.array_equal(grid.coords, cells)
+        assert np.array_equal(grid.features, feats)
+        inside = geom.contains_index(geom.world_to_index(pc.points))
+        assert grid.meta["points_dropped"] == int((~inside).sum())
+
+    def test_duplicates_share_one_cell(self):
+        pc = PointCloud([[0.1, 0.1, 0.1], [0.1, 0.1, 0.1], [0.3, 0.1, 0.1], [0.1, 0.1, 0.1]],
+                        [0.2, 0.4, 0.6, 0.9])
+        grid = voxelize(pc, geom16())
+        cells, feats = _reference_voxelize(pc, geom16())
+        assert grid.coords.tolist() == [[0, 0, 0], [1, 0, 0]]
+        assert np.array_equal(grid.features, feats)
+
+
 class TestSparseConvSpec:
     def test_seeded_reproducible(self):
         a = SparseConvSpec.seeded(3, 4, seed=7)

@@ -132,6 +132,24 @@ class TestAgainstLoopReference:
         assert rep.miou == miou
         assert np.array_equal(rep.per_class_iou, per_class, equal_nan=True)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(["pred", "gt"]), st.booleans())
+    def test_negative_label_in_one_volume_rejected(self, data, side, masked):
+        shape = data.draw(hnp.array_shapes(min_dims=3, max_dims=3, max_side=5), label="shape")
+        labels = hnp.arrays(np.int64, shape, elements=st.integers(0, 7))
+        vols = {"pred": data.draw(labels, label="pred"), "gt": data.draw(labels, label="gt")}
+        at = tuple(data.draw(st.integers(0, n - 1), label=f"at{i}") for i, n in enumerate(shape))
+        vols[side][at] = data.draw(st.integers(-128, -1), label="negative")
+        mask = data.draw(hnp.arrays(bool, shape), label="mask") if masked else None
+        if masked:
+            mask[at] = False
+        with pytest.raises(ValueError, match="non-negative"):
+            compute_metrics(vols["pred"], vols["gt"], ignore_mask=mask)
+        if masked:
+            # an ignored voxel is never read, negative or not
+            mask[at] = True
+            compute_metrics(vols["pred"], vols["gt"], ignore_mask=mask)
+
     def test_float_labels_rejected(self):
         with pytest.raises(ValueError, match="integers"):
             compute_metrics(np.zeros((2, 2, 2)), np.zeros((2, 2, 2), int))

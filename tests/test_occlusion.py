@@ -506,6 +506,39 @@ class TestVolume:
         with pytest.raises(ValueError):
             OcclusionVolume(geom, sem, occ)
 
+    def test_valid_volume_accepted(self):
+        geom = GridGeometry((0, 0, 0), 0.2, (2, 2, 3))
+        sem = np.zeros((2, 2, 3), dtype=np.uint16)
+        occ = np.zeros((2, 2, 3), dtype=np.uint8)
+        sem[1, 0, 2], occ[1, 0, 2] = 4, O
+        sem[0, 1, 1], occ[0, 1, 1] = 7, N
+        sem[1, 1, 0] = 2  # occupied but never seen: empty is allowed
+        vol = OcclusionVolume(geom, sem, occ)
+        assert vol.occupied_mask.sum() == 3
+
+    def test_label_on_unoccupied_voxel_rejected(self):
+        geom = GridGeometry((0, 0, 0), 0.2, (2, 2, 3))
+        sem = np.ones((2, 2, 3), dtype=np.uint16)
+        occ = np.full((2, 2, 3), N, dtype=np.uint8)
+        sem[1, 1, 2], occ[1, 1, 2] = 0, O
+        with pytest.raises(ValueError, match="unoccupied voxels must carry the empty label"):
+            OcclusionVolume(geom, sem, occ)
+
+    def test_label_three_rejected(self):
+        geom = GridGeometry((0, 0, 0), 0.2, (2, 2, 3))
+        sem = np.ones((2, 2, 3), dtype=np.uint16)
+        occ = np.zeros((2, 2, 3), dtype=np.uint8)
+        occ[0, 1, 2] = 3
+        with pytest.raises(ValueError, match="occlusion labels must be 0, 1 or 2"):
+            OcclusionVolume(geom, sem, occ)
+
+    def test_shape_mismatch_rejected(self):
+        geom = GridGeometry((0, 0, 0), 0.2, (2, 2, 3))
+        with pytest.raises(ShapeError, match="volume arrays must have shape"):
+            OcclusionVolume(geom, np.zeros((2, 2, 3), np.uint16), np.zeros((2, 3, 2), np.uint8))
+        with pytest.raises(ShapeError, match="volume arrays must have shape"):
+            OcclusionVolume(geom, np.zeros((3, 2, 2), np.uint16), np.zeros((2, 2, 3), np.uint8))
+
     def test_assemble_21_channels(self, rng):
         sem = rng.normal(size=(4, 4, 2, 18))
         occ = rng.normal(size=(4, 4, 2, 3))

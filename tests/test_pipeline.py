@@ -82,6 +82,12 @@ class TestLabels:
         assert labels[0, 0, 0] == 3
         assert labels[0, 0, 1] == 0
 
+    def test_label_volumes_are_uint8(self, result):
+        # labels lie in [0, SEM_CHANNELS), the range write_volume stores as uint8
+        assert volume_labels(np.zeros((2, 1, 1, 21))).dtype == np.uint8
+        assert result.labels_scale1().dtype == np.uint8
+        assert result.labels_scale4().dtype == np.uint8
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self, scene):

@@ -7,6 +7,7 @@ import pytest
 
 from voxfuse.errors import EmptyInput, ParseError
 from voxfuse.grid import GridGeometry
+from voxfuse.occlusion import SEM_CHANNELS
 from voxfuse.synthetic import (
     Box,
     SyntheticScene,
@@ -161,7 +162,75 @@ class TestRender:
         assert maps.channels == 7
 
 
+def _box_slices(box, geom):
+    """gt_volume's range rule for one box, or None when it covers no voxel."""
+    origin = geom.origin_array
+    h = geom.voxel_size
+    ranges = []
+    for ax in range(3):
+        vox_lo = origin[ax] + np.arange(geom.dims[ax]) * h
+        keep = np.nonzero((vox_lo < box.hi[ax]) & (vox_lo + h > box.lo[ax]))[0]
+        if keep.size == 0:
+            return None
+        ranges.append(slice(keep[0], keep[-1] + 1))
+    return tuple(ranges)
+
+
+def _rebuilt_foreground(slices, geom):
+    """Foreground fraction of a volume rasterized from scratch from all boxes so far."""
+    vol = np.zeros(geom.dims, dtype=bool)
+    for cells in slices:
+        if cells is not None:
+            vol[cells] = True
+    return np.count_nonzero(vol) / vol.size
+
+
+def _reference_random_scene(seed, geom, min_foreground):
+    """random_scene's loop as it was: re-rasterize all boxes after every box."""
+    rng = np.random.default_rng(seed)
+    origin = geom.origin_array
+    span = np.asarray(geom.dims) * geom.voxel_size
+    sensor = origin + span / 2.0
+    lo_bound = origin + 0.05 * span
+    hi_bound = origin + 0.95 * span
+    boxes, slices = [], []
+    scene = None
+    for _ in range(80):
+        center = rng.uniform(lo_bound, hi_bound)
+        half = rng.uniform([0.3, 0.3, 0.25], [1.4, 1.4, 0.9])
+        lo = np.maximum(center - half, lo_bound)
+        hi = np.minimum(center + half, hi_bound)
+        if (hi - lo).min() < 2.0 * geom.voxel_size:
+            continue
+        if ((lo - 0.4 < sensor) & (sensor < hi + 0.4)).all():
+            continue
+        boxes.append(Box(lo=tuple(lo), hi=tuple(hi), class_id=int(rng.integers(1, SEM_CHANNELS))))
+        slices.append(_box_slices(boxes[-1], geom))
+        scene = SyntheticScene(geometry=geom, boxes=tuple(boxes),
+                               sensor_origin=tuple(sensor), seed=seed)
+        if len(boxes) >= 3 and _rebuilt_foreground(slices, geom) >= min_foreground:
+            return scene
+    if scene is None or _rebuilt_foreground(slices, geom) < min_foreground:
+        return None
+    return scene
+
+
 class TestRandomScene:
+    @pytest.mark.parametrize("preset,floor", [(None, 0.05), ("semantickitti", 0.02)])
+    def test_scenes_equal_full_rebuild_loop(self, preset, floor):
+        geom = GridGeometry.preset(preset) if preset else default_geometry()
+        rejected = 0
+        for seed in range(40):
+            want = _reference_random_scene(seed, geom, floor)
+            if want is None:
+                rejected += 1
+                with pytest.raises(EmptyInput):
+                    random_scene(seed, geom, min_foreground=floor)
+            else:
+                assert repr(random_scene(seed, geom, min_foreground=floor)) == repr(want)
+        if preset:
+            assert rejected > 0  # the kitti floor is out of reach for some seeds
+
     def test_deterministic_per_seed(self):
         a, b = random_scene(21), random_scene(21)
         assert a.boxes == b.boxes
