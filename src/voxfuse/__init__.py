@@ -5,14 +5,10 @@ from .camera import (
     CameraModel,
     FeatureMap2D,
     back_project,
-    bilinear_sample,
-    load_rig_json,
     project,
     project_points,
     read_kitti_calib,
     sample_array,
-    save_rig_json,
-    visible_cameras,
 )
 from .config import DATA_ROOT_ENV, PipelineConfig, split_seed
 from .densify import (
@@ -33,7 +29,7 @@ from .errors import (
     ShapeError,
     VoxfuseError,
 )
-from .fusion import DeformableAttnParams, QuerySet, fuse, guide_queries, softmax, softmax_rows
+from .fusion import DeformableAttnParams, QuerySet, fuse, guide_queries, softmax_rows
 from .grid import (
     VALID_SCALES,
     GridGeometry,
@@ -43,16 +39,13 @@ from .grid import (
     align_scale,
     centers_for,
     pack_keys,
-    subdivide,
     subdivide_coords,
     unpack_keys,
-    voxel_center,
 )
 from .lidar import (
     BASE_FEATURES,
     PointCloud,
     SparseConvSpec,
-    downsample,
     kernel_offsets,
     multi_scale_stack,
     read_velodyne_bin,
@@ -63,13 +56,11 @@ from .losses import (
     ClampWarning,
     LossReport,
     cross_entropy,
-    cross_entropy_grad,
     geo_scal,
     loss_report,
     lovasz_softmax,
     occlusion_ce,
     rie_bce,
-    rie_bce_grad,
     sem_scal,
 )
 from .metrics import MetricsReport, compute_metrics
@@ -89,7 +80,6 @@ from .occlusion import (
     read_kitti_bitmask,
     read_kitti_label_volume,
     read_volume,
-    traverse,
     write_volume,
 )
 from .pipeline import ForwardResult, forward, forward_scene, scene_inputs, volume_labels
@@ -102,7 +92,6 @@ from .refine import (
     gather_semi_fine,
     importance_from_scores,
     occupied_fraction,
-    refinement_labels,
     seeded_projection,
     select_sets,
     sigmoid,

@@ -1,4 +1,4 @@
-"""Pinhole cameras: projection, visibility sets, bilinear feature sampling.
+"""Pinhole cameras: projection, calibration reading, bilinear feature sampling.
 
 Conventions: zero skew, camera frame is x-right / y-down / z-forward, pixel
 (0, 0) is the center of the top-left pixel, and a projection counts as a hit
@@ -8,7 +8,6 @@ only when camera-frame depth exceeds the near plane and the pixel lands in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,11 +112,6 @@ def project(cam: CameraModel, p_world) -> tuple[float, float, float] | None:
     return float(uv[0, 0]), float(uv[0, 1]), float(depth[0])
 
 
-def visible_cameras(rig: list[CameraModel], p_world) -> set[int]:
-    """Indices of rig cameras in which the point projects to a valid pixel."""
-    return {i for i, cam in enumerate(rig) if project(cam, p_world) is not None}
-
-
 def back_project(cam: CameraModel, u: float, v: float, depth: float) -> np.ndarray:
     """Pixel plus depth back to a world point (inverse of :func:`project`)."""
     ray = np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0])
@@ -164,14 +158,13 @@ class FeatureMap2D:
         return len(self.maps)
 
     @classmethod
-    def seeded(cls, rig: list[CameraModel], channels: int, seed: int = 0,
-               downscale: int = 1) -> FeatureMap2D:
+    def seeded(cls, rig: list[CameraModel], channels: int, seed: int = 0) -> FeatureMap2D:
         """Deterministic pseudo-random maps sized from the rig's image sizes."""
         rng = np.random.default_rng(seed)
         maps = []
         for cam in rig:
             w, h = cam.image_size
-            maps.append(rng.normal(size=(max(1, h // downscale), max(1, w // downscale), channels)))
+            maps.append(rng.normal(size=(h, w, channels)))
         return cls(maps)
 
     @classmethod
@@ -212,11 +205,6 @@ def sample_array(img: np.ndarray, uv: np.ndarray) -> np.ndarray:
     return top + dv * (bottom - top)
 
 
-def bilinear_sample(fmap: FeatureMap2D, cam_id: int, u: float, v: float) -> np.ndarray:
-    """Sample one camera's map at a single (u, v)."""
-    return sample_array(fmap.maps[cam_id], np.array([[u, v]]))[0]
-
-
 def read_kitti_calib(path, image_size: tuple[int, int] = (1226, 370)) -> CameraModel:
     """Build the left-color camera from a calib file with P2 and Tr rows.
 
@@ -253,36 +241,3 @@ def read_kitti_calib(path, image_size: tuple[int, int] = (1226, 370)) -> CameraM
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
-
-def load_rig_json(path) -> list[CameraModel]:
-    """Read a camera rig description.
-
-    Schema: {"cameras": [{"intrinsics": 3x3, "extrinsics": 4x4,
-    "image_size": [W, H], "name": optional}, ...]}.
-    """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict) or "cameras" not in doc:
-        raise ParseError(f"{path}: expected a top-level 'cameras' list")
-    rig = []
-    for i, spec in enumerate(doc["cameras"]):
-        try:
-            rig.append(CameraModel(np.array(spec["intrinsics"], dtype=np.float64),
-                                   np.array(spec["extrinsics"], dtype=np.float64),
-                                   tuple(spec["image_size"])))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}: camera {i} is missing {exc}") from exc
-        except ValueError as exc:
-            raise ParseError(f"{path}: camera {i}: {exc}") from exc
-    return rig
-
-
-def save_rig_json(path, rig: list[CameraModel]) -> None:
-    doc = {"cameras": [{"intrinsics": cam.intrinsics.tolist(),
-                        "extrinsics": cam.extrinsics.tolist(),
-                        "image_size": list(cam.image_size)} for cam in rig]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 config or usage error, 2 required file not found,
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.resources
 import json
 import os

@@ -1,8 +1,9 @@
 """Pipeline configuration: a sectioned key-value file with strict validation.
 
 Every tunable of ``forward`` and ``bench`` lives here; unknown sections or
-keys are rejected so config files cannot drift silently. All randomness
-derives from one root seed, split per consumer by name.
+keys are rejected so config files cannot drift silently. ``[geometry]`` is
+read by ``bench`` only: ``forward`` runs on the scene's own grid. All
+randomness derives from one root seed, split per consumer by name.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, InvalidScale, ShapeError
-from .grid import GridGeometry, SparseVoxelGrid, align_coords
+from .grid import SparseVoxelGrid, align_coords
 
 DENSIFY_SCALES = (4, 8, 16)
 

@@ -1,10 +1,10 @@
 """Query guidance and forward-only deformable cross-attention over camera maps.
 
 Every voxel query projects into each camera; hits sample a small set of
-offset pixel locations, combine them with softmax weights through value and
-output maps, and the per-camera results average over the hit set. Voxels no
-camera sees fall back to zero attention. Cameras accumulate in id order, so
-outputs are bit-stable.
+offset pixel locations, combine them with ``softmax_rows`` weights through
+value and output maps, and the per-camera results average over the hit set.
+Voxels no camera sees fall back to zero attention. Cameras accumulate in id
+order, so outputs are bit-stable.
 """
 
 from __future__ import annotations
@@ -16,13 +16,6 @@ import numpy as np
 from .camera import CameraModel, FeatureMap2D, project_points, sample_array
 from .errors import InvalidScale, ShapeError
 from .grid import SparseVoxelGrid
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -37,7 +30,7 @@ class DeformableAttnParams:
     """Sampling geometry and projections for one attention layer.
 
     ``offsets`` are pixel displacements around the projected reference,
-    ``weights_logits`` softmax into the per-reference-point weights,
+    ``softmax_rows(weights_logits)`` gives the per-reference-point weights,
     ``value_proj`` maps image channels to query channels and ``output_proj``
     maps query channels to themselves. ``offset_map``, when present, adds a
     query-conditioned displacement on top of the static offsets.
@@ -63,8 +56,8 @@ class DeformableAttnParams:
             raise ShapeError("value_proj must be (C_img, C); output_proj must be (C, C)")
         if vp.shape[1] != op.shape[0]:
             raise ShapeError(f"value_proj maps to {vp.shape[1]} channels, output_proj expects {op.shape[0]}")
-        if abs(softmax(logits).sum() - 1.0) > 1e-6:
-            raise ValueError("softmax of weights_logits must sum to 1")
+        if abs(softmax_rows(logits).sum() - 1.0) > 1e-6:
+            raise ValueError("softmax_rows(weights_logits) must sum to 1")
         if self.offset_map is not None:
             om = np.asarray(self.offset_map, dtype=np.float64)
             if om.shape != (op.shape[0], off.shape[0] * 2):
@@ -89,15 +82,14 @@ class DeformableAttnParams:
 
     @property
     def weights(self) -> np.ndarray:
-        return softmax(self.weights_logits)
+        return softmax_rows(self.weights_logits)
 
     @classmethod
     def seeded(cls, image_channels: int, query_channels: int, n_ref: int = 4,
-               seed: int = 0, offset_scale: float = 2.0,
-               query_conditioned: bool = False) -> DeformableAttnParams:
-        """Deterministic pseudo-random parameters; offsets in pixels."""
+               seed: int = 0, query_conditioned: bool = False) -> DeformableAttnParams:
+        """Deterministic pseudo-random parameters; offsets in pixels, standard deviation 2."""
         rng = np.random.default_rng(seed)
-        offsets = rng.normal(0.0, offset_scale, size=(n_ref, 2))
+        offsets = rng.normal(0.0, 2.0, size=(n_ref, 2))
         logits = rng.normal(size=n_ref)
         vp = rng.normal(0.0, 1.0 / np.sqrt(image_channels), size=(image_channels, query_channels))
         op = rng.normal(0.0, 1.0 / np.sqrt(query_channels), size=(query_channels, query_channels))
@@ -152,8 +144,8 @@ def fuse(queries: QuerySet, rig: list[CameraModel], maps: FeatureMap2D,
     """Cross-attend every query voxel into the camera maps.
 
     Per camera, hits sample ``n_ref`` offset locations around the projected
-    center, weight them by softmax, and pass through the value and output
-    maps; the per-camera vectors average over the cameras that saw the voxel.
+    center, weight them by ``params.weights``, and pass through the value and
+    output maps; the per-camera vectors average over the cameras that saw the voxel.
     Unseen voxels get zero attention. With ``residual`` the guided query adds
     back into every output row. ``meta['miss_count']`` reports how many
     voxels no camera saw.

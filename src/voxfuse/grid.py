@@ -16,7 +16,7 @@ from .errors import DuplicateVoxels, InvalidFactor, InvalidScale, OutOfBounds, S
 
 VALID_SCALES = (1, 2, 4, 8, 16)
 
-# 21 bits per axis in the packed 64-bit lookup key
+# 21 bits per axis in the packed 64-bit search key
 _AXIS_BITS = 21
 _AXIS_MAX = 1 << _AXIS_BITS
 
@@ -139,26 +139,6 @@ def align_coords(coords: np.ndarray, from_scale: int, to_scale: int) -> np.ndarr
     raise InvalidScale(f"scales {from_scale} and {to_scale} are not related by an integer factor")
 
 
-def subdivide(idx: VoxelIndex, factor: int) -> list[VoxelIndex]:
-    """Tile a cell into factor^3 children one or two scale levels finer.
-
-    Children are returned in lexicographic order (z fastest) and exactly tile
-    the parent: factor 2 gives the 8 sub-voxels, factor 4 the 64.
-    """
-    if factor not in (2, 4):
-        raise InvalidFactor(f"subdivision factor must be 2 or 4, got {factor}")
-    if idx.scale % factor != 0:
-        raise InvalidScale(f"scale {idx.scale} is not divisible by factor {factor}")
-    child_scale = idx.scale // factor
-    bx, by, bz = idx.x * factor, idx.y * factor, idx.z * factor
-    return [
-        VoxelIndex(bx + i, by + j, bz + k, child_scale)
-        for i in range(factor)
-        for j in range(factor)
-        for k in range(factor)
-    ]
-
-
 def subdivide_coords(coords: np.ndarray, factor: int) -> np.ndarray:
     """Children of (N, 3) parent coords as (N * factor^3, 3), z fastest per parent."""
     if factor not in (2, 4):
@@ -167,15 +147,6 @@ def subdivide_coords(coords: np.ndarray, factor: int) -> np.ndarray:
     rng = np.arange(factor, dtype=np.int64)
     off = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
     return (c[:, None, :] * factor + off[None, :, :]).reshape(-1, 3)
-
-
-def voxel_center(idx: VoxelIndex, geom: GridGeometry) -> np.ndarray:
-    """World-space center of a cell: origin + (idx + 0.5) * cell edge at idx.scale."""
-    dims = geom.with_scale(idx.scale).dims
-    if not (0 <= idx.x < dims[0] and 0 <= idx.y < dims[1] and 0 <= idx.z < dims[2]):
-        raise OutOfBounds(f"{idx} outside dims {dims} at scale {idx.scale}")
-    size = geom.voxel_size * idx.scale
-    return geom.origin_array + (np.array([idx.x, idx.y, idx.z], dtype=np.float64) + 0.5) * size
 
 
 def centers_for(coords: np.ndarray, scale: int, geom: GridGeometry) -> np.ndarray:
@@ -269,7 +240,7 @@ class SparseVoxelGrid:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the coords, features and lookup keys."""
+        """Bytes held by the coords, features and search keys."""
         return self.coords.nbytes + self.features.nbytes + self._keys.nbytes
 
     def rows_for(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -285,19 +256,6 @@ class SparseVoxelGrid:
         found = self._keys[pos_c] == q
         rows = np.where(found, pos_c, -1)
         return rows, found
-
-    def lookup(self, idx) -> int | None:
-        """Row for a VoxelIndex or (x, y, z) triple, or None if absent."""
-        if isinstance(idx, VoxelIndex):
-            if idx.scale != self.scale:
-                raise InvalidScale(f"index at scale {idx.scale}, grid at scale {self.scale}")
-            idx = idx.xyz
-        rows, found = self.rows_for(np.asarray(idx).reshape(1, 3))
-        return int(rows[0]) if found[0] else None
-
-    def feature_at(self, idx) -> np.ndarray | None:
-        row = self.lookup(idx)
-        return None if row is None else self.features[row]
 
     def with_features(self, features: np.ndarray, meta: dict | None = None) -> SparseVoxelGrid:
         """Same cells, new per-row feature matrix."""

@@ -1,4 +1,4 @@
-"""Point-cloud ingest: reading, voxelization, sparse 3D convolution, downsampling.
+"""Point-cloud ingest: reading, voxelization, sparse 3D convolution, the scale pyramid.
 
 The feature encoding produced by :func:`voxelize` is a hand-crafted stand-in
 for a learned point encoder; everything downstream treats the channels as
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidFactor, InvalidScale, ParseError, ShapeError
-from .grid import GridGeometry, SparseVoxelGrid, pack_keys, unique_coords, unpack_keys
+from .errors import EmptyInput, InvalidScale, ParseError, ShapeError
+from .grid import VALID_SCALES, GridGeometry, SparseVoxelGrid, pack_keys, unique_coords, unpack_keys
 
 # occupancy, mean intensity, mean offset-from-center (3)
 BASE_FEATURES = 5
@@ -239,36 +239,16 @@ def sparse_conv(grid: SparseVoxelGrid, spec: SparseConvSpec, stride: int = 1) ->
     return SparseVoxelGrid(out_geom, out_coords, out, grid.meta)
 
 
-def downsample(grid: SparseVoxelGrid, factor: int = 2,
-               spec: SparseConvSpec | None = None, seed: int = 0) -> SparseVoxelGrid:
-    """Coarsen a grid so the non-empty set is the integer-division image.
+def multi_scale_stack(grid: SparseVoxelGrid, seed: int = 0) -> dict[int, SparseVoxelGrid]:
+    """Downsample a scale-1 grid into a {scale: grid} pyramid over ``VALID_SCALES``.
 
-    Runs a stride-``factor`` step of seeded 3x3x3 convolutions, one stride-2
-    convolution per factor-2 level.
+    Each level is a seeded stride-2 3x3x3 convolution of the level below, so
+    its non-empty set is the integer-division image of that level's set.
     """
-    if factor not in (2, 4):
-        raise InvalidFactor(f"downsample factor must be 2 or 4, got {factor}")
-    if len(grid) == 0:
-        return SparseVoxelGrid.empty(grid.geometry.with_scale(grid.scale * factor), grid.channels)
-    out = grid
-    for level in range(factor // 2):
-        s = spec or SparseConvSpec.seeded(out.channels, out.channels, seed=seed + level)
-        out = sparse_conv(out, s, stride=2)
-    return out
-
-
-def multi_scale_stack(grid: SparseVoxelGrid, scales=(1, 2, 4, 8, 16),
-                      seed: int = 0) -> dict[int, SparseVoxelGrid]:
-    """Downsample a scale-1 grid into a {scale: grid} pyramid over the given scales."""
     if grid.scale != 1:
         raise InvalidScale(f"expected a scale-1 grid, got scale {grid.scale}")
+    c = grid.channels
     stack = {1: grid}
-    cur = grid
-    for s in sorted(scales):
-        if s == 1:
-            continue
-        if s != cur.scale * 2:
-            raise InvalidScale(f"scales {scales} must step by factors of 2")
-        cur = downsample(cur, 2, seed=seed + s)
-        stack[s] = cur
-    return {s: stack[s] for s in scales}
+    for s in VALID_SCALES[1:]:
+        stack[s] = sparse_conv(stack[s // 2], SparseConvSpec.seeded(c, c, seed=seed + s), stride=2)
+    return stack

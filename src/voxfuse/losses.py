@@ -57,15 +57,6 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray, ignore=None) -> float:
     return float(-_log(picked, "cross_entropy").mean())
 
 
-def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d cross_entropy / d probs, treating rows as free variables."""
-    probs, labels = _check_probs(probs, labels)
-    n = labels.shape[0]
-    grad = np.zeros_like(probs)
-    grad[np.arange(n), labels] = -1.0 / (n * np.maximum(probs[np.arange(n), labels], CLAMP))
-    return grad
-
-
 def _jaccard_prefix(errors_desc: np.ndarray, gt_desc: np.ndarray) -> np.ndarray:
     """Discrete derivative of the Jaccard loss along the sorted prefix chain."""
     gts = gt_desc.sum()
@@ -161,15 +152,6 @@ def rie_bce(scores, occupancy_labels: np.ndarray) -> float:
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("occupancy labels must be binary")
     return float(-_log(np.where(y > 0.5, s, 1.0 - s), "rie_bce").mean())
-
-
-def rie_bce_grad(scores, occupancy_labels: np.ndarray) -> np.ndarray:
-    """d rie_bce / d scores."""
-    scores = getattr(scores, "scores", scores)
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    y = np.asarray(occupancy_labels, dtype=np.float64).reshape(-1)
-    n = s.shape[0]
-    return (-y / np.maximum(s, CLAMP) + (1.0 - y) / np.maximum(1.0 - s, CLAMP)) / n
 
 
 def occlusion_ce(probs: np.ndarray, occlusion_labels: np.ndarray, ignore=None) -> float:

@@ -18,8 +18,8 @@ from enum import IntEnum
 import numpy as np
 
 from .camera import CameraModel
-from .errors import ConfigError, ParseError, ShapeError
-from .grid import GridGeometry, SparseVoxelGrid, VoxelIndex
+from .errors import ConfigError, InvalidScale, ParseError, ShapeError
+from .grid import GridGeometry, SparseVoxelGrid
 from .lidar import PointCloud
 
 SEM_CHANNELS = 18
@@ -122,17 +122,6 @@ def _traverse_arrays(origin, target, geom: GridGeometry, margin: float = 0.0):
             break
         t_max[axis] += t_delta[axis]
     return np.array(coords, dtype=np.int64), np.array(entries)
-
-
-def traverse(origin, target, geom: GridGeometry, margin: float = 0.0) -> list[VoxelIndex]:
-    """Every voxel the segment passes through, nearest first, each exactly once.
-
-    ``margin`` extends the walk that many meters past the target. Segments
-    that miss the grid return an empty list; segments starting outside enter
-    at the boundary.
-    """
-    coords, _ = _traverse_arrays(origin, target, geom, margin)
-    return [VoxelIndex(int(x), int(y), int(z), geom.scale) for x, y, z in coords]
 
 
 def _walk(origins, targets, geom: GridGeometry, margin: float = 0.0):
@@ -370,10 +359,6 @@ class OcclusionVolume:
         if (self.semantics.reshape(-1)[labelled] == 0).any():
             raise ValueError("unoccupied voxels must carry the empty label")
 
-    @property
-    def occupied_mask(self) -> np.ndarray:
-        return self.semantics > 0
-
 
 def build_volume(semantics: np.ndarray, lidar_labels: np.ndarray, cam_labels: np.ndarray,
                  geom: GridGeometry) -> OcclusionVolume:
@@ -461,16 +446,18 @@ def read_volume(path):
         raise ParseError(f"{path}.meta not found; volumes need their sidecar header") from None
     try:
         dims = tuple(int(v) for v in meta["dims"].split())
+        if len(dims) != 3:
+            raise ValueError(f"dims needs 3 values, got {len(dims)}")
         scale = int(meta["scale"])
         origin = tuple(float(v) for v in meta["origin"].split())
         voxel_size = float(meta["voxel_size"])
         dtype = {"uint8": np.uint8, "uint16": "<u2"}[meta["dtype"]]
-    except (KeyError, ValueError) as exc:
+        geom = GridGeometry(origin, voxel_size, tuple(d * scale for d in dims), scale)
+    except (KeyError, ValueError, InvalidScale) as exc:
         raise ParseError(f"{path}.meta is malformed: {exc}") from exc
     raw = np.fromfile(path, dtype=dtype)
     if raw.size != dims[0] * dims[1] * dims[2]:
         raise ParseError(f"{path}: expected {dims[0] * dims[1] * dims[2]} voxels, got {raw.size}")
-    geom = GridGeometry(origin, voxel_size, tuple(d * scale for d in dims), scale)
     return raw.reshape(dims).astype(np.uint16 if meta["dtype"] == "uint16" else np.uint8), geom
 
 

@@ -148,8 +148,8 @@ def refine_stages(fused: SparseVoxelGrid, pyramid: dict, rig: list[CameraModel],
     with stage("gather"):
         proj2 = seeded_projection(c + maps.channels, c, seed=seeds["gather-semi"])
         proj1 = seeded_projection(c + maps.channels, c, seed=seeds["gather-fine"])
-        fs2 = gather_semi_fine(sets, pyramid[2], rig, maps, proj2)
-        ff1 = gather_fine(sets, pyramid[1], rig, maps, proj1)
+        fs2 = gather_semi_fine(sets.semi_fine, pyramid[2], rig, maps, proj2)
+        ff1 = gather_fine(sets.fine, pyramid[1], rig, maps, proj1)
 
     with stage("refine"):
         sconv1 = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=seeds["refine-a"])
@@ -159,15 +159,14 @@ def refine_stages(fused: SparseVoxelGrid, pyramid: dict, rig: list[CameraModel],
 
 
 def forward(pc: PointCloud, rig: list[CameraModel], maps: FeatureMap2D,
-            config: PipelineConfig, geometry: GridGeometry | None = None) -> ForwardResult:
-    geom = geometry or config.geometry()
+            config: PipelineConfig, geometry: GridGeometry) -> ForwardResult:
     c = config.lidar_channels
     seeds = {name: config.seed_for(name) for name in SEED_NAMES}
     timings: dict = {}
     counts: dict = {}
 
     with _timed(timings, "voxelize"):
-        f_l1 = voxelize(pc, geom, channels=c)
+        f_l1 = voxelize(pc, geometry, channels=c)
     counts["voxelize"] = len(f_l1)
 
     with _timed(timings, "pyramid"):
@@ -199,10 +198,10 @@ def forward(pc: PointCloud, rig: list[CameraModel], maps: FeatureMap2D,
     counts["head"] = len(refined)
 
     with _timed(timings, "decode"):
-        o1 = _decode_fine(decoder_input_set(o4), geom, seeds["decoder"])
+        o1 = _decode_fine(decoder_input_set(o4), geometry, seeds["decoder"])
     counts["decode"] = len(o1)
 
-    return ForwardResult(geometry=geom, voxelized=f_l1, pyramid=pyramid, dense=dense,
+    return ForwardResult(geometry=geometry, voxelized=f_l1, pyramid=pyramid, dense=dense,
                          fused=fused, sets=sets, refined=refined, o4=o4, o1=o1,
                          refine_identity=identity, timings=timings, counts=counts,
                          seeds=seeds)

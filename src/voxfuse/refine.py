@@ -134,19 +134,17 @@ def _gather(parents: np.ndarray, factor: int, lidar: SparseVoxelGrid,
     return SparseVoxelGrid(geom, children, np.hstack([lidar_feats, img_feats]) @ proj)
 
 
-def gather_semi_fine(sets: RefinementSets | np.ndarray, lidar2: SparseVoxelGrid,
+def gather_semi_fine(parents: np.ndarray, lidar2: SparseVoxelGrid,
                      rig: list[CameraModel], maps: FeatureMap2D,
                      proj: np.ndarray) -> SparseVoxelGrid:
-    """Split each selected parent into its 8 scale-2 children and featurize them."""
-    parents = sets.semi_fine if isinstance(sets, RefinementSets) else sets
+    """Split each (N, 3) scale-4 parent into its 8 scale-2 children and featurize them."""
     return _gather(parents, 2, lidar2, rig, maps, proj)
 
 
-def gather_fine(sets: RefinementSets | np.ndarray, lidar1: SparseVoxelGrid,
+def gather_fine(parents: np.ndarray, lidar1: SparseVoxelGrid,
                 rig: list[CameraModel], maps: FeatureMap2D,
                 proj: np.ndarray) -> SparseVoxelGrid:
-    """Split each selected parent into its 64 scale-1 children and featurize them."""
-    parents = sets.fine if isinstance(sets, RefinementSets) else sets
+    """Split each (N, 3) scale-4 parent into its 64 scale-1 children and featurize them."""
     return _gather(parents, 4, lidar1, rig, maps, proj)
 
 
@@ -217,7 +215,3 @@ def occupied_fraction(parents: np.ndarray, occupied_scale1: np.ndarray,
         np.add.at(counts, order[pos_c[hit]], 1)
     return counts / float(factor ** 3)
 
-
-def refinement_labels(parents: np.ndarray, occupied_scale1: np.ndarray) -> np.ndarray:
-    """Binary target per parent: 1 iff any of its scale-1 children is occupied."""
-    return (occupied_fraction(parents, occupied_scale1) > 0).astype(np.float64)

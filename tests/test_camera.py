@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,15 +5,11 @@ from voxfuse.camera import (
     CameraModel,
     FeatureMap2D,
     back_project,
-    bilinear_sample,
-    load_rig_json,
     project,
     project_points,
     read_kitti_calib,
     roundtrip_check,
     sample_array,
-    save_rig_json,
-    visible_cameras,
 )
 from voxfuse.errors import ParseError, ShapeError
 
@@ -121,34 +115,6 @@ class TestProject:
                 assert single[2] == pytest.approx(depth[i])
 
 
-class TestVisibility:
-    def test_single_forward_camera(self):
-        rig = [CameraModel.from_lookat((0, 0, 0), (1, 0, 0), 100, 100, 32, 32, (64, 64))]
-        assert visible_cameras(rig, (3, 0, 0)) == {0}
-
-    def test_point_above_all_frusta(self):
-        rig = [CameraModel.from_lookat((0, 0, 0), (1, 0, 0), 100, 100, 32, 32, (64, 64))]
-        assert visible_cameras(rig, (1, 0, 50)) == set()
-
-    def test_ring_overlap_two_cameras(self):
-        # six cameras looking outward, 60 degrees apart, with ~100 deg horizontal fov
-        rig = []
-        w, h = 100, 80
-        fx = (w / 2) / np.tan(np.radians(50))
-        for i in range(6):
-            a = np.radians(60 * i)
-            d = np.array([np.cos(a), np.sin(a), 0.0])
-            rig.append(CameraModel.from_lookat((0, 0, 0), d, fx, fx, w / 2, h / 2, (w, h)))
-        # halfway between camera 0 (0 deg) and camera 1 (60 deg) headings
-        p = 5.0 * np.array([np.cos(np.radians(30)), np.sin(np.radians(30)), 0.0])
-        assert visible_cameras(rig, p) == {0, 1}
-
-    def test_subset_of_rig(self, rng):
-        rig = [random_rig_camera(rng) for _ in range(4)]
-        ids = visible_cameras(rig, rng.uniform(-5, 5, size=3))
-        assert ids <= set(range(4))
-
-
 class TestBilinear:
     def test_exact_at_integer_coords(self, rng):
         img = rng.normal(size=(6, 7, 3))
@@ -177,10 +143,6 @@ class TestBilinear:
         # tap outside contributes zero, so the value halves past the last pixel center
         img = np.ones((1, 2, 1))
         assert sample_array(img, [[1.5, 0.0]])[0, 0] == pytest.approx(0.5)
-
-    def test_feature_map_wrapper(self, rng):
-        maps = FeatureMap2D([rng.normal(size=(4, 4, 2)), rng.normal(size=(6, 8, 2))])
-        np.testing.assert_allclose(bilinear_sample(maps, 1, 3, 2), maps.maps[1][2, 3], atol=1e-12)
 
     def test_channel_width_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError):
@@ -246,31 +208,3 @@ class TestCalibIO:
         path.write_text("P2: " + " ".join("1" for _ in range(12)) + "\n")
         with pytest.raises(ParseError):
             read_kitti_calib(path)
-
-    def test_rig_json_roundtrip(self, tmp_path, rng):
-        rig = [random_rig_camera(rng) for _ in range(3)]
-        path = tmp_path / "rig.json"
-        save_rig_json(path, rig)
-        loaded = load_rig_json(path)
-        assert len(loaded) == 3
-        for a, b in zip(rig, loaded):
-            np.testing.assert_allclose(a.intrinsics, b.intrinsics)
-            np.testing.assert_allclose(a.extrinsics, b.extrinsics)
-            assert a.image_size == b.image_size
-
-    def test_rig_json_malformed(self, tmp_path):
-        path = tmp_path / "rig.json"
-        path.write_text("{\"nope\": []}")
-        with pytest.raises(ParseError):
-            load_rig_json(path)
-
-    def test_rig_json_non_rotation(self, tmp_path, rng):
-        cam = random_rig_camera(rng)
-        extrinsics = cam.extrinsics.copy()
-        extrinsics[:3, :3] *= 2.0
-        path = tmp_path / "rig.json"
-        path.write_text(json.dumps({"cameras": [{"intrinsics": cam.intrinsics.tolist(),
-                                                 "extrinsics": extrinsics.tolist(),
-                                                 "image_size": list(cam.image_size)}]}))
-        with pytest.raises(ParseError, match="rig.json: camera 0"):
-            load_rig_json(path)

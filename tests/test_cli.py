@@ -10,7 +10,7 @@ import pytest
 from voxfuse.cli import BENCH_HEADER, main
 from voxfuse.grid import GridGeometry
 from voxfuse.occlusion import OcclusionLabel, read_volume, write_volume
-from voxfuse.synthetic import Box, SyntheticScene, random_scene, save_scene
+from voxfuse.synthetic import Box, SyntheticScene, save_scene
 
 KITTI_DIMS = (256, 256, 32)
 
@@ -352,6 +352,18 @@ def _eval_args(tmp_path, classes, label=0):
     return ["eval", "--pred", path, "--gt", path, "--classes", classes]
 
 
+def _eval_meta_args(key, value):
+    """eval on a 4x4x4 volume whose ``.meta`` sidecar holds ``key=value``."""
+    def build(tmp_path):
+        argv = _eval_args(tmp_path, "2")
+        meta = tmp_path / "vol.u8.meta"
+        lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+                 for line in meta.read_text().splitlines()]
+        meta.write_text("\n".join(lines) + "\n")
+        return argv
+    return build
+
+
 def _synthetic_label_args(tmp_path, stride):
     scene_path, _ = small_scene_file(tmp_path)
     return ["label-gen", "--dataset", "synthetic", "--sequence", str(scene_path),
@@ -406,6 +418,11 @@ ERROR_CASES = {
     "eval-classes-zero": (lambda p: _eval_args(p, "0"), 1, "--classes"),
     "eval-classes-negative": (lambda p: _eval_args(p, "-1"), 1, "--classes"),
     "eval-label-beyond-classes": (lambda p: _eval_args(p, "2", label=5), 1, "config error"),
+    "eval-meta-zero-voxel-size": (_eval_meta_args("voxel_size", "0"), 3, "parse error"),
+    "eval-meta-nan-origin": (_eval_meta_args("origin", "nan 0 0"), 3, "parse error"),
+    "eval-meta-zero-dim": (_eval_meta_args("dims", "0 4 4"), 3, "parse error"),
+    "eval-meta-two-dims": (_eval_meta_args("dims", "4 4"), 3, "parse error"),
+    "eval-meta-bad-scale": (_eval_meta_args("scale", "3"), 3, "parse error"),
     "label-gen-stride-not-int": (lambda p: _synthetic_label_args(p, "abc"), 1, "--stride"),
     "label-gen-stride-zero": (lambda p: _synthetic_label_args(p, "0"), 1, "stride"),
     "label-gen-nan-scan": (_nan_scan_args, 3, "row 7"),

@@ -3,7 +3,7 @@ import pytest
 
 from voxfuse.camera import CameraModel, FeatureMap2D
 from voxfuse.errors import InvalidScale, ShapeError
-from voxfuse.fusion import DeformableAttnParams, QuerySet, fuse, guide_queries, softmax
+from voxfuse.fusion import DeformableAttnParams, QuerySet, fuse, guide_queries, softmax_rows
 from voxfuse.grid import GridGeometry, SparseVoxelGrid
 
 
@@ -135,7 +135,7 @@ class TestFuse:
         img[int(base[1]), int(base[0]), 0] = 1.0
         img[int(base[1]) + 1, int(base[0]) + 1, 0] = 3.0
         offsets = np.array([base - [u, v], base + 1.0 - [u, v]])
-        logits = np.log([1.0, 3.0])  # softmax -> (0.25, 0.75)
+        logits = np.log([1.0, 3.0])  # softmax_rows -> (0.25, 0.75)
         params = DeformableAttnParams.identity(1, n_ref=2, offsets=offsets, logits=logits)
         out = fuse(qs, rig, [img] and FeatureMap2D([img]), params)
         assert out.features[0, 0] == pytest.approx(0.25 * 1.0 + 0.75 * 3.0)
@@ -197,8 +197,8 @@ class TestSoftmax:
     def test_matches_definition(self, rng):
         z = rng.normal(size=7)
         expect = np.exp(z) / np.exp(z).sum()
-        np.testing.assert_allclose(softmax(z), expect, atol=1e-12)
+        np.testing.assert_allclose(softmax_rows(z), expect, atol=1e-12)
 
     def test_shift_invariant(self, rng):
         z = rng.normal(size=5)
-        np.testing.assert_allclose(softmax(z), softmax(z + 100.0), atol=1e-12)
+        np.testing.assert_allclose(softmax_rows(z), softmax_rows(z + 100.0), atol=1e-12)

@@ -10,11 +10,9 @@ from voxfuse.grid import (
     align_scale,
     centers_for,
     pack_keys,
-    subdivide,
     subdivide_coords,
     unique_coords,
     unpack_keys,
-    voxel_center,
 )
 
 
@@ -109,66 +107,63 @@ class TestAlignScale:
 
 class TestSubdivide:
     def test_factor2_count_and_scale(self):
-        kids = subdivide(VoxelIndex(3, 1, 2, scale=4), 2)
-        assert len(kids) == 8
-        assert all(k.scale == 2 for k in kids)
+        kids = subdivide_coords([[3, 1, 2]], 2)
+        assert kids.shape == (8, 3)
+        # scale-2 children align back onto their scale-4 parent
+        np.testing.assert_array_equal(align_coords(kids, 2, 4), np.tile([3, 1, 2], (8, 1)))
 
     def test_factor4_count(self):
-        kids = subdivide(VoxelIndex(0, 0, 0, scale=4), 4)
-        assert len(kids) == 64
-        assert all(k.scale == 1 for k in kids)
+        kids = subdivide_coords([[0, 0, 0]], 4)
+        assert kids.shape == (64, 3)
+        np.testing.assert_array_equal(align_coords(kids, 1, 4), np.zeros((64, 3)))
 
     def test_children_tile_parent_exactly(self):
-        parent = VoxelIndex(3, 1, 2, scale=4)
-        kids = subdivide(parent, 2)
+        kids = subdivide_coords([[3, 1, 2]], 2)
         # every child aligns back to the parent, and children are distinct
-        assert all(align_scale(k, 4) == parent for k in kids)
-        assert len({k.xyz for k in kids}) == 8
+        assert all(align_scale(VoxelIndex(*map(int, k), scale=2), 4) == VoxelIndex(3, 1, 2, scale=4)
+                   for k in kids)
+        assert len({tuple(k) for k in kids.tolist()}) == 8
 
     def test_sibling_disjointness(self):
-        a = set(k.xyz for k in subdivide(VoxelIndex(0, 0, 0, scale=2), 2))
-        b = set(k.xyz for k in subdivide(VoxelIndex(1, 0, 0, scale=2), 2))
+        a = {tuple(k) for k in subdivide_coords([[0, 0, 0]], 2).tolist()}
+        b = {tuple(k) for k in subdivide_coords([[1, 0, 0]], 2).tolist()}
         assert not (a & b)
 
     def test_lexicographic_order_z_fastest(self):
-        kids = subdivide(VoxelIndex(0, 0, 0, scale=2), 2)
-        assert [k.xyz for k in kids] == [
+        kids = subdivide_coords([[0, 0, 0]], 2)
+        assert [tuple(k) for k in kids.tolist()] == [
             (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
             (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
         ]
 
     def test_bad_factor(self):
         with pytest.raises(InvalidFactor):
-            subdivide(VoxelIndex(0, 0, 0, scale=4), 3)
-
-    def test_scale_not_divisible(self):
-        with pytest.raises(InvalidScale):
-            subdivide(VoxelIndex(0, 0, 0, scale=2), 4)
+            subdivide_coords([[0, 0, 0]], 3)
 
     def test_array_matches_scalar(self, rng):
         coords = rng.integers(0, 10, size=(7, 3))
         arr = subdivide_coords(coords, 4)
         assert arr.shape == (7 * 64, 3)
-        flat = []
-        for row in coords:
-            flat.extend(k.xyz for k in subdivide(VoxelIndex(*map(int, row), scale=4), 4))
-        assert arr.tolist() == [list(t) for t in flat]
+        flat = [[4 * x + i, 4 * y + j, 4 * z + k]
+                for x, y, z in coords.tolist()
+                for i in range(4) for j in range(4) for k in range(4)]
+        assert arr.tolist() == flat
 
 
 class TestVoxelCenter:
     def test_known_value_scale1(self):
         g = GridGeometry((-51.2, -51.2, -5.0), 0.4, (256, 256, 20))
-        c = voxel_center(VoxelIndex(256 // 2, 256 // 2, 10, scale=1), g)
-        np.testing.assert_allclose(c, [0.2, 0.2, -0.8])
+        c = centers_for([[256 // 2, 256 // 2, 10]], 1, g)
+        np.testing.assert_allclose(c, [[0.2, 0.2, -0.8]])
 
     def test_known_value_nuscenes(self):
         g = GridGeometry.preset("nuscenes-occ")
-        c = voxel_center(VoxelIndex(256, 256, 20, scale=1), g)
-        np.testing.assert_allclose(c, [0.1, 0.1, -0.9])
+        c = centers_for([[256, 256, 20]], 1, g)
+        np.testing.assert_allclose(c, [[0.1, 0.1, -0.9]])
 
     def test_scale2_origin_cell(self):
         g = GridGeometry((0.0, 0.0, 0.0), 0.1, (64, 64, 64))
-        np.testing.assert_allclose(voxel_center(VoxelIndex(0, 0, 0, scale=2), g), [0.1, 0.1, 0.1])
+        np.testing.assert_allclose(centers_for([[0, 0, 0]], 2, g), [[0.1, 0.1, 0.1]])
 
     def test_center_roundtrips_through_world_to_index(self, rng):
         g = GridGeometry.preset("semantickitti")
@@ -178,11 +173,6 @@ class TestVoxelCenter:
             ctr = centers_for(coords, scale, g)
             back = gs.world_to_index(ctr)
             np.testing.assert_array_equal(back, coords)
-
-    def test_out_of_bounds_raises(self):
-        g = small_geom()
-        with pytest.raises(OutOfBounds):
-            voxel_center(VoxelIndex(64, 0, 0, scale=1), g)
 
 
 class TestKeyPacking:
@@ -217,15 +207,16 @@ class TestSparseVoxelGrid:
         coords = np.unique(rng.integers(0, 64, size=(100, 3)), axis=0)
         feats = rng.normal(size=(coords.shape[0], 5))
         grid = SparseVoxelGrid(g, coords, feats)
-        for i in rng.choice(coords.shape[0], size=20, replace=False):
-            got = grid.feature_at(tuple(coords[i]))
-            np.testing.assert_array_equal(got, feats[i])
+        picked = rng.choice(coords.shape[0], size=20, replace=False)
+        rows, found = grid.rows_for(coords[picked])
+        assert found.all()
+        np.testing.assert_array_equal(grid.features[rows], feats[picked])
 
     def test_absent_lookup_none(self):
         g = small_geom()
         grid = SparseVoxelGrid(g, [[1, 2, 3]], [[1.0]])
-        assert grid.lookup((3, 2, 1)) is None
-        assert grid.feature_at((3, 2, 1)) is None
+        rows, found = grid.rows_for(np.array([[3, 2, 1]]))
+        assert not found[0] and rows[0] == -1
 
     def test_construction_order_invariance(self, rng):
         g = small_geom()
@@ -268,7 +259,7 @@ class TestSparseVoxelGrid:
         rows, found = grid.rows_for(queries)
         assert found[:5].all()
         np.testing.assert_array_equal(grid.coords[rows[:5]], coords[:5])
-        if grid.lookup((63, 63, 63)) is None:
+        if not (coords == 63).all(axis=1).any():
             assert not found[5] and rows[5] == -1
 
     def test_rows_for_keys_keeps_query_shape(self, rng):

@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from voxfuse.errors import EmptyInput, InvalidFactor, InvalidScale, ParseError, ShapeError
+from voxfuse.errors import EmptyInput, InvalidScale, ParseError, ShapeError
 from voxfuse.grid import GridGeometry, SparseVoxelGrid
 from voxfuse.lidar import (
     PointCloud,
     SparseConvSpec,
-    downsample,
     kernel_offsets,
     multi_scale_stack,
     read_velodyne_bin,
@@ -31,7 +30,7 @@ def random_grid(rng, geom, channels=3, n=40):
 
 
 def _reference_sparse_conv(grid, spec, stride=1):
-    """The per-tap loop that preceded the kernel map: one lookup and one matmul per tap."""
+    """The per-tap loop that preceded the kernel map: one key search and one matmul per tap."""
     offsets = kernel_offsets(spec.kernel_extent)
     dims = np.asarray(grid.geometry.dims)
     if stride == 1:
@@ -378,24 +377,34 @@ class TestSparseConv:
 
 class TestDownsample:
     def test_empty_grid(self):
-        out = downsample(SparseVoxelGrid.empty(geom16(), 4), 2)
-        assert len(out) == 0 and out.scale == 2
+        stack = multi_scale_stack(SparseVoxelGrid.empty(geom16(), 4))
+        for s, level in stack.items():
+            assert len(level) == 0 and level.scale == s and level.channels == 4
 
     def test_conv_mode_set_is_integer_division_image(self, rng):
         grid = random_grid(rng, geom16(), channels=3, n=80)
-        out = downsample(grid, 2)
-        np.testing.assert_array_equal(out.coords, np.unique(grid.coords // 2, axis=0))
+        stack = multi_scale_stack(grid)
+        for s in (2, 4, 8, 16):
+            np.testing.assert_array_equal(stack[s].coords,
+                                          np.unique(stack[s // 2].coords // 2, axis=0))
 
     def test_set_idempotence(self, rng):
         grid = random_grid(rng, geom16(), channels=2, n=80)
-        twice = downsample(downsample(grid, 2), 2)
-        once = downsample(grid, 4)
-        np.testing.assert_array_equal(twice.coords, once.coords)
-        assert twice.scale == once.scale == 4
+        stack = multi_scale_stack(grid)
+        # two factor-2 levels give the set of one factor-4 division
+        np.testing.assert_array_equal(stack[4].coords, np.unique(grid.coords // 4, axis=0))
+        assert stack[4].scale == 4
 
-    def test_bad_factor(self, rng):
-        with pytest.raises(InvalidFactor):
-            downsample(random_grid(rng, geom16()), 3)
+    def test_levels_match_stride2_conv_chain(self, rng):
+        grid = random_grid(rng, geom16(), channels=3, n=120)
+        seed = 7
+        stack = multi_scale_stack(grid, seed=seed)
+        cur = grid
+        for s in (2, 4, 8, 16):
+            cur = sparse_conv(cur, SparseConvSpec.seeded(3, 3, seed=seed + s), stride=2)
+            assert stack[s].geometry == cur.geometry
+            assert np.array_equal(stack[s].coords, cur.coords)
+            assert np.array_equal(stack[s].features, cur.features)
 
 
 class TestMultiScaleStack:

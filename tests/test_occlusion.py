@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from voxfuse import occlusion
 from voxfuse.camera import CameraModel, back_project
 from voxfuse.errors import ParseError, ShapeError
-from voxfuse.grid import GridGeometry, SparseVoxelGrid, VoxelIndex
+from voxfuse.grid import GridGeometry, SparseVoxelGrid
 from voxfuse.lidar import PointCloud
 from voxfuse.occlusion import (
     BACKGROUND_ROW,
@@ -27,7 +27,6 @@ from voxfuse.occlusion import (
     read_kitti_bitmask,
     read_kitti_label_volume,
     read_volume,
-    traverse,
     write_volume,
 )
 
@@ -82,34 +81,38 @@ def oracle_traverse(origin, target, geom, margin=0.0):
 
 class TestTraverse:
     def test_axis_ray_through_centers(self):
-        cells = traverse(center((0, 0, 0)), center((5, 0, 0)), GEOM16)
-        assert [c.xyz for c in cells] == [(x, 0, 0) for x in range(6)]
-        assert all(c.scale == 1 for c in cells)
+        cells, _ = _traverse_arrays(center((0, 0, 0)), center((5, 0, 0)), GEOM16)
+        assert cells.dtype == np.int64
+        assert cells.tolist() == [[x, 0, 0] for x in range(6)]
 
     def test_each_cell_once(self, rng):
         for _ in range(50):
             a = rng.uniform(0.0, 3.2, size=3)
             b = rng.uniform(0.0, 3.2, size=3)
-            cells = [c.xyz for c in traverse(a, b, GEOM16)]
+            cells = [tuple(c) for c in _traverse_arrays(a, b, GEOM16)[0].tolist()]
             assert len(cells) == len(set(cells))
 
     def test_origin_outside_starts_at_entry(self):
-        cells = traverse((-1.0, 0.1, 0.1), (0.5, 0.1, 0.1), GEOM16)
-        assert cells[0].xyz == (0, 0, 0)
+        cells, ts = _traverse_arrays((-1.0, 0.1, 0.1), (0.5, 0.1, 0.1), GEOM16)
+        assert cells[0].tolist() == [0, 0, 0]
+        # the walk enters at the grid face, 1 m along the ray
+        assert ts[0] == pytest.approx(1.0)
 
     def test_miss_returns_empty(self):
-        assert traverse((-1.0, -1.0, 0.1), (-0.5, -2.0, 0.1), GEOM16) == []
+        cells, ts = _traverse_arrays((-1.0, -1.0, 0.1), (-0.5, -2.0, 0.1), GEOM16)
+        assert cells.shape == (0, 3) and ts.shape == (0,)
 
     def test_margin_extends_past_target(self):
         a, b = center((0, 0, 0)), center((2, 0, 0))
-        short = traverse(a, b, GEOM16)
-        extended = traverse(a, b, GEOM16, margin=1.0)
+        short, _ = _traverse_arrays(a, b, GEOM16)
+        extended, _ = _traverse_arrays(a, b, GEOM16, margin=1.0)
         assert len(extended) > len(short)
-        assert [c.xyz for c in extended[:len(short)]] == [c.xyz for c in short]
+        np.testing.assert_array_equal(extended[:len(short)], short)
 
     def test_degenerate_segment(self):
-        cells = traverse(center((3, 3, 3)), center((3, 3, 3)), GEOM16)
-        assert [c.xyz for c in cells] == [(3, 3, 3)]
+        cells, ts = _traverse_arrays(center((3, 3, 3)), center((3, 3, 3)), GEOM16)
+        assert cells.tolist() == [[3, 3, 3]]
+        assert ts.tolist() == [0.0]
 
     @pytest.mark.parametrize("tiny", [1e-310, -1e-310])
     def test_subnormal_component_walks_silently(self, tiny):
@@ -118,9 +121,9 @@ class TestTraverse:
         o = np.array([0.05, 0.0, 0.45])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cells = traverse(o, o + [3.0, tiny, 0.0], geom)
+            cells, _ = _traverse_arrays(o, o + [3.0, tiny, 0.0], geom)
         # the tiny component never wins a step, so the walk stays on its row
-        assert [c.xyz for c in cells] == [(x, 0, 2) for x in range(16)]
+        assert cells.tolist() == [[x, 0, 2] for x in range(16)]
 
     def test_matches_oracle_random_rays(self, rng):
         for _ in range(500):
@@ -514,7 +517,7 @@ class TestVolume:
         sem[0, 1, 1], occ[0, 1, 1] = 7, N
         sem[1, 1, 0] = 2  # occupied but never seen: empty is allowed
         vol = OcclusionVolume(geom, sem, occ)
-        assert vol.occupied_mask.sum() == 3
+        assert (vol.semantics > 0).sum() == 3
 
     def test_label_on_unoccupied_voxel_rejected(self):
         geom = GridGeometry((0, 0, 0), 0.2, (2, 2, 3))

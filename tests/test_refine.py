@@ -8,14 +8,12 @@ from voxfuse.grid import GridGeometry, SparseVoxelGrid, subdivide_coords
 from voxfuse.lidar import SparseConvSpec
 from voxfuse.refine import (
     ImportanceMap,
-    RefinementSets,
     estimate_importance,
     fuse_refined,
     gather_fine,
     gather_semi_fine,
     importance_from_scores,
     occupied_fraction,
-    refinement_labels,
     seeded_projection,
     select_sets,
     sigmoid,
@@ -271,7 +269,9 @@ class TestFuseRefined:
         empty1 = SparseVoxelGrid.empty(fm4.geometry.with_scale(1), 3)
         out = fuse_refined(empty1, fs2, fm4, s1, s2)
         # the refined parent's row changed, all others untouched
-        row = fm4.lookup((1, 1, 1))
+        rows, found = fm4.rows_for(np.array([[1, 1, 1]]))
+        assert found[0]
+        row = rows[0]
         others = np.ones(len(fm4), dtype=bool)
         others[row] = False
         assert not np.allclose(out.features[row], fm4.features[row])
@@ -295,11 +295,6 @@ class TestOracleScorer:
         parents = np.array([[2, 2, 2]])
         occ = subdivide_coords(parents, 4)
         np.testing.assert_allclose(occupied_fraction(parents, occ), [1.0])
-
-    def test_labels_any_child(self):
-        parents = np.array([[0, 0, 0], [1, 1, 1]])
-        occ = np.array([[3, 3, 3]])
-        np.testing.assert_array_equal(refinement_labels(parents, occ), [1.0, 0.0])
 
     def test_empty_occupied(self):
         parents = np.array([[0, 0, 0]])
