@@ -104,6 +104,28 @@ def project_points(cam: CameraModel, points: np.ndarray):
     return np.stack([u, v], axis=1), depth, hit
 
 
+def camera_mean(rig: list[CameraModel], points: np.ndarray, channels: int, per_camera):
+    """Per-point mean of a per-camera value over the cameras that see the point.
+
+    ``per_camera(cam_id, rows, uv)`` returns one ``channels``-wide row for
+    each hit row index in ``rows``, whose pixel positions are ``uv``. Cameras
+    accumulate in id order, so results are bit-stable; points no camera sees
+    read zero. Returns ``(mean (N, channels), n_hit (N,))``.
+    """
+    n = points.shape[0]
+    acc = np.zeros((n, channels))
+    n_hit = np.zeros(n, dtype=np.int64)
+    for cam_id, cam in enumerate(rig):
+        uv, _, hit = project_points(cam, points)
+        rows = np.flatnonzero(hit)
+        if rows.size:
+            acc[rows] += per_camera(cam_id, rows, uv[rows])
+            n_hit[rows] += 1
+    mean = acc / np.maximum(n_hit, 1)[:, None]
+    mean[n_hit == 0] = 0.0
+    return mean, n_hit
+
+
 def project(cam: CameraModel, p_world) -> tuple[float, float, float] | None:
     """Project one world point; None when behind the near plane or off-image."""
     uv, depth, hit = project_points(cam, np.asarray(p_world).reshape(1, 3))

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .camera import CameraModel, FeatureMap2D, read_kitti_calib
+from .camera import FeatureMap2D, read_kitti_calib
 from .config import DATA_ROOT_ENV, PipelineConfig
 from .errors import ConfigError, EmptyInput, ParseError, ShapeError, VoxfuseError
 from .grid import GridGeometry, SparseVoxelGrid
@@ -36,7 +36,7 @@ from .occlusion import (
     write_volume,
 )
 from .pipeline import SEED_NAMES, forward_scene, refine_stages
-from .synthetic import load_scene, ring_rig
+from .synthetic import SyntheticScene, load_scene, ring_rig
 
 BENCH_HEADER = ["stage", "nonempty", "sets", "dims_x", "dims_y", "dims_z",
                 "wall_s", "peak_kb"]
@@ -96,52 +96,53 @@ def _label_one(semantics: np.ndarray, pc, rig, geom: GridGeometry, stride: int):
     return volume, stats
 
 
+def _kitti_frames(seq_dir: str, geom: GridGeometry):
+    """Yield ``(name, semantics, pc)`` per ``voxels/*.label`` of a sequence."""
+    voxel_dir = os.path.join(seq_dir, "voxels")
+    label_files = sorted(f for f in os.listdir(voxel_dir) if f.endswith(".label"))
+    if not label_files:
+        raise FileNotFoundError(f"no .label files under {voxel_dir}")
+    for fname in label_files:
+        stem = fname[:-len(".label")]
+        semantics = read_kitti_label_volume(os.path.join(voxel_dir, fname), dims=geom.dims)
+        invalid_path = os.path.join(voxel_dir, f"{stem}.invalid")
+        if os.path.exists(invalid_path):
+            semantics[read_kitti_bitmask(invalid_path, dims=geom.dims)] = 0
+        bin_path = os.path.join(seq_dir, "velodyne", f"{stem}.bin")
+        pc = read_velodyne_bin(bin_path) if os.path.exists(bin_path) else None
+        yield stem, semantics, pc
+
+
 def _cmd_label_gen(args) -> int:
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    frames = []
     if args.dataset == "synthetic":
         scene = load_scene(args.sequence)
         geom = scene.geometry
-        semantics = scene.gt_volume()
         try:
             pc = scene.lidar_scan() if scene.boxes else None
         except EmptyInput:
             pc = None
         rig = ring_rig(scene)
-        volume, stats = _label_one(semantics, pc, rig, geom, args.stride)
         name = os.path.splitext(os.path.basename(args.sequence))[0]
-        path = os.path.join(out_dir, f"{name}.occ.u8")
-        write_volume(path, volume.occlusion, geom)
-        frames.append({"name": name, "volume": path,
-                       "histogram": _histogram(volume.occlusion), **stats})
+        inputs = [(name, scene.gt_volume(), pc)]
     else:
         root = os.environ.get(DATA_ROOT_ENV, "")
         seq_dir = args.sequence if os.path.isabs(args.sequence) \
             else os.path.join(root, args.sequence)
-        voxel_dir = os.path.join(seq_dir, "voxels")
-        if not os.path.isdir(voxel_dir):
+        if not os.path.isdir(os.path.join(seq_dir, "voxels")):
             raise FileNotFoundError(f"no voxels/ directory under {seq_dir}")
         geom = GridGeometry.preset("semantickitti")
         calib_path = os.path.join(seq_dir, "calib.txt")
         rig = [read_kitti_calib(calib_path)] if os.path.exists(calib_path) else []
-        label_files = sorted(f for f in os.listdir(voxel_dir) if f.endswith(".label"))
-        if not label_files:
-            raise FileNotFoundError(f"no .label files under {voxel_dir}")
-        for fname in label_files:
-            stem = fname[:-len(".label")]
-            semantics = read_kitti_label_volume(os.path.join(voxel_dir, fname),
-                                                dims=geom.dims)
-            invalid_path = os.path.join(voxel_dir, f"{stem}.invalid")
-            if os.path.exists(invalid_path):
-                semantics[read_kitti_bitmask(invalid_path, dims=geom.dims)] = 0
-            bin_path = os.path.join(seq_dir, "velodyne", f"{stem}.bin")
-            pc = read_velodyne_bin(bin_path) if os.path.exists(bin_path) else None
-            volume, stats = _label_one(semantics, pc, rig, geom, args.stride)
-            path = os.path.join(out_dir, f"{stem}.occ.u8")
-            write_volume(path, volume.occlusion, geom)
-            frames.append({"name": stem, "volume": path,
-                           "histogram": _histogram(volume.occlusion), **stats})
+        inputs = _kitti_frames(seq_dir, geom)
+    frames = []
+    for name, semantics, pc in inputs:
+        volume, stats = _label_one(semantics, pc, rig, geom, args.stride)
+        path = os.path.join(out_dir, f"{name}.occ.u8")
+        write_volume(path, volume.occlusion, geom)
+        frames.append({"name": name, "volume": path,
+                       "histogram": _histogram(volume.occlusion), **stats})
     summary = {"dataset": args.dataset, "stride": args.stride, "frames": frames}
     with open(os.path.join(out_dir, "labels_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
@@ -204,17 +205,6 @@ def _cmd_forward(args) -> int:
     return EXIT_OK
 
 
-def _bench_rig(geom: GridGeometry) -> list[CameraModel]:
-    span = np.asarray(geom.dims) * geom.voxel_size
-    eye = geom.origin_array + span / 2.0
-    cams = []
-    for k in range(2):
-        theta = np.pi * k
-        target = eye + np.array([np.cos(theta), np.sin(theta), 0.0])
-        cams.append(CameraModel.from_lookat(eye, target, 16.0, 16.0, 15.5, 15.5, (32, 32)))
-    return cams
-
-
 @contextmanager
 def _measured(stats: dict, name: str):
     """Record a stage's wall time and its traced allocation peak in KiB."""
@@ -245,7 +235,9 @@ def _bench_case(config: PipelineConfig, n: int, geom1: GridGeometry, rows: list)
 
     fm4 = grid_at(4, n)
     pyramid = {2: grid_at(2, 2 * n), 1: grid_at(1, 4 * n)}
-    rig = _bench_rig(geom1)
+    span = np.asarray(geom1.dims) * geom1.voxel_size
+    center = SyntheticScene(geom1, (), tuple(geom1.origin_array + span / 2.0))
+    rig = ring_rig(center, n_cameras=2, image_size=(32, 32))
     maps = FeatureMap2D.seeded(rig, config.image_channels, seed=11)
     seeds = {name: config.seed_for(name) for name in SEED_NAMES}
     stats: dict = {}
@@ -269,7 +261,10 @@ def _cmd_bench(args) -> int:
         raise ConfigError(f"--sizes must be non-negative, got {args.sizes!r}")
     rows: list = []
     base = config.geometry()
-    doubled = replace(base, dims_scale1=tuple(2 * d for d in base.dims_scale1))
+    try:
+        doubled = replace(base, dims_scale1=tuple(2 * d for d in base.dims_scale1))
+    except ValueError as exc:
+        raise ConfigError(f"bench also runs the grid at twice its dims: {exc}") from None
     # untimed warm-up: the first non-empty case would otherwise also pay
     # NumPy's one-time lazy imports
     _bench_case(config, _WARMUP_SIZE, base, [])

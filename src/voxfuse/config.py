@@ -2,8 +2,10 @@
 
 Every tunable of ``forward`` and ``bench`` lives here; unknown sections or
 keys are rejected so config files cannot drift silently. ``[geometry]`` is
-read by ``bench`` only: ``forward`` runs on the scene's own grid. All
-randomness derives from one root seed, split per consumer by name.
+read by ``bench`` only: ``forward`` runs on the scene's own grid. Its
+``origin``, ``voxel_size`` and ``dims`` apply only with ``preset = custom``,
+but are checked as a ``GridGeometry`` under any preset. All randomness
+derives from one root seed, split per consumer by name.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from .errors import ConfigError
 from .grid import GridGeometry
 
 DATA_ROOT_ENV = "VOXFUSE_DATA_ROOT"
-
-_PRESETS = ("nuscenes-occ", "semantickitti", "custom")
 
 
 def split_seed(root_seed: int, name: str) -> int:
@@ -44,6 +44,29 @@ def _parse_ints(text: str, n: int, key: str) -> tuple:
     return tuple(int(v) for v in vals)
 
 
+def _join(values) -> str:
+    return " ".join(str(v) for v in values)
+
+
+# section -> key -> (PipelineConfig field, parse from text, format to text)
+_SCHEMA = {
+    "geometry": {
+        "preset": ("preset", str, str),
+        "origin": ("origin", lambda t: _parse_floats(t, 3, "origin"), _join),
+        "voxel_size": ("voxel_size", float, str),
+        "dims": ("dims", lambda t: _parse_ints(t, 3, "dims"), _join),
+    },
+    "channels": {
+        "lidar": ("lidar_channels", int, str),
+        "image": ("image_channels", int, str),
+    },
+    "refine": {"tau1": ("tau1", float, str), "tau2": ("tau2", float, str)},
+    "fusion": {"n_ref": ("n_ref", int, str)},
+    "seeds": {"root": ("root_seed", int, str)},
+    "paths": {"out_dir": ("out_dir", str, str)},
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Validated settings for the full forward pipeline."""
@@ -61,12 +84,11 @@ class PipelineConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        if self.preset not in _PRESETS:
-            raise ConfigError(f"preset must be one of {_PRESETS}, got {self.preset!r}")
-        if self.voxel_size <= 0:
-            raise ConfigError("voxel_size must be positive")
-        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
-            raise ConfigError(f"dims must be three positive integers, got {self.dims}")
+        try:
+            GridGeometry(self.origin, self.voxel_size, self.dims)
+            self.geometry()
+        except ValueError as exc:
+            raise ConfigError(f"[geometry] {exc}") from None
         if self.tau1 < 0 or self.tau2 < 0:
             raise ConfigError("thresholds must be non-negative")
         for name in ("lidar_channels", "image_channels", "n_ref"):
@@ -76,9 +98,9 @@ class PipelineConfig:
             raise ConfigError("root_seed must be non-negative")
 
     def geometry(self) -> GridGeometry:
+        """The custom grid for ``preset = custom``, else the named preset's grid."""
         if self.preset == "custom":
-            return GridGeometry(origin=self.origin, voxel_size=self.voxel_size,
-                                dims_scale1=self.dims, scale=1)
+            return GridGeometry(self.origin, self.voxel_size, self.dims)
         return GridGeometry.preset(self.preset)
 
     def seed_for(self, name: str) -> int:
@@ -90,20 +112,8 @@ class PipelineConfig:
     def dumps(self) -> str:
         cp = configparser.ConfigParser(interpolation=None)
         cp.optionxform = str
-        cp["geometry"] = {
-            "preset": self.preset,
-            "origin": " ".join(repr(v) for v in self.origin),
-            "voxel_size": repr(self.voxel_size),
-            "dims": " ".join(str(v) for v in self.dims),
-        }
-        cp["channels"] = {
-            "lidar": str(self.lidar_channels),
-            "image": str(self.image_channels),
-        }
-        cp["refine"] = {"tau1": repr(self.tau1), "tau2": repr(self.tau2)}
-        cp["fusion"] = {"n_ref": str(self.n_ref)}
-        cp["seeds"] = {"root": str(self.root_seed)}
-        cp["paths"] = {"out_dir": self.out_dir}
+        for section, keys in _SCHEMA.items():
+            cp[section] = {key: fmt(getattr(self, name)) for key, (name, _, fmt) in keys.items()}
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -121,30 +131,14 @@ class PipelineConfig:
         except configparser.Error as exc:
             raise ConfigError(f"malformed config: {exc}") from None
 
-        schema = {
-            "geometry": {
-                "preset": ("preset", str),
-                "origin": ("origin", lambda t: _parse_floats(t, 3, "origin")),
-                "voxel_size": ("voxel_size", float),
-                "dims": ("dims", lambda t: _parse_ints(t, 3, "dims")),
-            },
-            "channels": {
-                "lidar": ("lidar_channels", int),
-                "image": ("image_channels", int),
-            },
-            "refine": {"tau1": ("tau1", float), "tau2": ("tau2", float)},
-            "fusion": {"n_ref": ("n_ref", int)},
-            "seeds": {"root": ("root_seed", int)},
-            "paths": {"out_dir": ("out_dir", str)},
-        }
         kwargs = {}
         for section in cp.sections():
-            if section not in schema:
+            if section not in _SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, raw in cp[section].items():
-                if key not in schema[section]:
+                if key not in _SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                field_name, parse = schema[section][key]
+                field_name, parse, _ = _SCHEMA[section][key]
                 try:
                     kwargs[field_name] = parse(raw)
                 except ConfigError:

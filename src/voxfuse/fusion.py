@@ -1,10 +1,10 @@
 """Query guidance and forward-only deformable cross-attention over camera maps.
 
 Every voxel query projects into each camera; hits sample a small set of
-offset pixel locations, combine them with ``softmax_rows`` weights through
-value and output maps, and the per-camera results average over the hit set.
-Voxels no camera sees fall back to zero attention. Cameras accumulate in id
-order, so outputs are bit-stable.
+offset pixel locations and combine them with ``softmax_rows`` weights through
+value and output maps. ``camera.camera_mean`` averages the per-camera results
+over the cameras that see the voxel, in camera id order, so outputs are
+bit-stable. Voxels no camera sees fall back to zero attention.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraModel, FeatureMap2D, project_points, sample_array
+from .camera import CameraModel, FeatureMap2D, camera_mean, sample_array
 from .errors import InvalidScale, ShapeError
 from .grid import SparseVoxelGrid
 
@@ -41,7 +41,6 @@ class DeformableAttnParams:
     value_proj: np.ndarray
     output_proj: np.ndarray
     offset_map: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         off = np.asarray(self.offsets, dtype=np.float64)
@@ -96,7 +95,7 @@ class DeformableAttnParams:
         om = None
         if query_conditioned:
             om = rng.normal(0.0, 0.1, size=(query_channels, n_ref * 2))
-        return cls(offsets, logits, vp, op, om, seed)
+        return cls(offsets, logits, vp, op, om)
 
     @classmethod
     def identity(cls, channels: int, n_ref: int = 4, offsets=None,
@@ -158,10 +157,7 @@ def fuse(queries: QuerySet, rig: list[CameraModel], maps: FeatureMap2D,
         raise ShapeError(f"{len(rig)} cameras but {maps.num_cameras} feature maps")
 
     grid = queries.grid
-    centers = grid.centers()
     n = len(grid)
-    acc = np.zeros((n, params.query_channels))
-    n_hit = np.zeros(n, dtype=np.int64)
     w = params.weights
 
     if params.offset_map is not None:
@@ -169,12 +165,8 @@ def fuse(queries: QuerySet, rig: list[CameraModel], maps: FeatureMap2D,
     else:
         dyn = None
 
-    for cam_id in range(len(rig)):
-        uv, _, hit = project_points(rig[cam_id], centers)
-        if not hit.any():
-            continue
-        rows = np.flatnonzero(hit)
-        pos = uv[rows][:, None, :] + params.offsets[None, :, :]
+    def attend(cam_id, rows, uv):
+        pos = uv[:, None, :] + params.offsets[None, :, :]
         if dyn is not None:
             pos = pos + dyn[rows]
         samples = sample_array(maps.maps[cam_id], pos.reshape(-1, 2))
@@ -183,11 +175,9 @@ def fuse(queries: QuerySet, rig: list[CameraModel], maps: FeatureMap2D,
         # weights sum to 1, and keeps all-equal samples exactly equal
         pooled = samples[:, 0, :] + np.einsum(
             "mrc,r->mc", samples[:, 1:, :] - samples[:, :1, :], w[1:])
-        acc[rows] += (pooled @ params.value_proj) @ params.output_proj
-        n_hit[rows] += 1
+        return (pooled @ params.value_proj) @ params.output_proj
 
-    out = acc / np.maximum(n_hit, 1)[:, None]
-    out[n_hit == 0] = 0.0
+    out, n_hit = camera_mean(rig, grid.centers(), params.query_channels, attend)
     if residual:
         out = out + queries.guided_queries
     fused = grid.with_features(out, dict(grid.meta))

@@ -38,12 +38,16 @@ class GridGeometry:
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "dims_scale1", tuple(int(v) for v in self.dims_scale1))
+        if len(self.origin) != 3:
+            raise ValueError(f"origin needs 3 values, got {self.origin}")
         if not all(math.isfinite(v) for v in self.origin):
             raise ValueError(f"origin must be finite, got {self.origin}")
-        if self.voxel_size <= 0:
-            raise ValueError(f"voxel_size must be positive, got {self.voxel_size}")
+        if not (math.isfinite(self.voxel_size) and self.voxel_size > 0):
+            raise ValueError(f"voxel_size must be positive and finite, got {self.voxel_size}")
         if self.scale not in VALID_SCALES:
             raise InvalidScale(f"scale must be one of {VALID_SCALES}, got {self.scale}")
+        if len(self.dims_scale1) != 3:
+            raise ValueError(f"dims_scale1 needs 3 values, got {self.dims_scale1}")
         if any(d <= 0 for d in self.dims_scale1):
             raise ValueError(f"dims_scale1 must be positive, got {self.dims_scale1}")
         if any(d > _AXIS_MAX for d in self.dims_scale1):
@@ -180,6 +184,18 @@ def unique_coords(coords: np.ndarray) -> np.ndarray:
     packed keys.
     """
     return unpack_keys(np.unique(pack_keys(coords)))
+
+
+def group_coords(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group (N, 3) non-negative coords by cell: ``(cells, inverse, counts)``.
+
+    ``cells`` holds the distinct coords in lexicographic order, ``inverse``
+    the cell row of each input coord and ``counts`` the inputs per cell: the
+    same arrays as ``np.unique(coords, axis=0, return_inverse=True,
+    return_counts=True)``, found by one sort of the packed keys.
+    """
+    keys, inverse, counts = np.unique(pack_keys(coords), return_inverse=True, return_counts=True)
+    return unpack_keys(keys), inverse, counts
 
 
 class SparseVoxelGrid:

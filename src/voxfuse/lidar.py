@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, InvalidScale, ParseError, ShapeError
-from .grid import VALID_SCALES, GridGeometry, SparseVoxelGrid, pack_keys, unique_coords, unpack_keys
+from .grid import VALID_SCALES, GridGeometry, SparseVoxelGrid, group_coords, pack_keys, unique_coords
 
 # occupancy, mean intensity, mean offset-from-center (3)
 BASE_FEATURES = 5
@@ -82,16 +82,10 @@ def voxelize(pc: PointCloud, geom: GridGeometry, channels: int = 8) -> SparseVox
     inside = geom.contains_index(idx)
     meta = {"points_total": len(pc), "points_dropped": int((~inside).sum())}
     idx = idx[inside]
-    if idx.shape[0] == 0:
-        grid = SparseVoxelGrid.empty(geom, channels)
-        grid.meta.update(meta)
-        return grid
     pts = pc.points[inside]
     intens = pc.intensity[inside]
 
-    # packed keys sort in lexicographic cell order, like np.unique(idx, axis=0)
-    keys, inverse, counts = np.unique(pack_keys(idx), return_inverse=True, return_counts=True)
-    cells = unpack_keys(keys)
+    cells, inverse, counts = group_coords(idx)
     centers = geom.origin_array + (cells + 0.5) * geom.cell_size
     offsets = (pts - centers[inverse]) / geom.cell_size
 
@@ -122,7 +116,6 @@ class SparseConvSpec:
     weights: np.ndarray
     bias: np.ndarray
     mode: str = "submanifold"
-    seed: int | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -158,7 +151,7 @@ class SparseConvSpec:
         fan_in = kernel_extent ** 3 * in_channels
         w = rng.normal(0.0, 1.0 / np.sqrt(fan_in),
                        size=(kernel_extent,) * 3 + (in_channels, out_channels))
-        return cls(w, np.zeros(out_channels), mode, seed)
+        return cls(w, np.zeros(out_channels), mode)
 
     @classmethod
     def identity(cls, channels: int, kernel_extent: int = 3,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .camera import CameraModel, FeatureMap2D
 from .config import PipelineConfig
-from .densify import MultiScaleFeatures, densify
+from .densify import DENSIFY_SCALES, MultiScaleFeatures, densify
 from .fusion import DeformableAttnParams, fuse, guide_queries, softmax_rows
 from .grid import GridGeometry, SparseVoxelGrid, subdivide_coords
 from .lidar import PointCloud, SparseConvSpec, multi_scale_stack, sparse_conv, voxelize
@@ -39,8 +39,8 @@ from .synthetic import SyntheticScene, ring_rig
 
 OUT_CHANNELS = SEM_CHANNELS + OCC_CHANNELS
 # every stand-in weight of a forward pass, seeded by config.seed_for(name)
-SEED_NAMES = ("backbone", "stack-width", "queries", "fusion", "rie", "gather-semi",
-              "gather-fine", "refine-a", "refine-b", "head", "decoder")
+SEED_NAMES = ("backbone", "queries", "fusion", "rie", "gather-semi", "gather-fine",
+              "refine-a", "refine-b", "head", "decoder")
 
 
 @contextmanager
@@ -120,9 +120,7 @@ def _head_logits(grid: SparseVoxelGrid, channels: int, seed: int) -> np.ndarray:
     """Set-preserving conv, ReLU, then a 1x1 map to the 21 output channels."""
     spec = SparseConvSpec.seeded(channels, channels, 3, mode="submanifold", seed=seed)
     hidden = np.maximum(sparse_conv(grid, spec).features, 0.0)
-    rng = np.random.default_rng(seed + 1)
-    w = rng.normal(0.0, 1.0 / np.sqrt(channels), size=(channels, OUT_CHANNELS))
-    return hidden @ w
+    return hidden @ seeded_projection(channels, OUT_CHANNELS, seed=seed + 1)
 
 
 def _split_probs(logits: np.ndarray) -> np.ndarray:
@@ -174,7 +172,7 @@ def forward(pc: PointCloud, rig: list[CameraModel], maps: FeatureMap2D,
     counts["pyramid"] = sum(len(g) for g in pyramid.values())
 
     with _timed(timings, "densify"):
-        dense = densify(MultiScaleFeatures.from_stack(pyramid, seed=seeds["stack-width"]))
+        dense = densify(MultiScaleFeatures({s: pyramid[s] for s in DENSIFY_SCALES}))
     counts["densify"] = len(dense)
 
     with _timed(timings, "fuse"):
@@ -219,9 +217,7 @@ def _decode_fine(parents: SparseVoxelGrid, geom: GridGeometry, seed: int) -> Spa
     parent_rows = np.repeat(np.arange(len(parents)), 64)
     parent_vecs = parents.features[parent_rows]
     offsets = (children - parents.coords[parent_rows] * 4) / 4.0
-    rng = np.random.default_rng(seed)
-    w = rng.normal(0.0, 1.0 / np.sqrt(OUT_CHANNELS + 3),
-                   size=(OUT_CHANNELS + 3, OUT_CHANNELS))
+    w = seeded_projection(OUT_CHANNELS + 3, OUT_CHANNELS, seed=seed)
     # identity carry plus a seeded perturbation so children track their parent
     w[:OUT_CHANNELS] += np.eye(OUT_CHANNELS)
     probs = _split_probs(np.hstack([parent_vecs, offsets]) @ w)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraModel, FeatureMap2D, project_points, sample_array
+from .camera import CameraModel, FeatureMap2D, camera_mean, sample_array
 from .errors import ShapeError
-from .grid import SparseVoxelGrid, centers_for, pack_keys, subdivide_coords, unique_coords
+from .grid import SparseVoxelGrid, centers_for, group_coords, pack_keys, subdivide_coords
 from .lidar import SparseConvSpec, sparse_conv
 
 
@@ -91,25 +91,13 @@ def select_sets(imp: ImportanceMap, tau1: float = 0.4, tau2: float = 0.7) -> Ref
 
 
 def seeded_projection(in_channels: int, out_channels: int, seed: int = 0) -> np.ndarray:
-    """Deterministic 1x1 linear map used after the concat in the gathers."""
+    """Deterministic (in, out) linear map, normal with standard deviation 1/sqrt(in).
+
+    The gathers' 1x1 map after the concat, the head's output map and the
+    fine decoder's map all draw their weights here.
+    """
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, 1.0 / np.sqrt(in_channels), size=(in_channels, out_channels))
-
-
-def _image_means(centers: np.ndarray, rig: list[CameraModel], maps: FeatureMap2D) -> np.ndarray:
-    """Per-point camera sample averaged over the cameras that see it; zero when none do."""
-    n = centers.shape[0]
-    acc = np.zeros((n, maps.channels))
-    n_hit = np.zeros(n, dtype=np.int64)
-    for cam_id in range(len(rig)):
-        uv, _, hit = project_points(rig[cam_id], centers)
-        rows = np.flatnonzero(hit)
-        if rows.size:
-            acc[rows] += sample_array(maps.maps[cam_id], uv[rows])
-            n_hit[rows] += 1
-    out = acc / np.maximum(n_hit, 1)[:, None]
-    out[n_hit == 0] = 0.0
-    return out
 
 
 def _gather(parents: np.ndarray, factor: int, lidar: SparseVoxelGrid,
@@ -130,7 +118,8 @@ def _gather(parents: np.ndarray, factor: int, lidar: SparseVoxelGrid,
     lidar_feats = np.zeros((children.shape[0], lidar.channels))
     rows, found = lidar.rows_for(children)
     lidar_feats[found] = lidar.features[rows[found]]
-    img_feats = _image_means(centers_for(children, child_scale, geom), rig, maps)
+    img_feats, _ = camera_mean(rig, centers_for(children, child_scale, geom), maps.channels,
+                               lambda cam_id, rows, uv: sample_array(maps.maps[cam_id], uv))
     return SparseVoxelGrid(geom, children, np.hstack([lidar_feats, img_feats]) @ proj)
 
 
@@ -154,16 +143,11 @@ def _aligned_sum(a: SparseVoxelGrid, b: SparseVoxelGrid) -> SparseVoxelGrid:
         raise ShapeError(f"cannot sum grids at scales {a.scale} and {b.scale}")
     if a.channels != b.channels:
         raise ShapeError(f"cannot sum grids with {a.channels} and {b.channels} channels")
-    if len(a) == 0:
-        return b.with_features(b.features.copy())
-    if len(b) == 0:
-        return a.with_features(a.features.copy())
-    coords = unique_coords(np.vstack([a.coords, b.coords]))
-    feats = np.zeros((coords.shape[0], a.channels))
-    for g in (a, b):
-        rows, found = g.rows_for(coords)
-        feats[found] += g.features[rows[found]]
-    return SparseVoxelGrid(a.geometry, coords, feats)
+    cells, inverse, _ = group_coords(np.vstack([a.coords, b.coords]))
+    feats = np.zeros((cells.shape[0], a.channels))
+    # np.add.at applies rows in index order, so a cell in both grids sums 0 + a + b
+    np.add.at(feats, inverse, np.vstack([a.features, b.features]))
+    return SparseVoxelGrid(a.geometry, cells, feats)
 
 
 def fuse_refined(ff1: SparseVoxelGrid, fs2: SparseVoxelGrid, fm4: SparseVoxelGrid,

@@ -364,6 +364,15 @@ def _eval_meta_args(key, value):
     return build
 
 
+def _bench_config_args(key, value):
+    """bench on a config file whose ``[geometry]`` section holds ``key = value``."""
+    def build(tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_text(f"[geometry]\n{key} = {value}\n")
+        return ["bench", "--config", str(path), "--sizes", "0"]
+    return build
+
+
 def _synthetic_label_args(tmp_path, stride):
     scene_path, _ = small_scene_file(tmp_path)
     return ["label-gen", "--dataset", "synthetic", "--sequence", str(scene_path),
@@ -423,6 +432,10 @@ ERROR_CASES = {
     "eval-meta-zero-dim": (_eval_meta_args("dims", "0 4 4"), 3, "parse error"),
     "eval-meta-two-dims": (_eval_meta_args("dims", "4 4"), 3, "parse error"),
     "eval-meta-bad-scale": (_eval_meta_args("scale", "3"), 3, "parse error"),
+    "eval-meta-two-origin-values": (_eval_meta_args("origin", "1 2"), 3, "origin needs 3"),
+    "eval-meta-four-origin-values": (_eval_meta_args("origin", "1 2 3 4"), 3, "origin needs 3"),
+    "eval-meta-nan-voxel-size": (_eval_meta_args("voxel_size", "nan"), 3, "voxel_size"),
+    "eval-meta-inf-voxel-size": (_eval_meta_args("voxel_size", "inf"), 3, "voxel_size"),
     "label-gen-stride-not-int": (lambda p: _synthetic_label_args(p, "abc"), 1, "--stride"),
     "label-gen-stride-zero": (lambda p: _synthetic_label_args(p, "0"), 1, "stride"),
     "label-gen-nan-scan": (_nan_scan_args, 3, "row 7"),
@@ -438,6 +451,14 @@ ERROR_CASES = {
                               "calib.txt"),
     "label-gen-scaled-tr": (_bad_calib_args("Tr", "2 0 0 0 0 2 0 0 0 0 2 0"), 3, "calib.txt"),
     "bench-negative-size": (lambda p: ["bench", "--sizes", "-5"], 1, "--sizes"),
+    "bench-config-nan-origin": (_bench_config_args("origin", "nan 0 0"), 1,
+                                "origin must be finite"),
+    "bench-config-dims-over-key-budget": (_bench_config_args("dims", "4000000 4 4"), 1,
+                                          "key budget"),
+    "bench-config-doubled-dims-over-key-budget": (_bench_config_args("dims", "2000000 4 4"), 1,
+                                                  "twice its dims"),
+    "bench-config-unknown-preset": (_bench_config_args("preset", "kitti360"), 1,
+                                    "unknown preset"),
 }
 
 

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from voxfuse.densify import (
-    MultiScaleFeatures,
-    densify,
-    project_channels,
-)
+from voxfuse.densify import MultiScaleFeatures, densify
 from voxfuse.errors import EmptyInput, InvalidScale, ShapeError
 from voxfuse.grid import GridGeometry, SparseVoxelGrid
 
@@ -64,21 +60,6 @@ class TestTypes:
         grids[8] = SparseVoxelGrid.empty(other, 3)
         with pytest.raises(ValueError):
             MultiScaleFeatures(grids)
-
-    def test_from_stack_projects_unequal_widths(self, rng):
-        grids = {4: grid_at(4, [[0, 0, 0]], [[1.0, 2.0, 3.0]]),
-                 8: grid_at(8, [[0, 0, 0]], [[1.0, 2.0]]),
-                 16: SparseVoxelGrid.empty(BASE.with_scale(16), 3)}
-        ms = MultiScaleFeatures.from_stack(grids)
-        assert ms.channels == 3
-        assert ms.grids[8].channels == 3
-
-    def test_project_channels_deterministic(self, rng):
-        g = grid_at(4, [[1, 1, 1]], [[1.0, 2.0]])
-        a = project_channels(g, 5, seed=3)
-        b = project_channels(g, 5, seed=3)
-        np.testing.assert_array_equal(a.features, b.features)
-        assert a.channels == 5
 
 
 class TestDensify:

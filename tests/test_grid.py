@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from voxfuse.errors import DuplicateVoxels, InvalidFactor, InvalidScale, OutOfBounds, ShapeError
 from voxfuse.grid import (
@@ -9,6 +12,7 @@ from voxfuse.grid import (
     align_coords,
     align_scale,
     centers_for,
+    group_coords,
     pack_keys,
     subdivide_coords,
     unique_coords,
@@ -199,6 +203,22 @@ class TestKeyPacking:
         got = unique_coords(coords)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, np.unique(coords, axis=0).reshape(-1, 3))
+
+
+    # a few fixed values, border cells of the key budget among them, so that
+    # draws repeat rows; plus any in-range value
+    _AXIS = st.one_of(st.sampled_from([0, 1, 2**21 - 1]), st.integers(0, 2**21 - 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.int64, st.tuples(st.integers(0, 40), st.just(3)), elements=_AXIS))
+    def test_group_coords_matches_row_unique(self, coords):
+        cells, inverse, counts = group_coords(coords)
+        want_cells, want_inverse, want_counts = np.unique(
+            coords, axis=0, return_inverse=True, return_counts=True)
+        assert np.array_equal(cells, want_cells.reshape(-1, 3))
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+        assert np.array_equal(counts, want_counts)
+        assert cells.dtype == inverse.dtype == counts.dtype == np.int64
 
 
 class TestSparseVoxelGrid:

@@ -255,7 +255,6 @@ class TestSparseConvSpec:
         a = SparseConvSpec.seeded(3, 4, seed=7)
         b = SparseConvSpec.seeded(3, 4, seed=7)
         np.testing.assert_array_equal(a.weights, b.weights)
-        assert a.seed == 7
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):

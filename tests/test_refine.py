@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from voxfuse.camera import CameraModel, FeatureMap2D
+from voxfuse.camera import CameraModel, FeatureMap2D, project_points, sample_array
 from voxfuse.errors import ShapeError
-from voxfuse.grid import GridGeometry, SparseVoxelGrid, subdivide_coords
+from voxfuse.grid import GridGeometry, SparseVoxelGrid, centers_for, subdivide_coords, unique_coords
 from voxfuse.lidar import SparseConvSpec
 from voxfuse.refine import (
     ImportanceMap,
+    _aligned_sum,
     estimate_importance,
     fuse_refined,
     gather_fine,
@@ -187,6 +188,84 @@ class TestGathers:
         with pytest.raises(ShapeError):
             gather_semi_fine(np.array([[1, 1, 1]]), lidar4, self.rig, self.maps,
                              seeded_projection(4, 3))
+
+
+def image_means_reference(centers, rig, maps):
+    """The per-camera loop ``_gather`` ran before ``camera.camera_mean``;
+    returns the means and the per-point hit counts."""
+    n = centers.shape[0]
+    acc = np.zeros((n, maps.channels))
+    n_hit = np.zeros(n, dtype=np.int64)
+    for cam_id in range(len(rig)):
+        uv, _, hit = project_points(rig[cam_id], centers)
+        rows = np.flatnonzero(hit)
+        if rows.size:
+            acc[rows] += sample_array(maps.maps[cam_id], uv[rows])
+            n_hit[rows] += 1
+    out = acc / np.maximum(n_hit, 1)[:, None]
+    out[n_hit == 0] = 0.0
+    return out, n_hit
+
+
+class TestCameraMean:
+    """``_gather``'s image features equal the old per-camera loop bit for bit."""
+
+    def rig(self):
+        def cam(target):
+            return CameraModel.from_lookat((-4.0, 6.4, 6.4), target, 40.0, 40.0,
+                                           15.5, 15.5, (32, 32))
+        # the middle camera looks away from the grid and sees nothing
+        return [cam((20.0, 6.4, 6.4)), cam((-20.0, 6.4, 6.4)), cam((20.0, 9.0, 6.4))]
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_gather_matches_reference(self, rng, factor):
+        rig = self.rig()
+        maps = FeatureMap2D.seeded(rig, 3, seed=5)
+        parents = unique_coords(rng.integers(0, 16, size=(40, 3)))
+        scale = 4 // factor
+        children = subdivide_coords(parents, factor)
+        keep = rng.random(children.shape[0]) < 0.5
+        lidar = grid_at(scale, children[keep], rng.normal(size=(int(keep.sum()), 2)))
+        proj = seeded_projection(5, 4, seed=9)
+        gather = gather_semi_fine if factor == 2 else gather_fine
+        out = gather(parents, lidar, rig, maps, proj)
+
+        img, n_hit = image_means_reference(centers_for(children, scale, BASE), rig, maps)
+        assert (n_hit == 0).any() and (n_hit == 2).any()
+        assert not project_points(rig[1], centers_for(children, scale, BASE))[2].any()
+        lidar_feats = np.zeros((children.shape[0], 2))
+        lidar_feats[keep] = lidar.features[lidar.rows_for(children[keep])[0]]
+        want = SparseVoxelGrid(lidar.geometry, children, np.hstack([lidar_feats, img]) @ proj)
+        assert np.array_equal(out.coords, want.coords)
+        assert np.array_equal(out.features, want.features)
+
+
+def aligned_sum_reference(a, b):
+    """The ``rows_for`` form ``_aligned_sum`` had before ``grid.group_coords``."""
+    if len(a) == 0:
+        return b.with_features(b.features.copy())
+    if len(b) == 0:
+        return a.with_features(a.features.copy())
+    coords = unique_coords(np.vstack([a.coords, b.coords]))
+    feats = np.zeros((coords.shape[0], a.channels))
+    for g in (a, b):
+        rows, found = g.rows_for(coords)
+        feats[found] += g.features[rows[found]]
+    return SparseVoxelGrid(a.geometry, coords, feats)
+
+
+class TestAlignedSum:
+    @pytest.mark.parametrize("n_a, n_b", [(0, 0), (0, 20), (20, 0), (1, 1), (30, 30), (60, 5)])
+    def test_matches_reference(self, rng, n_a, n_b):
+        def grid(n):
+            coords = unique_coords(rng.integers(0, 8, size=(n, 3)))
+            return grid_at(2, coords, rng.normal(size=(coords.shape[0], 3)))
+
+        a, b = grid(n_a), grid(n_b)
+        got, want = _aligned_sum(a, b), aligned_sum_reference(a, b)
+        assert np.array_equal(got.coords, want.coords)
+        assert np.array_equal(got.features, want.features)
+        assert got.scale == 2 and got.channels == 3
 
 
 def dense_strided_conv(dense, spec):
