@@ -77,7 +77,7 @@ from .occlusion import (
     read_volume,
     write_volume,
 )
-from .pipeline import ForwardResult, forward, forward_scene, scene_inputs, volume_labels
+from .pipeline import ForwardResult, forward, forward_scene, volume_labels
 from .refine import (
     ImportanceMap,
     RefinementSets,

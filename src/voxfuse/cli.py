@@ -23,7 +23,7 @@ from .camera import FeatureMap2D, read_kitti_calib
 from .config import DATA_ROOT_ENV, PipelineConfig
 from .errors import ConfigError, EmptyInput, ParseError, ShapeError, VoxfuseError
 from .grid import GridGeometry, SparseVoxelGrid
-from .lidar import read_velodyne_bin
+from .lidar import PointCloud, read_velodyne_bin
 from .metrics import compute_metrics
 from .occlusion import (
     OcclusionLabel,
@@ -74,19 +74,13 @@ def _histogram(labels: np.ndarray) -> dict:
 def _label_one(semantics: np.ndarray, pc, rig, geom: GridGeometry, stride: int):
     """Both sensors' labels merged, plus ray counts and each stage's wall time."""
     start = time.perf_counter()
-    if pc is None:
-        lidar_labels = np.zeros(geom.dims, dtype=np.uint8)
-    else:
-        lidar_labels = label_lidar(pc, semantics, geom)
+    lidar_labels = label_lidar(pc, semantics, geom)
     mid = time.perf_counter()
-    if rig:
-        cam_labels = label_camera(rig, semantics, geom, pixel_stride=stride)
-    else:
-        cam_labels = np.zeros(geom.dims, dtype=np.uint8)
+    cam_labels = label_camera(rig, semantics, geom, pixel_stride=stride)
     end = time.perf_counter()
     volume = build_volume(semantics, lidar_labels, cam_labels, geom)
     stats = {
-        "lidar_rays": 0 if pc is None else len(pc),
+        "lidar_rays": len(pc),
         "camera_rays": sum(len(range(0, w, stride)) * len(range(0, h, stride))
                            for w, h in (cam.image_size for cam in rig)),
         "lidar_s": mid - start,
@@ -97,7 +91,7 @@ def _label_one(semantics: np.ndarray, pc, rig, geom: GridGeometry, stride: int):
 
 
 def _kitti_frames(seq_dir: str, geom: GridGeometry):
-    """Yield ``(name, semantics, pc)`` per ``voxels/*.label`` of a sequence."""
+    """Yield ``(name, semantics, pc)`` per ``voxels/*.label``; no scan gives an empty ``pc``."""
     voxel_dir = os.path.join(seq_dir, "voxels")
     label_files = sorted(f for f in os.listdir(voxel_dir) if f.endswith(".label"))
     if not label_files:
@@ -109,7 +103,7 @@ def _kitti_frames(seq_dir: str, geom: GridGeometry):
         if os.path.exists(invalid_path):
             semantics[read_kitti_bitmask(invalid_path, dims=geom.dims)] = 0
         bin_path = os.path.join(seq_dir, "velodyne", f"{stem}.bin")
-        pc = read_velodyne_bin(bin_path) if os.path.exists(bin_path) else None
+        pc = read_velodyne_bin(bin_path) if os.path.exists(bin_path) else PointCloud([], [])
         yield stem, semantics, pc
 
 
@@ -120,9 +114,9 @@ def _cmd_label_gen(args) -> int:
         scene = load_scene(args.sequence)
         geom = scene.geometry
         try:
-            pc = scene.lidar_scan() if scene.boxes else None
+            pc = scene.lidar_scan()
         except EmptyInput:
-            pc = None
+            pc = PointCloud([], [])
         rig = ring_rig(scene)
         name = os.path.splitext(os.path.basename(args.sequence))[0]
         inputs = [(name, scene.gt_volume(), pc)]

@@ -2,10 +2,8 @@
 
 Every tunable of ``forward`` and ``bench`` lives here; unknown sections or
 keys are rejected so config files cannot drift silently. ``[geometry]`` is
-read by ``bench`` only: ``forward`` runs on the scene's own grid. Its
-``origin``, ``voxel_size`` and ``dims`` apply only with ``preset = custom``,
-but are checked as a ``GridGeometry`` under any preset. All randomness
-derives from one root seed, split per consumer by name.
+read by ``bench`` only: ``forward`` runs on the scene's own grid. All
+randomness derives from one root seed, split per consumer by name.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .grid import GridGeometry
+from .lidar import BASE_FEATURES
 
 DATA_ROOT_ENV = "VOXFUSE_DATA_ROOT"
 
@@ -51,7 +50,6 @@ def _join(values) -> str:
 # section -> key -> (PipelineConfig field, parse from text, format to text)
 _SCHEMA = {
     "geometry": {
-        "preset": ("preset", str, str),
         "origin": ("origin", lambda t: _parse_floats(t, 3, "origin"), _join),
         "voxel_size": ("voxel_size", float, str),
         "dims": ("dims", lambda t: _parse_ints(t, 3, "dims"), _join),
@@ -71,7 +69,6 @@ _SCHEMA = {
 class PipelineConfig:
     """Validated settings for the full forward pipeline."""
 
-    preset: str = "custom"
     origin: tuple = (0.0, 0.0, 0.0)
     voxel_size: float = 0.2
     dims: tuple = (64, 64, 16)
@@ -85,23 +82,21 @@ class PipelineConfig:
 
     def __post_init__(self):
         try:
-            GridGeometry(self.origin, self.voxel_size, self.dims)
             self.geometry()
         except ValueError as exc:
             raise ConfigError(f"[geometry] {exc}") from None
         if self.tau1 < 0 or self.tau2 < 0:
             raise ConfigError("thresholds must be non-negative")
-        for name in ("lidar_channels", "image_channels", "n_ref"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
+        # voxelize writes BASE_FEATURES fixed channels into every LiDAR row
+        for name, least in (("lidar_channels", BASE_FEATURES), ("image_channels", 1),
+                            ("n_ref", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.root_seed < 0:
             raise ConfigError("root_seed must be non-negative")
 
     def geometry(self) -> GridGeometry:
-        """The custom grid for ``preset = custom``, else the named preset's grid."""
-        if self.preset == "custom":
-            return GridGeometry(self.origin, self.voxel_size, self.dims)
-        return GridGeometry.preset(self.preset)
+        return GridGeometry(self.origin, self.voxel_size, self.dims)
 
     def seed_for(self, name: str) -> int:
         return split_seed(self.root_seed, name)

@@ -54,13 +54,13 @@ class GridGeometry:
             raise ValueError(f"dims_scale1 {self.dims_scale1} exceed the {_AXIS_BITS}-bit key budget")
 
     @classmethod
-    def preset(cls, name: str, scale: int = 1) -> GridGeometry:
+    def preset(cls, name: str) -> GridGeometry:
         """Named dataset geometry: 'nuscenes-occ' (512x512x40) or 'semantickitti' (256x256x32)."""
         try:
             origin, voxel_size, dims = _PRESETS[name]
         except KeyError:
             raise ValueError(f"unknown preset {name!r}; known: {sorted(_PRESETS)}") from None
-        return cls(origin, voxel_size, dims, scale)
+        return cls(origin, voxel_size, dims)
 
     @property
     def dims(self) -> tuple[int, int, int]:

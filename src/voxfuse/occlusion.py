@@ -224,18 +224,15 @@ def _labels_from_priority(prio: np.ndarray, geom: GridGeometry) -> np.ndarray:
     return prio.reshape(geom.dims)
 
 
-def label_lidar(pc: PointCloud, semantics: np.ndarray, geom: GridGeometry,
-                margin: float | None = None) -> np.ndarray:
+def label_lidar(pc: PointCloud, semantics: np.ndarray, geom: GridGeometry) -> np.ndarray:
     """Per-voxel visibility from the point sensor, as a dense label array.
 
     Each return's voxel becomes non-occluded; occupied voxels further along
-    the same ray (continued ``margin`` meters, default the grid diagonal)
-    become occluded. Free space stays empty. Returns whose ray crosses no
-    cell mark nothing.
+    the same ray (continued by the grid diagonal) become occluded. Free space
+    stays empty. Returns whose ray crosses no cell mark nothing, and so does
+    an empty point cloud.
     """
     semantics = _check_semantics(semantics, geom)
-    if margin is None:
-        margin = geom.diagonal
     occupied = semantics.reshape(-1) > 0
     prio = np.zeros(occupied.shape[0], dtype=np.uint8)
     dims = np.asarray(geom.dims)
@@ -244,7 +241,7 @@ def label_lidar(pc: PointCloud, semantics: np.ndarray, geom: GridGeometry,
     cell_pt = np.floor((pts - geom.origin_array) / geom.cell_size).astype(np.int64)
     inside = ((cell_pt >= 0) & (cell_pt < dims)).all(axis=1)
     flat_pt = np.ravel_multi_index(tuple(cell_pt.T), geom.dims, mode="clip")
-    for k, (ids, cells, t_entry) in enumerate(_walk(pc.sensor_origin, pts, geom, margin)):
+    for k, (ids, cells, t_entry) in enumerate(_walk(pc.sensor_origin, pts, geom, geom.diagonal)):
         if k == 0:
             prio[flat_pt[ids[inside[ids]]]] = 2
         far = cells[t_entry > beyond[ids]]
@@ -276,13 +273,13 @@ def label_camera(rig: list[CameraModel], semantics: np.ndarray, geom: GridGeomet
 
     One ray per sampled pixel: the first occupied voxel it reaches becomes
     non-occluded, occupied voxels behind it become occluded. Voxels outside
-    every frustum stay empty.
+    every frustum stay empty, so an empty rig labels every voxel empty.
     """
     semantics = _check_semantics(semantics, geom)
-    if not rig:
-        raise ValueError("rig must hold at least one camera")
     if pixel_stride < 1:
         raise ConfigError(f"pixel stride must be a positive integer, got {pixel_stride}")
+    if not rig:
+        return np.zeros(geom.dims, dtype=np.uint8)
     lo = geom.origin_array
     span = np.asarray(geom.dims) * geom.cell_size
     corners = lo + span * np.stack(np.meshgrid([0, 1], [0, 1], [0, 1],
@@ -461,7 +458,7 @@ def read_volume(path):
     return raw.reshape(dims).astype(np.uint16 if meta["dtype"] == "uint16" else np.uint8), geom
 
 
-def read_kitti_label_volume(path, dims=(256, 256, 32)) -> np.ndarray:
+def read_kitti_label_volume(path, dims) -> np.ndarray:
     """Dense label volume: one little-endian uint16 per voxel, x slowest."""
     raw = np.fromfile(path, dtype="<u2")
     want = dims[0] * dims[1] * dims[2]
@@ -470,7 +467,7 @@ def read_kitti_label_volume(path, dims=(256, 256, 32)) -> np.ndarray:
     return raw.reshape(dims).astype(np.uint16, copy=False)
 
 
-def read_kitti_bitmask(path, dims=(256, 256, 32)) -> np.ndarray:
+def read_kitti_bitmask(path, dims) -> np.ndarray:
     """Bit-packed boolean volume (most significant bit first, x slowest)."""
     raw = np.fromfile(path, dtype=np.uint8)
     want = dims[0] * dims[1] * dims[2]

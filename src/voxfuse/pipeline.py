@@ -225,14 +225,8 @@ def _decode_fine(parents: SparseVoxelGrid, geom: GridGeometry, seed: int) -> Spa
     return SparseVoxelGrid(geom1, children[keep], probs[keep])
 
 
-def scene_inputs(scene: SyntheticScene, config: PipelineConfig,
-                 n_cameras: int = 4, image_size: tuple = (64, 64)):
-    """LiDAR scan, outward camera ring, and rendered feature maps for a scene."""
-    rig = ring_rig(scene, n_cameras=n_cameras, image_size=image_size)
-    return scene.lidar_scan(), rig, scene.feature_maps(rig, config.image_channels)
-
-
-def forward_scene(scene: SyntheticScene, config: PipelineConfig,
-                  n_cameras: int = 4, image_size: tuple = (64, 64)) -> ForwardResult:
-    pc, rig, maps = scene_inputs(scene, config, n_cameras, image_size)
-    return forward(pc, rig, maps, config, geometry=scene.geometry)
+def forward_scene(scene: SyntheticScene, config: PipelineConfig) -> ForwardResult:
+    """:func:`forward` on a scene's LiDAR scan and ``ring_rig`` camera renders."""
+    rig = ring_rig(scene)
+    maps = scene.feature_maps(rig, config.image_channels)
+    return forward(scene.lidar_scan(), rig, maps, config, geometry=scene.geometry)

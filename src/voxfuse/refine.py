@@ -51,16 +51,10 @@ class RefinementSets:
 
     semi_fine: np.ndarray
     fine: np.ndarray
-    tau1: float
-    tau2: float
 
     def __post_init__(self):
         self.semi_fine = np.asarray(self.semi_fine, dtype=np.int64).reshape(-1, 3)
         self.fine = np.asarray(self.fine, dtype=np.int64).reshape(-1, 3)
-
-    @property
-    def counts(self) -> tuple[int, int]:
-        return self.semi_fine.shape[0], self.fine.shape[0]
 
 
 def estimate_importance(fm: SparseVoxelGrid, rie: SparseConvSpec) -> ImportanceMap:
@@ -87,7 +81,7 @@ def select_sets(imp: ImportanceMap, tau1: float = 0.4, tau2: float = 0.7) -> Ref
     if tau1 < 0.0 or tau2 < 0.0:
         raise ValueError(f"thresholds must be non-negative, got {tau1}, {tau2}")
     coords = imp.grid.coords
-    return RefinementSets(coords[imp.scores >= tau1], coords[imp.scores >= tau2], tau1, tau2)
+    return RefinementSets(coords[imp.scores >= tau1], coords[imp.scores >= tau2])
 
 
 def seeded_projection(in_channels: int, out_channels: int, seed: int = 0) -> np.ndarray:

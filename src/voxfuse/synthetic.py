@@ -115,8 +115,9 @@ class SyntheticScene:
 
     def gt_volume(self) -> np.ndarray:
         """Exact semantic labels: a voxel is inside a box iff the open
-        interiors overlap; later boxes overwrite earlier ones."""
-        vol = np.zeros(self.geometry.dims, dtype=np.int64)
+        interiors overlap; later boxes overwrite earlier ones. Class ids lie
+        below ``SEM_CHANNELS``, so the volume is uint8 like every label volume."""
+        vol = np.zeros(self.geometry.dims, dtype=np.uint8)
         for box in self.boxes:
             cells = _box_cells(self.geometry, box)
             if cells is not None:
@@ -126,12 +127,12 @@ class SyntheticScene:
     def foreground_fraction(self) -> float:
         return float((self.gt_volume() != 0).mean())
 
-    def lidar_scan(self, n_azimuth: int = 120, n_elevation: int = 9,
-                   elevation_range: tuple = (-0.25, 0.25)) -> PointCloud:
-        """Cast an azimuth/elevation ray grid and return one point per hit,
-        inset a quarter voxel past the entry face so it lies inside the box."""
+    def lidar_scan(self, n_azimuth: int = 120, n_elevation: int = 9) -> PointCloud:
+        """Cast an azimuth/elevation ray grid (elevations within +-0.25 rad) and
+        return one point per hit, inset a quarter voxel past the entry face so
+        it lies inside the box."""
         az = np.linspace(0.0, 2.0 * np.pi, n_azimuth, endpoint=False)
-        el = np.linspace(elevation_range[0], elevation_range[1], n_elevation)
+        el = np.linspace(-0.25, 0.25, n_elevation)
         aa, ee = np.meshgrid(az, el, indexing="ij")
         dirs = np.stack([np.cos(ee) * np.cos(aa), np.cos(ee) * np.sin(aa),
                          np.sin(ee)], axis=-1).reshape(-1, 3)

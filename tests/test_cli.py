@@ -3,6 +3,7 @@
 import importlib.resources
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -262,6 +263,36 @@ class TestLabelGenKitti:
         # invalid-masked voxel never gets a visibility label
         assert vol[50, 120, 31] == OcclusionLabel.EMPTY
 
+    def _label_without(self, tmp_path, capsys, missing):
+        seq = make_kitti_sequence(tmp_path)
+        if missing == "velodyne":
+            shutil.rmtree(seq / missing)
+        else:
+            (seq / missing).unlink()
+        out = str(tmp_path / "labels")
+        assert main(["label-gen", "--dataset", "semantickitti", "--sequence",
+                     str(seq), "--out", out, "--stride", "64"]) == 0
+        capsys.readouterr()
+        frame = json.load(open(os.path.join(out, "labels_summary.json")))["frames"][0]
+        vol, _ = read_volume(frame["volume"])
+        return frame, vol
+
+    def test_frame_without_scan_labels_from_the_camera(self, tmp_path, capsys):
+        frame, vol = self._label_without(tmp_path, capsys, "velodyne")
+        assert (frame["lidar_rays"], frame["camera_rays"]) == (0, 20 * 6)
+        # occluded needs both sensors to agree, so only the camera's direct hit remains
+        assert frame["histogram"]["non_occluded"] == 1
+        assert frame["histogram"]["occluded"] == 0
+        assert vol[50, 128, 10] == OcclusionLabel.NON_OCCLUDED
+
+    def test_frame_without_calibration_labels_from_the_scan(self, tmp_path, capsys):
+        frame, vol = self._label_without(tmp_path, capsys, "calib.txt")
+        assert (frame["lidar_rays"], frame["camera_rays"]) == (1, 0)
+        assert frame["histogram"]["non_occluded"] == 1
+        assert frame["histogram"]["occluded"] == 0
+        assert vol[50, 128, 10] == OcclusionLabel.NON_OCCLUDED
+        assert vol[60, 128, 10] == OcclusionLabel.EMPTY
+
     def test_env_var_resolves_relative_sequence(self, tmp_path, capsys, monkeypatch):
         make_kitti_sequence(tmp_path)
         monkeypatch.setenv("VOXFUSE_DATA_ROOT", str(tmp_path))
@@ -373,6 +404,16 @@ def _bench_config_args(key, value):
     return build
 
 
+def _forward_config_args(section, key, value):
+    """forward on the demo scene with a config file whose ``[section]`` holds ``key = value``."""
+    def build(tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        return ["forward", "--scene", "demo", "--config", str(path),
+                "--out", str(tmp_path / "o")]
+    return build
+
+
 def _synthetic_label_args(tmp_path, stride):
     scene_path, _ = small_scene_file(tmp_path)
     return ["label-gen", "--dataset", "synthetic", "--sequence", str(scene_path),
@@ -458,7 +499,9 @@ ERROR_CASES = {
     "bench-config-doubled-dims-over-key-budget": (_bench_config_args("dims", "2000000 4 4"), 1,
                                                   "twice its dims"),
     "bench-config-unknown-preset": (_bench_config_args("preset", "kitti360"), 1,
-                                    "unknown preset"),
+                                    "unknown key 'preset'"),
+    "forward-config-lidar-channels-below-5": (_forward_config_args("channels", "lidar", "3"), 1,
+                                              "lidar_channels must be at least 5"),
 }
 
 

@@ -1,9 +1,17 @@
 """Configuration loading, validation, and seed-splitting tests."""
 
+import importlib.resources
+
+import numpy as np
 import pytest
 
-from voxfuse.config import PipelineConfig, split_seed
+from voxfuse.cli import main
+from voxfuse.config import _SCHEMA, PipelineConfig, split_seed
 from voxfuse.errors import ConfigError
+from voxfuse.grid import GridGeometry
+from voxfuse.lidar import BASE_FEATURES
+from voxfuse.pipeline import forward_scene
+from voxfuse.synthetic import load_scene
 
 
 class TestDefaults:
@@ -13,16 +21,15 @@ class TestDefaults:
         assert cfg.tau2 == 0.7
 
     def test_geometry_presets(self):
-        cfg = PipelineConfig(preset="nuscenes-occ")
-        geom = cfg.geometry()
-        assert geom.dims == (512, 512, 40)
-        assert geom.voxel_size == 0.2
-        cfg2 = PipelineConfig(preset="semantickitti")
-        assert cfg2.geometry().dims == (256, 256, 32)
+        # the explicit [geometry] blocks the README gives for the dataset grids
+        blocks = {"semantickitti": "origin = 0.0 -25.6 -2.0\ndims = 256 256 32",
+                  "nuscenes-occ": "origin = -51.2 -51.2 -5.0\ndims = 512 512 40"}
+        for name, block in blocks.items():
+            cfg = PipelineConfig.loads(f"[geometry]\n{block}\nvoxel_size = 0.2\n")
+            assert cfg.geometry() == GridGeometry.preset(name)
 
     def test_custom_geometry(self):
-        cfg = PipelineConfig(preset="custom", origin=(1.0, 2.0, 3.0),
-                             voxel_size=0.5, dims=(10, 20, 30))
+        cfg = PipelineConfig(origin=(1.0, 2.0, 3.0), voxel_size=0.5, dims=(10, 20, 30))
         geom = cfg.geometry()
         assert geom.origin == (1.0, 2.0, 3.0)
         assert geom.dims == (10, 20, 30)
@@ -35,8 +42,10 @@ class TestDefaults:
 
 class TestValidation:
     def test_bad_preset_rejected(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(preset="kitti360")
+        # [geometry] has no preset key: origin, voxel_size and dims always apply
+        for name in ("kitti360", "semantickitti"):
+            with pytest.raises(ConfigError, match="unknown key 'preset'"):
+                PipelineConfig.loads(f"[geometry]\npreset = {name}\ndims = 8 8 8\n")
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ConfigError):
@@ -57,6 +66,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(lidar_channels=0)
 
+    def test_lidar_channels_below_base_features_rejected(self):
+        assert PipelineConfig(lidar_channels=BASE_FEATURES).lidar_channels == BASE_FEATURES
+        with pytest.raises(ConfigError, match=f"at least {BASE_FEATURES}"):
+            PipelineConfig(lidar_channels=BASE_FEATURES - 1)
+
 
 class TestSerialization:
     def test_round_trip_defaults(self):
@@ -64,7 +78,7 @@ class TestSerialization:
         assert PipelineConfig.loads(cfg.dumps()) == cfg
 
     def test_round_trip_nondefault(self):
-        cfg = PipelineConfig(preset="custom", origin=(-51.2, -51.2, -5.0),
+        cfg = PipelineConfig(origin=(-51.2, -51.2, -5.0),
                              voxel_size=0.25, dims=(48, 48, 12), tau1=0.35,
                              tau2=0.95, n_ref=6, root_seed=99,
                              lidar_channels=12, image_channels=6, out_dir="/tmp/out")
@@ -112,7 +126,7 @@ class TestSerialization:
         cfg = PipelineConfig.loads("[refine]\ntau1 = 0.5\n")
         assert cfg.tau1 == 0.5
         assert cfg.tau2 == 0.7
-        assert cfg.preset == "custom"
+        assert cfg.dims == PipelineConfig().dims
 
 
 class TestSeeds:
@@ -127,3 +141,54 @@ class TestSeeds:
         a = PipelineConfig(root_seed=1).seed_for("head")
         b = PipelineConfig(root_seed=2).seed_for("head")
         assert a != b
+
+
+# (section, key) of config._SCHEMA -> (non-default value, what it must change):
+# "geometry" is config.geometry(), "out_dir" where `voxfuse forward` writes
+# without --out, "forward" forward_scene's outputs on the demo scene
+LIVE_KEYS = {
+    ("geometry", "origin"): ("1 2 3", "geometry"),
+    ("geometry", "voxel_size"): ("0.25", "geometry"),
+    ("geometry", "dims"): ("32 32 8", "geometry"),
+    ("channels", "lidar"): ("6", "forward"),
+    ("channels", "image"): ("4", "forward"),
+    ("refine", "tau1"): ("0.3", "forward"),
+    ("refine", "tau2"): ("0.6", "forward"),
+    ("fusion", "n_ref"): ("2", "forward"),
+    ("seeds", "root"): ("99", "forward"),
+    ("paths", "out_dir"): ("elsewhere", "out_dir"),
+}
+
+
+def _demo_outputs(config):
+    path = importlib.resources.files("voxfuse").joinpath("data/demo_scene.json")
+    with importlib.resources.as_file(path) as p:
+        result = forward_scene(load_scene(str(p)), config)
+    return [a for grid in (result.o4, result.o1) for a in (grid.coords, grid.features)]
+
+
+class TestLiveKeys:
+    """Every config key changes behaviour; a key that changes nothing is removed."""
+
+    def test_table_covers_every_key(self):
+        assert set(LIVE_KEYS) == {(s, k) for s, keys in _SCHEMA.items() for k in keys}
+
+    @pytest.mark.parametrize("section,key", list(LIVE_KEYS),
+                             ids=[f"{s}-{k}" for s, k in LIVE_KEYS])
+    def test_key_changes_behaviour(self, section, key, tmp_path, monkeypatch, capsys):
+        value, effect = LIVE_KEYS[section, key]
+        text = f"[{section}]\n{key} = {value}\n"
+        cfg, default = PipelineConfig.loads(text), PipelineConfig()
+        if effect == "geometry":
+            assert cfg.geometry() != default.geometry()
+        elif effect == "out_dir":
+            path = tmp_path / "run.ini"
+            path.write_text(text)
+            monkeypatch.chdir(tmp_path)
+            assert main(["forward", "--scene", "demo", "--config", str(path)]) == 0
+            capsys.readouterr()
+            assert (tmp_path / value / "o1_labels.u8").exists()
+            assert not (tmp_path / "o1_labels.u8").exists()
+        else:
+            got, base = _demo_outputs(cfg), _demo_outputs(default)
+            assert not all(np.array_equal(a, b) for a, b in zip(got, base))

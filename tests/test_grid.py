@@ -42,11 +42,11 @@ class TestGeometry:
 
     def test_dims_at_each_scale(self):
         for scale, expect in [(1, 512), (2, 256), (4, 128), (8, 64), (16, 32)]:
-            g = GridGeometry.preset("nuscenes-occ", scale=scale)
+            g = GridGeometry.preset("nuscenes-occ").with_scale(scale)
             assert g.dims[0] == expect
 
     def test_cell_size(self):
-        assert GridGeometry.preset("nuscenes-occ", scale=4).cell_size == pytest.approx(0.8)
+        assert GridGeometry.preset("nuscenes-occ").with_scale(4).cell_size == pytest.approx(0.8)
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(InvalidScale):

@@ -254,17 +254,15 @@ class TestBatchedWalk:
         assert float(_length(d[0])) == _length(d)[0]
 
 
-def loop_label_lidar(pc, semantics, geom, margin=None):
+def loop_label_lidar(pc, semantics, geom):
     """Reference: one scalar walk per return, scattered into a priority volume."""
-    if margin is None:
-        margin = geom.diagonal
     prio = np.zeros(geom.dims, dtype=np.uint8)
     lo = geom.origin_array
     h = geom.cell_size
     dims = np.asarray(geom.dims)
     origin = pc.sensor_origin
     for p in pc.points:
-        coords, entries = _traverse_arrays(origin, p, geom, margin)
+        coords, entries = _traverse_arrays(origin, p, geom, geom.diagonal)
         if coords.shape[0] == 0:
             continue
         t_point = float(_length(p - origin))
@@ -344,8 +342,6 @@ class TestLabelsMatchPerRayLoops:
         got = label_lidar(pc, sem, geom)
         assert got.dtype == np.uint8
         np.testing.assert_array_equal(got, loop_label_lidar(pc, sem, geom))
-        np.testing.assert_array_equal(label_lidar(pc, sem, geom, margin=0.0),
-                                      loop_label_lidar(pc, sem, geom, margin=0.0))
 
     @pytest.mark.parametrize("geom", [GEOM16, GEOM32], ids=["16", "32"])
     @pytest.mark.parametrize("stride", [1, 2, 3, 4])
@@ -415,11 +411,20 @@ class TestLabelLidar:
             assert visited[tuple(cell)] > t_point
 
     def test_return_whose_ray_crosses_no_cell_marks_nothing(self):
-        # the segment only touches the grid at its corner, where the return lies
+        # the ray touches the grid only on its x = y = 0 edge, where the return
+        # lies, and leaves it past the return, so it crosses no cell
         sem = np.ones(GEOM16.dims, dtype=np.uint16)
+        pc = PointCloud([[0.0, 0.0, 1.0]], [1.0], sensor_origin=(-1.0, 1.0, 1.0))
+        assert GEOM16.contains_index(GEOM16.world_to_index(pc.points)).all()
+        assert (label_lidar(pc, sem, GEOM16) == E).all()
+        # a ray that reaches the same corner cell and goes on into the grid marks it
         pc = PointCloud([[0.0, 0.0, 0.0]], [1.0], sensor_origin=(-1.0, -1.0, -1.0))
-        assert (label_lidar(pc, sem, GEOM16, margin=0.0) == E).all()
         assert label_lidar(pc, sem, GEOM16)[0, 0, 0] == N
+
+    def test_empty_scan_marks_nothing(self):
+        sem = np.ones(GEOM16.dims, dtype=np.uint16)
+        labels = label_lidar(PointCloud([], []), sem, GEOM16)
+        assert labels.dtype == np.uint8 and (labels == E).all()
 
     def test_point_outside_grid_marks_nothing_nonoccluded(self):
         sem = np.zeros(GEOM16.dims, dtype=np.uint16)
@@ -456,9 +461,9 @@ class TestLabelCamera:
         assert labels[5, 8, 8] == N
         assert labels[0, 0, 0] == E
 
-    def test_empty_rig_rejected(self):
-        with pytest.raises(ValueError):
-            label_camera([], np.zeros(GEOM16.dims, dtype=np.uint16), GEOM16)
+    def test_empty_rig_labels_nothing(self):
+        labels = label_camera([], np.ones(GEOM16.dims, dtype=np.uint16), GEOM16)
+        assert labels.dtype == np.uint8 and (labels == E).all()
 
 
 class TestCombine:

@@ -18,10 +18,9 @@ from voxfuse.pipeline import (
     forward,
     forward_scene,
     refine_stages,
-    scene_inputs,
     volume_labels,
 )
-from voxfuse.synthetic import load_scene, random_scene
+from voxfuse.synthetic import load_scene, random_scene, ring_rig
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +174,10 @@ def _kitti_scene():
 @pytest.fixture(scope="module", params=["demo", "semantickitti"])
 def readout(request):
     scene = _demo_scene() if request.param == "demo" else _kitti_scene()
-    return forward_scene(scene, PipelineConfig(), n_cameras=2, image_size=(32, 32))
+    config = PipelineConfig()
+    rig = ring_rig(scene, n_cameras=2, image_size=(32, 32))
+    return forward(scene.lidar_scan(), rig, scene.feature_maps(rig, config.image_channels),
+                   config, geometry=scene.geometry)
 
 
 class TestRowReadout:
@@ -211,8 +213,10 @@ class TestRefineStages:
     def test_reproduces_forward_on_demo_scene(self):
         scene = _demo_scene()
         config = PipelineConfig()
-        pc, rig, maps = scene_inputs(scene, config)
-        res = forward(pc, rig, maps, config, geometry=scene.geometry)
+        rig = ring_rig(scene)
+        maps = scene.feature_maps(rig, config.image_channels)
+        res = forward(scene.lidar_scan(), rig, maps, config, geometry=scene.geometry)
+        assert np.array_equal(res.o1.features, forward_scene(scene, config).o1.features)
         entered = []
 
         @contextmanager

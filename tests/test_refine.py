@@ -81,13 +81,13 @@ class TestSelectSets:
     def test_all_zero_scores(self, rng):
         fm = random_grid4(rng)
         sets = select_sets(importance_from_scores(fm, np.zeros(len(fm))))
-        assert sets.counts == (0, 0)
+        assert sets.semi_fine.shape[0] == sets.fine.shape[0] == 0
 
     def test_tie_handling_at_defaults(self):
         fm = grid_at(4, [[0, 0, 0], [1, 1, 1], [2, 2, 2]], np.zeros((3, 1)))
         imp = importance_from_scores(fm, [0.4, 0.69, 0.7])
         sets = select_sets(imp, 0.4, 0.7)
-        assert sets.counts == (3, 1)
+        assert (sets.semi_fine.shape[0], sets.fine.shape[0]) == (3, 1)
         assert tuple(sets.fine[0]) == (2, 2, 2)
 
     def test_fine_subset_of_semi_fine(self, rng):
@@ -100,14 +100,14 @@ class TestSelectSets:
     def test_monotone_in_thresholds(self, rng):
         fm = random_grid4(rng, n=60)
         imp = importance_from_scores(fm, rng.uniform(size=len(fm)))
-        sizes = [select_sets(imp, t, 1.0).counts[0] for t in (0.1, 0.3, 0.5, 0.9)]
+        sizes = [select_sets(imp, t, 1.0).semi_fine.shape[0] for t in (0.1, 0.3, 0.5, 0.9)]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_thresholds_above_one_disable(self, rng):
         fm = random_grid4(rng)
         imp = importance_from_scores(fm, np.ones(len(fm)))
         sets = select_sets(imp, 1.01, 1.01)
-        assert sets.counts == (0, 0)
+        assert sets.semi_fine.shape[0] == sets.fine.shape[0] == 0
 
     def test_negative_threshold_rejected(self, rng):
         fm = random_grid4(rng)

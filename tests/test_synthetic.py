@@ -69,6 +69,12 @@ class TestRasterization:
         assert vol[1, 1, 1] == 7
         assert vol[2, 2, 2] == 1
 
+    def test_volume_is_uint8_up_to_the_top_class(self):
+        top = Box(lo=(0.2,) * 3, hi=(0.4,) * 3, class_id=SEM_CHANNELS - 1)
+        vol = scene_with([top]).gt_volume()
+        assert vol.dtype == np.uint8
+        assert vol[1, 1, 1] == SEM_CHANNELS - 1
+
     def test_box_outside_grid_ignored(self):
         scene = scene_with([Box(lo=(5.0,) * 3, hi=(6.0,) * 3, class_id=1)])
         assert (scene.gt_volume() == 0).all()
@@ -119,7 +125,8 @@ class TestLidarScan:
         boxes = [Box(lo=(1.0, -1.0, -1.0), hi=(2.0, 1.0, 1.0), class_id=10)]
         scene = SyntheticScene(geometry=default_geometry(), boxes=boxes,
                                sensor_origin=(0.0, 0.0, 0.0))
-        pc = scene.lidar_scan(n_azimuth=8, n_elevation=3, elevation_range=(-0.1, 0.1))
+        pc = scene.lidar_scan(n_azimuth=8, n_elevation=3)
+        assert len(pc) > 0
         assert np.allclose(pc.intensity, 0.5)
 
     def test_no_boxes_raises(self):
