@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ParseError, ShapeError
 
 NEAR_PLANE = 0.1
+# (width, height) of KITTI's left-color image; its calib files do not carry it
+KITTI_IMAGE_SIZE = (1226, 370)
 
 
 @dataclass(frozen=True)
@@ -63,18 +65,18 @@ class CameraModel:
 
     @classmethod
     def from_lookat(cls, eye, target, fx: float, fy: float, cx: float, cy: float,
-                    image_size: tuple[int, int], up=(0.0, 0.0, 1.0)) -> CameraModel:
-        """Place a camera at ``eye`` with its optical axis toward ``target``."""
+                    image_size: tuple[int, int]) -> CameraModel:
+        """Place a camera at ``eye`` with its optical axis toward ``target``, up +z."""
         eye = np.asarray(eye, dtype=np.float64)
         fwd = np.asarray(target, dtype=np.float64) - eye
         n = np.linalg.norm(fwd)
         if n < 1e-12:
             raise ValueError("eye and target coincide")
         z = fwd / n
-        x = np.cross(z, np.asarray(up, dtype=np.float64))
+        x = np.cross(z, np.array([0.0, 0.0, 1.0]))
         nx = np.linalg.norm(x)
         if nx < 1e-12:
-            raise ValueError("view direction is parallel to up")
+            raise ValueError("view direction is parallel to up (+z)")
         x /= nx
         y = np.cross(z, x)
         r = np.stack([x, y, z])
@@ -227,12 +229,12 @@ def sample_array(img: np.ndarray, uv: np.ndarray) -> np.ndarray:
     return top + dv * (bottom - top)
 
 
-def read_kitti_calib(path, image_size: tuple[int, int] = (1226, 370)) -> CameraModel:
+def read_kitti_calib(path) -> CameraModel:
     """Build the left-color camera from a calib file with P2 and Tr rows.
 
     P2 factors as K [I | K^-1 t]; composing with the velodyne-to-camera
     transform Tr gives a single world(velodyne)-to-image model. The file
-    carries no image size, so it must be passed in.
+    carries no image size, so the camera gets ``KITTI_IMAGE_SIZE``.
     """
     entries = {}
     with open(path) as fh:
@@ -259,7 +261,7 @@ def read_kitti_calib(path, image_size: tuple[int, int] = (1226, 370)) -> CameraM
     e[:3, :3] = tr[:, :3]
     e[:3, 3] = tr[:, 3] + t_cam
     try:
-        return CameraModel(k, e, image_size)
+        return CameraModel(k, e, KITTI_IMAGE_SIZE)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

@@ -35,7 +35,7 @@ from .occlusion import (
     read_volume,
     write_volume,
 )
-from .pipeline import SEED_NAMES, forward_scene, refine_stages
+from .pipeline import forward_scene, refine_stages
 from .synthetic import SyntheticScene, load_scene, ring_rig
 
 BENCH_HEADER = ["stage", "nonempty", "sets", "dims_x", "dims_y", "dims_z",
@@ -233,10 +233,8 @@ def _bench_case(config: PipelineConfig, n: int, geom1: GridGeometry, rows: list)
     center = SyntheticScene(geom1, (), tuple(geom1.origin_array + span / 2.0))
     rig = ring_rig(center, n_cameras=2, image_size=(32, 32))
     maps = FeatureMap2D.seeded(rig, config.image_channels, seed=11)
-    seeds = {name: config.seed_for(name) for name in SEED_NAMES}
     stats: dict = {}
-    sets, _, _, _ = refine_stages(fm4, pyramid, rig, maps, config, seeds,
-                                  partial(_measured, stats))
+    sets, _, _, _ = refine_stages(fm4, pyramid, rig, maps, config, partial(_measured, stats))
     n_sets = sets.semi_fine.shape[0] + sets.fine.shape[0]
     stats["hvfr"] = (sum(wall for wall, _ in stats.values()),
                      max(peak for _, peak in stats.values()))

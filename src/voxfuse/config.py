@@ -85,8 +85,9 @@ class PipelineConfig:
             self.geometry()
         except ValueError as exc:
             raise ConfigError(f"[geometry] {exc}") from None
-        if self.tau1 < 0 or self.tau2 < 0:
-            raise ConfigError("thresholds must be non-negative")
+        # written so that NaN fails too; inf, like any value above 1, selects nothing
+        if not (self.tau1 >= 0 and self.tau2 >= 0):
+            raise ConfigError(f"thresholds must be non-negative, got {self.tau1}, {self.tau2}")
         # voxelize writes BASE_FEATURES fixed channels into every LiDAR row
         for name, least in (("lidar_channels", BASE_FEATURES), ("image_channels", 1),
                             ("n_ref", 1)):

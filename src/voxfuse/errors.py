@@ -30,7 +30,7 @@ class ShapeError(VoxfuseError):
 
 
 class NoLabels(VoxfuseError):
-    """No labeled voxels left after masking."""
+    """No labeled voxels to score."""
 
 
 class ParseError(VoxfuseError):

@@ -106,10 +106,6 @@ class VoxelIndex:
     z: int
     scale: int = 1
 
-    @property
-    def xyz(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
-
 
 def align_scale(idx: VoxelIndex, target_scale: int) -> VoxelIndex:
     """Re-express an index at another scale.

@@ -21,7 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInput, InvalidScale, ParseError, ShapeError
-from .grid import VALID_SCALES, GridGeometry, SparseVoxelGrid, group_coords, pack_keys, unique_coords
+from .grid import (
+    VALID_SCALES,
+    GridGeometry,
+    SparseVoxelGrid,
+    centers_for,
+    group_coords,
+    pack_keys,
+    unique_coords,
+)
 
 # occupancy, mean intensity, mean offset-from-center (3)
 BASE_FEATURES = 5
@@ -50,7 +58,7 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def read_velodyne_bin(path, sensor_origin=None) -> PointCloud:
+def read_velodyne_bin(path) -> PointCloud:
     """Read a velodyne-style .bin: headerless little-endian float32 (x, y, z, intensity) rows."""
     raw = np.fromfile(path, dtype="<f4")
     if raw.size == 0:
@@ -61,8 +69,7 @@ def read_velodyne_bin(path, sensor_origin=None) -> PointCloud:
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise ParseError(f"{path}: {bad.size} rows hold NaN or inf values, first at row {bad[0]}")
-    origin = np.zeros(3) if sensor_origin is None else sensor_origin
-    return PointCloud(rows[:, :3], rows[:, 3], origin)
+    return PointCloud(rows[:, :3], rows[:, 3])
 
 
 def voxelize(pc: PointCloud, geom: GridGeometry, channels: int = 8) -> SparseVoxelGrid:
@@ -86,7 +93,7 @@ def voxelize(pc: PointCloud, geom: GridGeometry, channels: int = 8) -> SparseVox
     intens = pc.intensity[inside]
 
     cells, inverse, counts = group_coords(idx)
-    centers = geom.origin_array + (cells + 0.5) * geom.cell_size
+    centers = centers_for(cells, 1, geom)
     offsets = (pts - centers[inverse]) / geom.cell_size
 
     feats = np.zeros((cells.shape[0], channels))
@@ -154,13 +161,11 @@ class SparseConvSpec:
         return cls(w, np.zeros(out_channels), mode)
 
     @classmethod
-    def identity(cls, channels: int, kernel_extent: int = 3,
-                 mode: str = "submanifold") -> SparseConvSpec:
-        """Center tap = identity matrix, all other taps zero."""
-        w = np.zeros((kernel_extent,) * 3 + (channels, channels))
-        c = kernel_extent // 2
-        w[c, c, c] = np.eye(channels)
-        return cls(w, np.zeros(channels), mode)
+    def identity(cls, channels: int) -> SparseConvSpec:
+        """Submanifold 3x3x3 kernel: center tap = identity matrix, all other taps zero."""
+        w = np.zeros((3, 3, 3, channels, channels))
+        w[1, 1, 1] = np.eye(channels)
+        return cls(w, np.zeros(channels))
 
 
 def _kernel_map(grid: SparseVoxelGrid, anchors: np.ndarray, extent: int) -> np.ndarray:

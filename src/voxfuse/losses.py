@@ -22,18 +22,15 @@ class ClampWarning(UserWarning):
     """A probability hit the numerical clamp inside a log term."""
 
 
-def _check_probs(probs: np.ndarray, labels: np.ndarray, ignore=None):
+def _check_probs(probs: np.ndarray, labels: np.ndarray):
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels).reshape(-1)
     if probs.ndim != 2:
         raise ShapeError(f"probabilities must be (N, C), got shape {probs.shape}")
     if probs.shape[0] != labels.shape[0]:
         raise ShapeError(f"{probs.shape[0]} prediction rows but {labels.shape[0]} labels")
-    if ignore is not None:
-        keep = ~np.asarray(ignore, dtype=bool).reshape(-1)
-        probs, labels = probs[keep], labels[keep]
     if probs.shape[0] == 0:
-        raise NoLabels("no labeled voxels after masking")
+        raise NoLabels("no labeled voxels")
     sums = probs.sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-6:
         raise ValueError("probability rows must sum to 1 within 1e-6")
@@ -50,9 +47,9 @@ def _log(x: np.ndarray | float, context: str):
     return np.log(np.maximum(x, CLAMP))
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray, ignore=None) -> float:
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of the true class."""
-    probs, labels = _check_probs(probs, labels, ignore)
+    probs, labels = _check_probs(probs, labels)
     picked = probs[np.arange(labels.shape[0]), labels]
     return float(-_log(picked, "cross_entropy").mean())
 
@@ -68,13 +65,13 @@ def _jaccard_prefix(errors_desc: np.ndarray, gt_desc: np.ndarray) -> np.ndarray:
     return jaccard
 
 
-def lovasz_softmax(probs: np.ndarray, labels: np.ndarray, ignore=None) -> float:
+def lovasz_softmax(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean over GT-present classes of the sorted-error Jaccard surrogate.
 
     Per class: errors are 1 - p for member voxels and p for the rest, sorted
     descending and paired with the Jaccard-loss increments of the prefix sets.
     """
-    probs, labels = _check_probs(probs, labels, ignore)
+    probs, labels = _check_probs(probs, labels)
     present = np.unique(labels)
     losses = []
     for c in present:
@@ -85,15 +82,15 @@ def lovasz_softmax(probs: np.ndarray, labels: np.ndarray, ignore=None) -> float:
     return float(np.mean(losses))
 
 
-def geo_scal(probs: np.ndarray, labels: np.ndarray, ignore=None, empty_class: int = 0) -> float:
+def geo_scal(probs: np.ndarray, labels: np.ndarray) -> float:
     """Log precision, recall and specificity of the soft occupied-vs-empty masses.
 
-    Terms whose denominator is zero are skipped; a clamped term raises
-    ClampWarning.
+    Class 0 is empty. Terms whose denominator is zero are skipped; a clamped
+    term raises ClampWarning.
     """
-    probs, labels = _check_probs(probs, labels, ignore)
-    p_occ = 1.0 - probs[:, empty_class]
-    g_occ = (labels != empty_class).astype(np.float64)
+    probs, labels = _check_probs(probs, labels)
+    p_occ = 1.0 - probs[:, 0]
+    g_occ = (labels != 0).astype(np.float64)
     tp = float(p_occ @ g_occ)
     loss = 0.0
     if p_occ.sum() > 0:
@@ -107,13 +104,13 @@ def geo_scal(probs: np.ndarray, labels: np.ndarray, ignore=None, empty_class: in
     return loss
 
 
-def sem_scal(probs: np.ndarray, labels: np.ndarray, ignore=None) -> float:
+def sem_scal(probs: np.ndarray, labels: np.ndarray) -> float:
     """Per-class log precision/recall/specificity on soft class masses.
 
     A class is skipped only when it is absent from both the ground truth and
     the predicted mass; defined terms average over the counted classes.
     """
-    probs, labels = _check_probs(probs, labels, ignore)
+    probs, labels = _check_probs(probs, labels)
     n, c_total = probs.shape
     total = 0.0
     counted = 0
@@ -154,12 +151,12 @@ def rie_bce(scores, occupancy_labels: np.ndarray) -> float:
     return float(-_log(np.where(y > 0.5, s, 1.0 - s), "rie_bce").mean())
 
 
-def occlusion_ce(probs: np.ndarray, occlusion_labels: np.ndarray, ignore=None) -> float:
+def occlusion_ce(probs: np.ndarray, occlusion_labels: np.ndarray) -> float:
     """Cross-entropy over the three visibility states."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] != 3:
         raise ShapeError(f"visibility probabilities must be (N, 3), got {probs.shape}")
-    return cross_entropy(probs, occlusion_labels, ignore)
+    return cross_entropy(probs, occlusion_labels)
 
 
 @dataclass(frozen=True)
@@ -197,14 +194,14 @@ class LossReport:
 
 
 def loss_report(sem_probs: np.ndarray, sem_labels: np.ndarray, rie_scores,
-                rie_targets: np.ndarray, occ_probs: np.ndarray, occ_labels: np.ndarray,
-                ignore=None) -> LossReport:
+                rie_targets: np.ndarray, occ_probs: np.ndarray,
+                occ_labels: np.ndarray) -> LossReport:
     """Evaluate all six terms on one prediction bundle."""
     return LossReport(
-        ce=cross_entropy(sem_probs, sem_labels, ignore),
-        lovasz=lovasz_softmax(sem_probs, sem_labels, ignore),
-        geo_scal=geo_scal(sem_probs, sem_labels, ignore),
-        sem_scal=sem_scal(sem_probs, sem_labels, ignore),
+        ce=cross_entropy(sem_probs, sem_labels),
+        lovasz=lovasz_softmax(sem_probs, sem_labels),
+        geo_scal=geo_scal(sem_probs, sem_labels),
+        sem_scal=sem_scal(sem_probs, sem_labels),
         rie_bce=rie_bce(rie_scores, rie_targets),
-        occlusion_ce=occlusion_ce(occ_probs, occ_labels, ignore),
+        occlusion_ce=occlusion_ce(occ_probs, occ_labels),
     )

@@ -235,11 +235,10 @@ def label_lidar(pc: PointCloud, semantics: np.ndarray, geom: GridGeometry) -> np
     semantics = _check_semantics(semantics, geom)
     occupied = semantics.reshape(-1) > 0
     prio = np.zeros(occupied.shape[0], dtype=np.uint8)
-    dims = np.asarray(geom.dims)
     pts = pc.points
     beyond = _length(pts - pc.sensor_origin) + 1e-9
-    cell_pt = np.floor((pts - geom.origin_array) / geom.cell_size).astype(np.int64)
-    inside = ((cell_pt >= 0) & (cell_pt < dims)).all(axis=1)
+    cell_pt = geom.world_to_index(pts)
+    inside = geom.contains_index(cell_pt)
     flat_pt = np.ravel_multi_index(tuple(cell_pt.T), geom.dims, mode="clip")
     for k, (ids, cells, t_entry) in enumerate(_walk(pc.sensor_origin, pts, geom, geom.diagonal)):
         if k == 0:

@@ -130,28 +130,28 @@ def _split_probs(logits: np.ndarray) -> np.ndarray:
 
 
 def refine_stages(fused: SparseVoxelGrid, pyramid: dict, rig: list[CameraModel],
-                  maps: FeatureMap2D, config: PipelineConfig, seeds: dict, stage):
+                  maps: FeatureMap2D, config: PipelineConfig, stage):
     """HVFR: select refinement sets, gather their children, fuse them back.
 
-    ``pyramid`` needs the scale-2 and scale-1 LiDAR grids; ``seeds`` holds
-    the ``SEED_NAMES`` entries. ``stage(name)`` is a context manager entered
+    ``pyramid`` needs the scale-2 and scale-1 LiDAR grids; weights are seeded
+    by ``config.seed_for``. ``stage(name)`` is a context manager entered
     around each of the "select", "gather" and "refine" stages. Returns
     ``(sets, fs2, ff1, refined)``.
     """
     c = config.lidar_channels
     with stage("select"):
-        rie = SparseConvSpec.seeded(c, 1, 3, mode="submanifold", seed=seeds["rie"])
+        rie = SparseConvSpec.seeded(c, 1, 3, mode="submanifold", seed=config.seed_for("rie"))
         sets = select_sets(estimate_importance(fused, rie), config.tau1, config.tau2)
 
     with stage("gather"):
-        proj2 = seeded_projection(c + maps.channels, c, seed=seeds["gather-semi"])
-        proj1 = seeded_projection(c + maps.channels, c, seed=seeds["gather-fine"])
+        proj2 = seeded_projection(c + maps.channels, c, seed=config.seed_for("gather-semi"))
+        proj1 = seeded_projection(c + maps.channels, c, seed=config.seed_for("gather-fine"))
         fs2 = gather_semi_fine(sets.semi_fine, pyramid[2], rig, maps, proj2)
         ff1 = gather_fine(sets.fine, pyramid[1], rig, maps, proj1)
 
     with stage("refine"):
-        sconv1 = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=seeds["refine-a"])
-        sconv2 = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=seeds["refine-b"])
+        sconv1 = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=config.seed_for("refine-a"))
+        sconv2 = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=config.seed_for("refine-b"))
         refined = fuse_refined(ff1, fs2, fused, sconv1, sconv2)
     return sets, fs2, ff1, refined
 
@@ -182,7 +182,7 @@ def forward(pc: PointCloud, rig: list[CameraModel], maps: FeatureMap2D,
         fused = fuse(queries, rig, maps, params)
     counts["fuse"] = len(fused)
 
-    sets, fs2, ff1, refined = refine_stages(fused, pyramid, rig, maps, config, seeds,
+    sets, fs2, ff1, refined = refine_stages(fused, pyramid, rig, maps, config,
                                             partial(_timed, timings))
     counts["select"] = sets.semi_fine.shape[0] + sets.fine.shape[0]
     counts["gather"] = len(fs2) + len(ff1)

@@ -78,7 +78,7 @@ def select_sets(imp: ImportanceMap, tau1: float = 0.4, tau2: float = 0.7) -> Ref
     Thresholds above 1 select nothing, which is a supported way to disable
     refinement. tau2 >= tau1 makes fine a subset of semi_fine.
     """
-    if tau1 < 0.0 or tau2 < 0.0:
+    if not (tau1 >= 0.0 and tau2 >= 0.0):  # NaN fails too
         raise ValueError(f"thresholds must be non-negative, got {tau1}, {tau2}")
     coords = imp.grid.coords
     return RefinementSets(coords[imp.scores >= tau1], coords[imp.scores >= tau2])
@@ -172,9 +172,8 @@ def fuse_refined(ff1: SparseVoxelGrid, fs2: SparseVoxelGrid, fm4: SparseVoxelGri
     return merged
 
 
-def occupied_fraction(parents: np.ndarray, occupied_scale1: np.ndarray,
-                      factor: int = 4) -> np.ndarray:
-    """Share of each parent's factor^3 base-scale children that are occupied.
+def occupied_fraction(parents: np.ndarray, occupied_scale1: np.ndarray) -> np.ndarray:
+    """Share of each scale-4 parent's 64 scale-1 children that are occupied.
 
     ``occupied_scale1`` holds unique scale-1 coordinates; the result is the
     oracle importance scorer used in place of the learned estimator.
@@ -186,10 +185,10 @@ def occupied_fraction(parents: np.ndarray, occupied_scale1: np.ndarray,
         pkeys = pack_keys(parents)
         order = np.argsort(pkeys, kind="stable")
         sorted_keys = pkeys[order]
-        okeys = pack_keys(occ // factor)
+        okeys = pack_keys(occ // 4)
         pos = np.searchsorted(sorted_keys, okeys)
         pos_c = np.minimum(pos, sorted_keys.size - 1)
         hit = sorted_keys[pos_c] == okeys
         np.add.at(counts, order[pos_c[hit]], 1)
-    return counts / float(factor ** 3)
+    return counts / 64.0
 

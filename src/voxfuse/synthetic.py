@@ -124,9 +124,6 @@ class SyntheticScene:
                 vol[cells] = box.class_id
         return vol
 
-    def foreground_fraction(self) -> float:
-        return float((self.gt_volume() != 0).mean())
-
     def lidar_scan(self, n_azimuth: int = 120, n_elevation: int = 9) -> PointCloud:
         """Cast an azimuth/elevation ray grid (elevations within +-0.25 rad) and
         return one point per hit, inset a quarter voxel past the entry face so

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from voxfuse.camera import (
+    KITTI_IMAGE_SIZE,
     CameraModel,
     FeatureMap2D,
     back_project,
@@ -178,7 +179,7 @@ class TestRoundtrip:
 
 class TestCalibIO:
     def test_kitti_calib_composition(self, tmp_path, rng):
-        k = np.array([[350.0, 0, 160.0], [0, 350.0, 120.0], [0, 0, 1.0]])
+        k = np.array([[707.0, 0, 604.0], [0, 707.0, 180.5], [0, 0, 1.0]])
         t2 = np.array([0.06, 0.0, 0.0])
         p2 = np.hstack([k, (k @ t2)[:, None]])
         # velodyne-to-camera: swap axes so x-forward becomes z-forward
@@ -191,13 +192,15 @@ class TestCalibIO:
         path = tmp_path / "calib.txt"
         path.write_text("\n".join(lines) + "\n")
 
-        cam = read_kitti_calib(path, image_size=(320, 240))
+        cam = read_kitti_calib(path)
+        w, h = cam.image_size
+        assert (w, h) == KITTI_IMAGE_SIZE == (1226, 370)
         for _ in range(20):
             p = rng.uniform([2, -3, -1], [20, 3, 2])
             uvw = p2 @ np.append(r @ p + t, 1.0)
             expect = uvw[:2] / uvw[2]
             got = project(cam, p)
-            if not (0 <= expect[0] < 320 and 0 <= expect[1] < 240 and uvw[2] > 0.1):
+            if not (0 <= expect[0] < w and 0 <= expect[1] < h and uvw[2] > 0.1):
                 assert got is None
                 continue
             assert got is not None

@@ -502,6 +502,8 @@ ERROR_CASES = {
                                     "unknown key 'preset'"),
     "forward-config-lidar-channels-below-5": (_forward_config_args("channels", "lidar", "3"), 1,
                                               "lidar_channels must be at least 5"),
+    "forward-config-nan-threshold": (_forward_config_args("refine", "tau1", "nan"), 1,
+                                     "thresholds must be non-negative"),
 }
 
 

@@ -53,6 +53,13 @@ class TestValidation:
 
     def test_above_one_threshold_allowed(self):
         assert PipelineConfig(tau1=1.01, tau2=1.01).tau1 == 1.01
+        assert PipelineConfig.loads("[refine]\ntau1 = inf\ntau2 = inf\n").tau2 == float("inf")
+
+    @pytest.mark.parametrize("key", ["tau1", "tau2"])
+    def test_nan_threshold_rejected(self, key):
+        # NaN compares false with everything, so only a `>= 0` test rejects it
+        with pytest.raises(ConfigError, match="non-negative"):
+            PipelineConfig.loads(f"[refine]\n{key} = nan\n")
 
     def test_zero_voxel_size_rejected(self):
         with pytest.raises(ConfigError):

@@ -106,7 +106,7 @@ class TestAlignScale:
         out = align_coords(coords, 8, 2)
         for row_in, row_out in zip(coords, out):
             v = align_scale(VoxelIndex(*map(int, row_in), scale=8), 2)
-            assert tuple(row_out) == v.xyz
+            assert tuple(row_out) == (v.x, v.y, v.z)
 
 
 class TestSubdivide:

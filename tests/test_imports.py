@@ -6,6 +6,14 @@ the package's exports. A module-level function or class of ``src/voxfuse/``
 that no file under ``src/``, ``tests/`` or ``perfbench/`` names fails too,
 so a fold cannot leave its old helper behind. The package's own export
 list does not count as a use.
+
+Every defaulted parameter of a ``src/voxfuse/`` function or method is passed
+by some call under ``src/`` or ``perfbench/`` (its tests aside), by keyword
+or by position, unless ``EXEMPT`` names the check that needs it. It is the
+parameter counterpart of ``test_config.py::TestLiveKeys``. Calls match by
+callee name, and a ``*args``/``**kwargs`` call passes everything, so the
+check can miss a dead parameter but does not flag one that a call writes
+out. Dataclass fields are not ``def`` parameters and are out of its reach.
 """
 
 import ast
@@ -83,3 +91,113 @@ def names_in_readers() -> frozenset[str]:
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_definition_is_named(path):
     assert unnamed_definitions(path.read_text(encoding="utf-8"), names_in_readers()) == []
+
+
+
+# Program calls are those under src/ and perfbench/; perfbench's own tests
+# are not program calls.
+CALLERS = sorted((ROOT / "src").rglob("*.py")) + sorted(
+    p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.relative_to(ROOT).parts)
+
+# (module, qualname, parameter) that no program call passes but a check needs
+EXEMPT = {
+    ("cli", "main", "argv"): "the console entry point; the CLI tests call main(argv)",
+    ("fusion", "fuse", "residual"): "A04 fuses with residual=False",
+    ("fusion", "DeformableAttnParams.seeded", "query_conditioned"): "A04",
+    ("fusion", "DeformableAttnParams.identity", "n_ref"): "A04's hand-built attention",
+    ("fusion", "DeformableAttnParams.identity", "offsets"): "A04's hand-built attention",
+    ("fusion", "DeformableAttnParams.identity", "logits"): "test_fusion's hand-built weights",
+    ("grid", "SparseVoxelGrid.to_dense", "fill"): "the dense view of the pipeline pins",
+    ("occlusion", "_traverse_arrays", "margin"): "the reference walk _walk is pinned to",
+}
+
+
+def defaulted_parameters(source: str) -> list[tuple[int, str, str, int | None]]:
+    """(line, qualname, parameter, position) of each defaulted parameter in ``source``.
+
+    Covers module-level functions and the methods of module-level classes.
+    ``position`` counts the arguments a caller writes, so ``self`` and
+    ``cls`` are dropped; it is None for a keyword-only parameter.
+    """
+    out = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef):
+            defs = [(top.name, top, False)]
+        elif isinstance(top, ast.ClassDef):
+            defs = [(f"{top.name}.{node.name}", node,
+                     not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list))
+                    for node in top.body if isinstance(node, ast.FunctionDef)]
+        else:
+            continue
+        for qualname, node, bound in defs:
+            positional = (node.args.posonlyargs + node.args.args)[int(bound):]
+            first = len(positional) - len(node.args.defaults)
+            out.extend((arg.lineno, qualname, arg.arg, i)
+                       for i, arg in enumerate(positional[first:], first))
+            out.extend((arg.lineno, qualname, arg.arg, None)
+                       for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                       if default is not None)
+    return out
+
+
+def call_sites(source: str) -> list[tuple[str | None, int, set[str], bool]]:
+    """(callee, positional count, keywords, starred) of each call in ``source``.
+
+    The callee is the called name or attribute, so ``f(x)`` and ``m.f(x)``
+    both match ``f``. A call with ``*args`` or ``**kwargs`` is starred.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            out.append((callee, len(node.args), {k.arg for k in node.keywords}, starred))
+    return out
+
+
+def unpassed_parameters(source: str, calls) -> list[tuple[int, str, str]]:
+    """(line, qualname, parameter) of each defaulted parameter that no call passes.
+
+    A function or method matches the calls of its own name, ``__init__`` those
+    of its class. A starred call passes every parameter.
+    """
+    out = []
+    for line, qualname, param, pos in defaulted_parameters(source):
+        owner, _, name = qualname.rpartition(".")
+        callee = owner if name == "__init__" else name
+        if not any(c == callee and (starred or param in keywords
+                                    or (pos is not None and pos < n_pos))
+                   for c, n_pos, keywords, starred in calls):
+            out.append((line, qualname, param))
+    return out
+
+
+def test_checker_flags_unpassed_parameters():
+    source = ("def f(a, b=1, *, c=2, d=3):\n    pass\n\n\n"
+              "class K:\n"
+              "    def __init__(self, x=0):\n        pass\n\n"
+              "    def m(self, y=0, z=0):\n        pass\n\n"
+              "    @staticmethod\n"
+              "    def s(w=0):\n        pass\n\n\n"
+              "f(0, 1, d=3)\nK(5)\nobj.m(1)\nK.s(*args)\n")
+    assert unpassed_parameters(source, call_sites(source)) == [(1, "f", "c"), (9, "K.m", "z")]
+
+
+@cache
+def unpassed_in_package() -> frozenset[tuple[str, str, str]]:
+    calls = [c for p in CALLERS for c in call_sites(p.read_text(encoding="utf-8"))]
+    return frozenset((path.stem, qualname, param) for path in PACKAGE
+                     for _, qualname, param in unpassed_parameters(
+                         path.read_text(encoding="utf-8"), calls))
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A parameter that only tests set is a setting the program never changes: delete it."""
+    assert sorted(unpassed_in_package() - set(EXEMPT)) == []
+
+
+def test_every_exemption_is_needed():
+    """An exempt parameter whose function is gone, or that a program call now passes."""
+    assert sorted(set(EXEMPT) - unpassed_in_package()) == []

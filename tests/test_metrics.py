@@ -12,21 +12,16 @@ from voxfuse.errors import ShapeError
 from voxfuse.metrics import compute_metrics
 
 
-def loop_metrics(pred, gt, ignore_mask=None, empty_class=0, num_classes=None):
+def loop_metrics(pred, gt, num_classes=None):
     """Reference: four full-volume masks per class, counted one class at a time."""
     pred, gt = np.asarray(pred).reshape(-1), np.asarray(gt).reshape(-1)
-    if ignore_mask is not None:
-        keep = ~np.asarray(ignore_mask, dtype=bool).reshape(-1)
-        pred, gt = pred[keep], gt[keep]
     if num_classes is None:
         num_classes = int(max(pred.max(initial=0), gt.max(initial=0))) + 1
-    p_occ, g_occ = pred != empty_class, gt != empty_class
+    p_occ, g_occ = pred != 0, gt != 0
     union = int((p_occ | g_occ).sum())
     iou = int((p_occ & g_occ).sum()) / union if union else 1.0
     per_class = np.full(num_classes, np.nan)
-    for c in range(num_classes):
-        if c == empty_class:
-            continue
+    for c in range(1, num_classes):
         pc, gc = pred == c, gt == c
         u = int((pc | gc).sum())
         if u:
@@ -41,8 +36,7 @@ def label_pairs(draw):
     shape = draw(hnp.array_shapes(min_dims=3, max_dims=3, max_side=6))
     dtype = draw(st.sampled_from([np.int64, np.uint8]))
     labels = hnp.arrays(dtype, shape, elements=st.integers(0, 7))
-    mask = draw(st.none() | hnp.arrays(bool, shape))
-    return draw(labels), draw(labels), mask
+    return draw(labels), draw(labels)
 
 
 class TestGeometricIou:
@@ -122,33 +116,25 @@ class TestPerClassIou:
 
 class TestAgainstLoopReference:
     @settings(max_examples=200, deadline=None)
-    @given(label_pairs(), st.integers(-1, 8), st.none() | st.integers(0, 10))
-    def test_bincount_counts_equal_loop(self, pair, empty_class, num_classes):
-        pred, gt, mask = pair
-        rep = compute_metrics(pred, gt, ignore_mask=mask, empty_class=empty_class,
-                              num_classes=num_classes)
-        iou, miou, per_class = loop_metrics(pred, gt, mask, empty_class, num_classes)
+    @given(label_pairs(), st.none() | st.integers(0, 10))
+    def test_bincount_counts_equal_loop(self, pair, num_classes):
+        pred, gt = pair
+        rep = compute_metrics(pred, gt, num_classes=num_classes)
+        iou, miou, per_class = loop_metrics(pred, gt, num_classes)
         assert rep.iou == iou
         assert rep.miou == miou
         assert np.array_equal(rep.per_class_iou, per_class, equal_nan=True)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data(), st.sampled_from(["pred", "gt"]), st.booleans())
-    def test_negative_label_in_one_volume_rejected(self, data, side, masked):
+    @given(st.data(), st.sampled_from(["pred", "gt"]))
+    def test_negative_label_in_one_volume_rejected(self, data, side):
         shape = data.draw(hnp.array_shapes(min_dims=3, max_dims=3, max_side=5), label="shape")
         labels = hnp.arrays(np.int64, shape, elements=st.integers(0, 7))
         vols = {"pred": data.draw(labels, label="pred"), "gt": data.draw(labels, label="gt")}
         at = tuple(data.draw(st.integers(0, n - 1), label=f"at{i}") for i, n in enumerate(shape))
         vols[side][at] = data.draw(st.integers(-128, -1), label="negative")
-        mask = data.draw(hnp.arrays(bool, shape), label="mask") if masked else None
-        if masked:
-            mask[at] = False
         with pytest.raises(ValueError, match="non-negative"):
-            compute_metrics(vols["pred"], vols["gt"], ignore_mask=mask)
-        if masked:
-            # an ignored voxel is never read, negative or not
-            mask[at] = True
-            compute_metrics(vols["pred"], vols["gt"], ignore_mask=mask)
+            compute_metrics(vols["pred"], vols["gt"])
 
     def test_float_labels_rejected(self):
         with pytest.raises(ValueError, match="integers"):
@@ -156,22 +142,9 @@ class TestAgainstLoopReference:
 
 
 class TestMasksAndIo:
-    def test_ignore_mask_excludes_disagreement(self):
-        pred = np.array([[[1, 1]]])
-        gt = np.array([[[1, 2]]])
-        mask = np.array([[[False, True]]])
-        rep = compute_metrics(pred, gt, ignore_mask=mask)
-        assert rep.iou == 1.0
-        assert rep.miou == 1.0
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             compute_metrics(np.zeros((2, 2, 2), int), np.zeros((2, 2, 3), int))
-
-    def test_mask_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            compute_metrics(np.zeros((2, 2, 2), int), np.zeros((2, 2, 2), int),
-                            ignore_mask=np.zeros((2, 2), bool))
 
     def test_json_round_trip_with_nulls(self):
         pred = np.array([[[1, 0]]])

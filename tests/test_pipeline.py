@@ -225,7 +225,7 @@ class TestRefineStages:
             yield
 
         sets, fs2, ff1, refined = refine_stages(res.fused, res.pyramid, rig, maps,
-                                                config, res.seeds, stage)
+                                                config, stage)
         assert entered == ["select", "gather", "refine"]
         assert res.counts["select"] > 0
         assert np.array_equal(sets.semi_fine, res.sets.semi_fine)

@@ -115,6 +115,15 @@ class TestSelectSets:
         with pytest.raises(ValueError):
             select_sets(imp, -0.1, 0.5)
 
+    def test_nan_threshold_rejected(self, rng):
+        fm = random_grid4(rng)
+        imp = importance_from_scores(fm, np.ones(len(fm)))
+        for taus in ((np.nan, 0.7), (0.4, np.nan)):
+            with pytest.raises(ValueError, match="non-negative"):
+                select_sets(imp, *taus)
+        sets = select_sets(imp, np.inf, np.inf)
+        assert sets.semi_fine.shape[0] == sets.fine.shape[0] == 0
+
 
 class TestGathers:
     def setup_method(self):

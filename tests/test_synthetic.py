@@ -81,7 +81,7 @@ class TestRasterization:
 
     def test_foreground_fraction(self):
         scene = scene_with([Box(lo=(0.2,) * 3, hi=(0.6,) * 3, class_id=4)])
-        assert np.isclose(scene.foreground_fraction(), 8 / 512)
+        assert np.isclose((scene.gt_volume() != 0).mean(), 8 / 512)
 
 
 class TestRays:
@@ -245,7 +245,7 @@ class TestRandomScene:
 
     def test_foreground_floor(self):
         for seed in range(8):
-            assert random_scene(seed).foreground_fraction() >= 0.05
+            assert (random_scene(seed).gt_volume() != 0).mean() >= 0.05
 
     def test_unreachable_floor_message_keeps_precision(self):
         # no box fits beside the sensor in a 4x4x4 grid, so every floor is out of reach
