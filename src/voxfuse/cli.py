@@ -1,7 +1,8 @@
 """Command-line surface: label generation, evaluation, forward runs, benchmarks.
 
-Exit codes: 0 success, 1 config or usage error, 2 required file not found,
-3 parse error, 4 dimension mismatch.
+Exit codes: 0 success, 1 config or usage error or an unwritable output path,
+2 required file not found, 3 parse error, 4 dimension mismatch or volumes on
+different grids.
 """
 
 from __future__ import annotations
@@ -148,8 +149,10 @@ def _cmd_label_gen(args) -> int:
 def _cmd_eval(args) -> int:
     if args.classes is not None and args.classes < 1:
         raise ConfigError(f"--classes must be a positive integer, got {args.classes}")
-    pred, _ = read_volume(args.pred)
-    gt, _ = read_volume(args.gt)
+    pred, pred_geom = read_volume(args.pred)
+    gt, gt_geom = read_volume(args.gt)
+    if pred_geom != gt_geom:
+        raise ShapeError(f"pred lies on {pred_geom}, gt on {gt_geom}")
     if args.classes is not None:
         top = int(max(pred.max(), gt.max()))
         if top >= args.classes:
@@ -174,16 +177,12 @@ def _resolve_scene(spec: str):
 
 def _cmd_forward(args) -> int:
     config = _load_config(args.config)
-    if args.seed is not None:
-        config = config.with_overrides(root_seed=args.seed)
     scene = _resolve_scene(args.scene)
     result = forward_scene(scene, config)
     print(result.stage_report())
-    out_dir = args.out or config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    geom4 = result.refined.geometry
-    write_volume(os.path.join(out_dir, "o4_labels.u8"), result.labels_scale4(), geom4)
-    write_volume(os.path.join(out_dir, "o1_labels.u8"), result.labels_scale1(), result.geometry)
+    os.makedirs(args.out, exist_ok=True)
+    write_volume(os.path.join(args.out, "o4_labels.u8"), result.labels_scale4(), result.o4.geometry)
+    write_volume(os.path.join(args.out, "o1_labels.u8"), result.labels_scale1(), result.o1.geometry)
     report = {
         "seeds": result.seeds,
         "timings": result.timings,
@@ -193,7 +192,7 @@ def _cmd_forward(args) -> int:
         "refined_equals_fused": result.refine_identity,
         "total_seconds": result.total_seconds,
     }
-    with open(os.path.join(out_dir, "forward_report.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out, "forward_report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     return EXIT_OK
@@ -295,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     fw = sub.add_parser("forward", help="run the full pipeline on a scene")
     fw.add_argument("--config", default=None)
     fw.add_argument("--scene", required=True, help="scene JSON path, or 'demo'")
-    fw.add_argument("--seed", type=int, default=None, help="override the root seed")
-    fw.add_argument("--out", default=None)
+    fw.add_argument("--out", default=".", help="output directory")
     fw.set_defaults(fn=_cmd_forward)
 
     be = sub.add_parser("bench", help="time refinement stages across sizes")
@@ -322,6 +320,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"not found: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -61,7 +61,6 @@ _SCHEMA = {
     "refine": {"tau1": ("tau1", float, str), "tau2": ("tau2", float, str)},
     "fusion": {"n_ref": ("n_ref", int, str)},
     "seeds": {"root": ("root_seed", int, str)},
-    "paths": {"out_dir": ("out_dir", str, str)},
 }
 
 
@@ -78,7 +77,6 @@ class PipelineConfig:
     tau2: float = 0.7
     n_ref: int = 4
     root_seed: int = 1234
-    out_dir: str = "."
 
     def __post_init__(self):
         try:

@@ -180,7 +180,7 @@ def fuse(queries: QuerySet, rig: list[CameraModel], maps: FeatureMap2D,
     out, n_hit = camera_mean(rig, grid.centers(), params.query_channels, attend)
     if residual:
         out = out + queries.guided_queries
-    fused = grid.with_features(out, dict(grid.meta))
+    fused = grid.with_features(out)
     fused.meta["miss_count"] = int((n_hit == 0).sum())
     fused.meta["hit_counts"] = n_hit
     return fused

@@ -200,12 +200,13 @@ class SparseVoxelGrid:
     Rows are sorted lexicographically by (x, y, z) at construction, so grids
     built from the same cells in any order are identical. Lookup is binary
     search over the packed keys. Arrays are frozen after construction; the
-    grid is safe for concurrent reads.
+    grid is safe for concurrent reads. ``meta`` starts empty and holds only
+    the counters of the stage that built the grid.
     """
 
     __slots__ = ("geometry", "coords", "features", "meta", "_keys")
 
-    def __init__(self, geometry: GridGeometry, coords, features, meta: dict | None = None):
+    def __init__(self, geometry: GridGeometry, coords, features):
         coords = np.ascontiguousarray(np.asarray(coords, dtype=np.int64).reshape(-1, 3))
         features = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
         if features.ndim != 2:
@@ -225,7 +226,7 @@ class SparseVoxelGrid:
         self.geometry = geometry
         self.coords = coords[order]
         self.features = features[order]
-        self.meta = dict(meta) if meta else {}
+        self.meta = {}
         self._keys = keys
         self.coords.flags.writeable = False
         self.features.flags.writeable = False
@@ -269,9 +270,9 @@ class SparseVoxelGrid:
         rows = np.where(found, pos_c, -1)
         return rows, found
 
-    def with_features(self, features: np.ndarray, meta: dict | None = None) -> SparseVoxelGrid:
-        """Same cells, new per-row feature matrix."""
-        return SparseVoxelGrid(self.geometry, self.coords, features, meta or self.meta)
+    def with_features(self, features: np.ndarray) -> SparseVoxelGrid:
+        """Same cells, new per-row feature matrix, empty ``meta``."""
+        return SparseVoxelGrid(self.geometry, self.coords, features)
 
     def centers(self) -> np.ndarray:
         """World-space centers of all cells, row-aligned with features."""

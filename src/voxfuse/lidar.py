@@ -87,7 +87,6 @@ def voxelize(pc: PointCloud, geom: GridGeometry, channels: int = 8) -> SparseVox
         raise EmptyInput("empty point cloud")
     idx = geom.world_to_index(pc.points)
     inside = geom.contains_index(idx)
-    meta = {"points_total": len(pc), "points_dropped": int((~inside).sum())}
     idx = idx[inside]
     pts = pc.points[inside]
     intens = pc.intensity[inside]
@@ -103,7 +102,9 @@ def voxelize(pc: PointCloud, geom: GridGeometry, channels: int = 8) -> SparseVox
     np.add.at(sums, inverse, offsets)
     feats[:, 1] /= counts
     feats[:, 2:5] = sums / counts[:, None]
-    return SparseVoxelGrid(geom, cells, feats, meta)
+    grid = SparseVoxelGrid(geom, cells, feats)
+    grid.meta.update(points_total=len(pc), points_dropped=len(pc) - len(pts))
+    return grid
 
 
 def kernel_offsets(extent: int) -> np.ndarray:
@@ -234,7 +235,7 @@ def sparse_conv(grid: SparseVoxelGrid, spec: SparseConvSpec, stride: int = 1) ->
     out = np.tile(spec.bias, (out_coords.shape[0], 1))
     flat = outs[:, None] * spec.out_channels + np.arange(spec.out_channels)
     np.add.at(out.reshape(-1), flat.reshape(-1), products.reshape(-1))
-    return SparseVoxelGrid(out_geom, out_coords, out, grid.meta)
+    return SparseVoxelGrid(out_geom, out_coords, out)
 
 
 def multi_scale_stack(grid: SparseVoxelGrid, seed: int = 0) -> dict[int, SparseVoxelGrid]:

@@ -52,12 +52,9 @@ def _timed(timings: dict, name: str):
 
 @dataclass
 class ForwardResult:
-    """Every intermediate of one forward pass plus timings and counts."""
+    """The intermediates of one forward pass that callers read, plus timings and counts."""
 
-    geometry: GridGeometry
-    voxelized: SparseVoxelGrid
     pyramid: dict
-    dense: SparseVoxelGrid
     fused: SparseVoxelGrid
     sets: RefinementSets
     refined: SparseVoxelGrid
@@ -199,10 +196,8 @@ def forward(pc: PointCloud, rig: list[CameraModel], maps: FeatureMap2D,
         o1 = _decode_fine(decoder_input_set(o4), geometry, seeds["decoder"])
     counts["decode"] = len(o1)
 
-    return ForwardResult(geometry=geometry, voxelized=f_l1, pyramid=pyramid, dense=dense,
-                         fused=fused, sets=sets, refined=refined, o4=o4, o1=o1,
-                         refine_identity=identity, timings=timings, counts=counts,
-                         seeds=seeds)
+    return ForwardResult(pyramid=pyramid, fused=fused, sets=sets, refined=refined, o4=o4, o1=o1,
+                         refine_identity=identity, timings=timings, counts=counts, seeds=seeds)
 
 
 def _decode_fine(parents: SparseVoxelGrid, geom: GridGeometry, seed: int) -> SparseVoxelGrid:

@@ -154,9 +154,8 @@ def fuse_refined(ff1: SparseVoxelGrid, fs2: SparseVoxelGrid, fm4: SparseVoxelGri
     """
     if fm4.scale != 4 or fs2.scale != 2 or ff1.scale != 1:
         raise ShapeError(f"expected scales 1/2/4, got {ff1.scale}/{fs2.scale}/{fm4.scale}")
-    out = fm4.with_features(fm4.features.copy(), dict(fm4.meta))
     if len(ff1) == 0 and len(fs2) == 0:
-        return out
+        return fm4.with_features(fm4.features)
     if len(ff1):
         mid = _aligned_sum(sparse_conv(ff1, sconv1, stride=2), fs2)
     else:
@@ -164,10 +163,10 @@ def fuse_refined(ff1: SparseVoxelGrid, fs2: SparseVoxelGrid, fm4: SparseVoxelGri
     coarse = sparse_conv(mid, sconv2, stride=2)
     if coarse.channels != fm4.channels:
         raise ShapeError(f"fusion emits {coarse.channels} channels, coarse grid has {fm4.channels}")
-    rows, found = out.rows_for(coarse.coords)
-    feats = out.features.copy()
+    rows, found = fm4.rows_for(coarse.coords)
+    feats = fm4.features.copy()
     feats[rows[found]] += coarse.features[found]
-    merged = out.with_features(feats, dict(out.meta))
+    merged = fm4.with_features(feats)
     merged.meta["dropped_refined"] = int((~found).sum())
     return merged
 

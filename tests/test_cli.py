@@ -129,11 +129,12 @@ class TestForward:
 
     def test_same_seed_identical_volumes(self, tmp_path, capsys):
         scene_path, _ = small_scene_file(tmp_path)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[seeds]\nroot = 5\n")
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-        assert main(["forward", "--scene", str(scene_path), "--seed", "5",
-                     "--out", out_a]) == 0
-        assert main(["forward", "--scene", str(scene_path), "--seed", "5",
-                     "--out", out_b]) == 0
+        for out in (out_a, out_b):
+            assert main(["forward", "--scene", str(scene_path), "--config", str(cfg_path),
+                         "--out", out]) == 0
         capsys.readouterr()
         a = open(os.path.join(out_a, "o1_labels.u8"), "rb").read()
         b = open(os.path.join(out_b, "o1_labels.u8"), "rb").read()
@@ -395,6 +396,27 @@ def _eval_meta_args(key, value):
     return build
 
 
+def _eval_grid_args(origin, voxel_size):
+    """eval of a 4x4x4 pred with 0.2 m cells at the origin against its labels on another grid."""
+    def build(tmp_path):
+        vol = np.zeros((4, 4, 4), dtype=np.uint8)
+        vol[1, 1, 1] = 1
+        pred, gt = str(tmp_path / "pred.u8"), str(tmp_path / "gt.u8")
+        write_volume(pred, vol, GridGeometry((0.0, 0.0, 0.0), 0.2, (4, 4, 4)))
+        write_volume(gt, vol, GridGeometry(origin, voxel_size, (4, 4, 4)))
+        return ["eval", "--pred", pred, "--gt", gt]
+    return build
+
+
+def _taken_out_args(argv):
+    """``argv`` plus ``--out`` naming a file that already exists."""
+    def build(tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        return argv(tmp_path) + ["--out", str(taken)]
+    return build
+
+
 def _bench_config_args(key, value):
     """bench on a config file whose ``[geometry]`` section holds ``key = value``."""
     def build(tmp_path):
@@ -477,6 +499,11 @@ ERROR_CASES = {
     "eval-meta-four-origin-values": (_eval_meta_args("origin", "1 2 3 4"), 3, "origin needs 3"),
     "eval-meta-nan-voxel-size": (_eval_meta_args("voxel_size", "nan"), 3, "voxel_size"),
     "eval-meta-inf-voxel-size": (_eval_meta_args("voxel_size", "inf"), 3, "voxel_size"),
+    "eval-grid-origin-mismatch": (_eval_grid_args((5.0, 5.0, 5.0), 0.2), 4, "origin=(5.0"),
+    "eval-grid-voxel-size-mismatch": (_eval_grid_args((0.0, 0.0, 0.0), 0.4), 4,
+                                      "voxel_size=0.4"),
+    "eval-out-is-directory": (lambda p: _eval_args(p, "2") + ["--out", str(p)], 1,
+                              "Is a directory"),
     "label-gen-stride-not-int": (lambda p: _synthetic_label_args(p, "abc"), 1, "--stride"),
     "label-gen-stride-zero": (lambda p: _synthetic_label_args(p, "0"), 1, "stride"),
     "label-gen-nan-scan": (_nan_scan_args, 3, "row 7"),
@@ -491,6 +518,17 @@ ERROR_CASES = {
     "label-gen-singular-p2": (_bad_calib_args("P2", "0 0 641 0 0 0 193 0 0 0 1 0"), 3,
                               "calib.txt"),
     "label-gen-scaled-tr": (_bad_calib_args("Tr", "2 0 0 0 0 2 0 0 0 0 2 0"), 3, "calib.txt"),
+    "forward-out-is-file": (_taken_out_args(lambda p: ["forward", "--scene", "demo"]), 1,
+                            "File exists"),
+    "label-gen-out-is-file": (_taken_out_args(
+        lambda p: ["label-gen", "--dataset", "synthetic",
+                   "--sequence", str(small_scene_file(p)[0])]), 1, "File exists"),
+    "forward-seed-flag-removed": (lambda p: ["forward", "--scene", "demo", "--seed", "5",
+                                             "--out", str(p / "o")], 1, "--seed"),
+    "forward-config-paths-section": (_forward_config_args("paths", "out_dir", "elsewhere"), 1,
+                                     "unknown config section"),
+    "bench-out-is-directory": (lambda p: ["bench", "--sizes", "0", "--out", str(p)], 1,
+                               "Is a directory"),
     "bench-negative-size": (lambda p: ["bench", "--sizes", "-5"], 1, "--sizes"),
     "bench-config-nan-origin": (_bench_config_args("origin", "nan 0 0"), 1,
                                 "origin must be finite"),

@@ -5,7 +5,6 @@ import importlib.resources
 import numpy as np
 import pytest
 
-from voxfuse.cli import main
 from voxfuse.config import _SCHEMA, PipelineConfig, split_seed
 from voxfuse.errors import ConfigError
 from voxfuse.grid import GridGeometry
@@ -88,7 +87,7 @@ class TestSerialization:
         cfg = PipelineConfig(origin=(-51.2, -51.2, -5.0),
                              voxel_size=0.25, dims=(48, 48, 12), tau1=0.35,
                              tau2=0.95, n_ref=6, root_seed=99,
-                             lidar_channels=12, image_channels=6, out_dir="/tmp/out")
+                             lidar_channels=12, image_channels=6)
         assert PipelineConfig.loads(cfg.dumps()) == cfg
 
     def test_file_round_trip(self, tmp_path):
@@ -151,8 +150,8 @@ class TestSeeds:
 
 
 # (section, key) of config._SCHEMA -> (non-default value, what it must change):
-# "geometry" is config.geometry(), "out_dir" where `voxfuse forward` writes
-# without --out, "forward" forward_scene's outputs on the demo scene
+# "geometry" is config.geometry(), "forward" forward_scene's outputs on the
+# demo scene
 LIVE_KEYS = {
     ("geometry", "origin"): ("1 2 3", "geometry"),
     ("geometry", "voxel_size"): ("0.25", "geometry"),
@@ -163,7 +162,6 @@ LIVE_KEYS = {
     ("refine", "tau2"): ("0.6", "forward"),
     ("fusion", "n_ref"): ("2", "forward"),
     ("seeds", "root"): ("99", "forward"),
-    ("paths", "out_dir"): ("elsewhere", "out_dir"),
 }
 
 
@@ -182,20 +180,12 @@ class TestLiveKeys:
 
     @pytest.mark.parametrize("section,key", list(LIVE_KEYS),
                              ids=[f"{s}-{k}" for s, k in LIVE_KEYS])
-    def test_key_changes_behaviour(self, section, key, tmp_path, monkeypatch, capsys):
+    def test_key_changes_behaviour(self, section, key):
         value, effect = LIVE_KEYS[section, key]
         text = f"[{section}]\n{key} = {value}\n"
         cfg, default = PipelineConfig.loads(text), PipelineConfig()
         if effect == "geometry":
             assert cfg.geometry() != default.geometry()
-        elif effect == "out_dir":
-            path = tmp_path / "run.ini"
-            path.write_text(text)
-            monkeypatch.chdir(tmp_path)
-            assert main(["forward", "--scene", "demo", "--config", str(path)]) == 0
-            capsys.readouterr()
-            assert (tmp_path / value / "o1_labels.u8").exists()
-            assert not (tmp_path / "o1_labels.u8").exists()
         else:
             got, base = _demo_outputs(cfg), _demo_outputs(default)
             assert not all(np.array_equal(a, b) for a, b in zip(got, base))

@@ -13,7 +13,13 @@ or by position, unless ``EXEMPT`` names the check that needs it. It is the
 parameter counterpart of ``test_config.py::TestLiveKeys``. Calls match by
 callee name, and a ``*args``/``**kwargs`` call passes everything, so the
 check can miss a dead parameter but does not flag one that a call writes
-out. Dataclass fields are not ``def`` parameters and are out of its reach.
+out.
+
+Every field of a ``@dataclass`` in ``src/voxfuse/`` is read somewhere under
+``src/``, ``tests/`` or ``perfbench/``: an attribute load of its name, or a
+string constant equal to it, as ``getattr`` tables such as ``config._SCHEMA``
+hold. It is the field counterpart of the parameter check. Reads match by
+name, so the check can miss a dead field but does not flag one that is read.
 """
 
 import ast
@@ -201,3 +207,54 @@ def test_every_defaulted_parameter_is_passed():
 def test_every_exemption_is_needed():
     """An exempt parameter whose function is gone, or that a program call now passes."""
     assert sorted(set(EXEMPT) - unpassed_in_package()) == []
+
+
+def dataclass_fields(source: str) -> list[tuple[int, str, str]]:
+    """(line, class, field) of each annotated field of a module-level ``@dataclass``."""
+    out = []
+    for top in ast.parse(source).body:
+        if not isinstance(top, ast.ClassDef):
+            continue
+        # @dataclass or @dataclass(...)
+        if "dataclass" in {getattr(getattr(d, "func", d), "id", None) for d in top.decorator_list}:
+            out.extend((node.lineno, top.name, node.target.id) for node in top.body
+                       if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name))
+    return out
+
+
+def read_names(source: str) -> set[str]:
+    """Attribute names that ``source`` loads, plus its string constants."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unread_fields(source: str, reads: set[str]) -> list[tuple[int, str, str]]:
+    """(line, class, field) of each dataclass field of ``source`` not in ``reads``."""
+    return [f for f in dataclass_fields(source) if f[2] not in reads]
+
+
+def test_checker_flags_unread_fields():
+    source = ("from dataclasses import dataclass, field\n\n\n"
+              "@dataclass(frozen=True)\n"
+              "class A:\n    kept: int\n    dead: int = 0\n    looked_up: int = 1\n\n\n"
+              "@dataclass\n"
+              "class B:\n    written: list = field(default_factory=list)\n\n\n"
+              "class Plain:\n    ignored: int = 0\n\n\n"
+              "def use(a, b):\n    b.written = [a.kept]\n    return getattr(a, 'looked_up')\n")
+    assert unread_fields(source, read_names(source)) == [(7, "A", "dead"), (13, "B", "written")]
+
+
+@cache
+def reads_in_readers() -> frozenset[str]:
+    return frozenset().union(*(read_names(p.read_text(encoding="utf-8")) for p in READERS))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_dataclass_field_is_read(path):
+    """A field nothing reads stores a value for no one: delete it."""
+    assert unread_fields(path.read_text(encoding="utf-8"), reads_in_readers()) == []

@@ -59,7 +59,7 @@ def _reference_sparse_conv(grid, spec, stride=1):
         if hit.any():
             i, j, k = np.unravel_index(o, (spec.kernel_extent,) * 3)
             out[hit] += grid.features[rows[hit]] @ spec.weights[i, j, k]
-    return SparseVoxelGrid(out_geom, out_coords, out, grid.meta)
+    return SparseVoxelGrid(out_geom, out_coords, out)
 
 
 @st.composite
@@ -290,6 +290,12 @@ class TestSparseConv:
         spec = SparseConvSpec(np.ones((3, 3, 3, 1, 1)), np.zeros(1))
         out = sparse_conv(grid, spec)
         np.testing.assert_allclose(out.features[:, 0], [5.0, 5.0])
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_output_meta_starts_empty(self, rng, stride):
+        grid = random_grid(rng, geom16(), channels=4)
+        grid.meta.update(points_total=9, points_dropped=2)
+        assert sparse_conv(grid, SparseConvSpec.identity(4), stride=stride).meta == {}
 
     def test_channel_mismatch(self, rng):
         grid = random_grid(rng, geom16(), channels=3)

@@ -156,7 +156,7 @@ def _reference_outputs(res, config):
     w[:OUT_CHANNELS] += np.eye(OUT_CHANNELS)
     parent_vecs = o4[parents[:, 0], parents[:, 1], parents[:, 2]][parent_rows]
     probs1 = _split_probs(np.hstack([parent_vecs, offsets]) @ w)
-    dims1 = res.geometry.dims
+    dims1 = res.o1.geometry.dims
     keep = (children < np.asarray(dims1)).all(axis=1)
     return o4, _dense_reference(dims1, children[keep], probs1[keep])
 
@@ -207,6 +207,19 @@ class TestRowReadout:
         labels = replace(result, o1=o1).labels_scale1()
         assert labels.shape == scene.geometry.dims
         assert not labels.any()
+
+
+class TestStageCounters:
+    """A grid's meta holds the counters of the stage that built it, none copied downstream."""
+
+    def test_each_counter_has_one_grid(self):
+        res = forward_scene(_demo_scene(), PipelineConfig())
+        assert set(res.pyramid[1].meta) == {"points_total", "points_dropped"}
+        assert all(res.pyramid[s].meta == {} for s in (2, 4, 8, 16))
+        assert set(res.fused.meta) == {"miss_count", "hit_counts"}
+        assert res.counts["select"] > 0
+        assert set(res.refined.meta) == {"dropped_refined"}
+        assert res.o4.meta == {} and res.o1.meta == {}
 
 
 class TestRefineStages:
