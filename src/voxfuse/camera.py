@@ -34,6 +34,8 @@ class CameraModel:
             raise ShapeError(f"intrinsics must be 3x3, got {k.shape}")
         if e.shape != (4, 4):
             raise ShapeError(f"extrinsics must be 4x4, got {e.shape}")
+        if not (np.isfinite(k).all() and np.isfinite(e).all()):
+            raise ValueError("intrinsics and extrinsics must be finite")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
             raise ValueError("focal lengths must be positive")
         r = e[:3, :3]
@@ -250,6 +252,8 @@ def read_kitti_calib(path) -> CameraModel:
     for key in ("P2", "Tr"):
         if key not in entries or entries[key].size != 12:
             raise ParseError(f"{path}: missing or malformed {key} row")
+        if not np.isfinite(entries[key]).all():
+            raise ParseError(f"{path}: {key} row holds a non-finite value")
     p2 = entries["P2"].reshape(3, 4)
     tr = entries["Tr"].reshape(3, 4)
     k = p2[:, :3]

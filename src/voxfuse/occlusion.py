@@ -273,6 +273,9 @@ def label_camera(rig: list[CameraModel], semantics: np.ndarray, geom: GridGeomet
     One ray per sampled pixel: the first occupied voxel it reaches becomes
     non-occluded, occupied voxels behind it become occluded. Voxels outside
     every frustum stay empty, so an empty rig labels every voxel empty.
+    The rays' cells do not depend on ``semantics``: they are walked once per
+    rig, grid and stride (see :func:`_camera_rows`), and each call only
+    gathers its occupancy along them.
     """
     semantics = _check_semantics(semantics, geom)
     if pixel_stride < 1:
@@ -289,19 +292,50 @@ def label_camera(rig: list[CameraModel], semantics: np.ndarray, geom: GridGeomet
         reach = float(np.linalg.norm(corners - center, axis=1).max()) + geom.cell_size
         origins.append(np.broadcast_to(center, direction.shape))
         targets.append(center + direction * reach)
-    origins = np.concatenate(origins)
-    occupied = semantics.reshape(-1) > 0
-    prio = np.zeros(occupied.shape[0], dtype=np.uint8)
-    struck = np.zeros(origins.shape[0], dtype=bool)
-    for ids, cells, _ in _walk(origins, np.concatenate(targets), geom):
-        hit = occupied[cells]
-        ids, cells = ids[hit], cells[hit]
-        first = ~struck[ids]
-        prio[cells[first]] = 2
-        rest = cells[~first]
-        prio[rest] = np.maximum(prio[rest], 1)
-        struck[ids] = True
+    cells, starts = _camera_rows(np.concatenate(origins), np.concatenate(targets), geom)
+    hit = np.flatnonzero(semantics.reshape(-1)[cells] > 0)
+    # rows are ray-major, so a ray's first hit is the first hit row past its start
+    ray = np.searchsorted(starts, hit, side="right")
+    first = np.diff(ray, prepend=-1) != 0
+    prio = np.zeros(semantics.size, dtype=np.uint8)
+    prio[cells[hit]] = 1
+    prio[cells[hit[first]]] = 2
     return _labels_from_priority(prio, geom)
+
+
+# the last camera ray table: walk inputs (origins, targets, geom), then (cells, starts)
+_camera_memo = None
+
+
+def _camera_rows(origins: np.ndarray, targets: np.ndarray, geom: GridGeometry):
+    """Cells the camera rays cross, as a read-only ray-major table.
+
+    Returns ``(cells, starts)``: ray r's cells in walk order are
+    ``cells[starts[r]:starts[r + 1]]`` (the last ray runs to the end), as
+    flat C-order indices into ``geom.dims``. The cells depend only on the
+    rays and the grid, not on a frame's semantics, so the table of the last
+    call is kept and reused while ``origins``, ``targets`` and ``geom`` are
+    exactly equal to that call's; any other input replaces it.
+    """
+    global _camera_memo
+    memo = _camera_memo
+    if (memo is not None and memo[2] == geom and np.array_equal(memo[0], origins)
+            and np.array_equal(memo[1], targets)):
+        return memo[3]
+    dtype = np.int32 if math.prod(geom.dims) <= np.iinfo(np.int32).max else np.int64
+    ids, cells = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=dtype)]
+    for step_ids, step_cells, _ in _walk(origins, targets, geom):
+        ids.append(step_ids.astype(np.int32))
+        cells.append(step_cells.astype(dtype))
+    ids = np.concatenate(ids)
+    # each step holds one row per live ray, so a stable sort keeps every ray's rows in step order
+    order = np.argsort(ids, kind="stable")
+    cells = np.concatenate(cells)[order]
+    starts = np.searchsorted(ids[order], np.arange(origins.shape[0]))
+    for a in (origins, targets, cells, starts):
+        a.flags.writeable = False
+    _camera_memo = (origins, targets, geom, (cells, starts))
+    return cells, starts
 
 
 def combine(lidar: int, cam: int) -> int:

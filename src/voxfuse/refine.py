@@ -155,7 +155,9 @@ def fuse_refined(ff1: SparseVoxelGrid, fs2: SparseVoxelGrid, fm4: SparseVoxelGri
     if fm4.scale != 4 or fs2.scale != 2 or ff1.scale != 1:
         raise ShapeError(f"expected scales 1/2/4, got {ff1.scale}/{fs2.scale}/{fm4.scale}")
     if len(ff1) == 0 and len(fs2) == 0:
-        return fm4.with_features(fm4.features)
+        merged = fm4.with_features(fm4.features)
+        merged.meta["dropped_refined"] = 0
+        return merged
     if len(ff1):
         mid = _aligned_sum(sparse_conv(ff1, sconv1, stride=2), fs2)
     else:

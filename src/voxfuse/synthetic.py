@@ -254,7 +254,7 @@ def scene_from_dict(data: dict) -> SyntheticScene:
         return SyntheticScene(geometry=geom, boxes=boxes,
                               sensor_origin=tuple(data["sensor_origin"]),
                               seed=int(data.get("seed", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise ParseError(f"bad scene spec: {exc}") from None
 
 

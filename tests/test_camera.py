@@ -48,6 +48,17 @@ class TestCameraModel:
         with pytest.raises(ValueError):
             simple_cam(fx=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # a NaN focal length passes a "<= 0" test, and a NaN translation leaves the rotation valid
+        for build in (lambda: simple_cam(fx=bad), lambda: simple_cam(cy=bad)):
+            with pytest.raises(ValueError, match="finite"):
+                build()
+        e = np.eye(4)
+        e[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            simple_cam(extrinsics=e)
+
     def test_lookat_points_axis_at_target(self):
         cam = CameraModel.from_lookat((0, 0, 0), (5, 0, 0), 100, 100, 32, 32, (64, 64))
         hit = project(cam, (5, 0, 0))

@@ -8,6 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
+from voxfuse import occlusion
 from voxfuse.cli import BENCH_HEADER, main
 from voxfuse.grid import GridGeometry
 from voxfuse.occlusion import OcclusionLabel, read_volume, write_volume
@@ -294,6 +295,45 @@ class TestLabelGenKitti:
         assert vol[50, 128, 10] == OcclusionLabel.NON_OCCLUDED
         assert vol[60, 128, 10] == OcclusionLabel.EMPTY
 
+    def test_sequence_frames_equal_frames_labelled_alone(self, tmp_path, capsys, monkeypatch):
+        # three frames share one calib.txt, so the camera rays are walked for the
+        # first frame only; every frame must still equal a run on that frame alone
+        seq = make_kitti_sequence(tmp_path / "all")
+        rng = np.random.default_rng(3)
+        for k in range(3):
+            sem = (rng.uniform(size=KITTI_DIMS) < 0.01) * rng.integers(1, 20, size=KITTI_DIMS)
+            sem.astype("<u2").tofile(seq / "voxels" / f"{k:06d}.label")
+            pts = rng.uniform([1.0, -10.0, -1.0, 0.0], [40.0, 10.0, 2.0, 1.0], size=(200, 4))
+            pts.astype("<f4").tofile(seq / "velodyne" / f"{k:06d}.bin")
+        walks = []
+        walk = occlusion._walk
+
+        def counting_walk(*args, **kwargs):
+            walks.append(1)
+            return walk(*args, **kwargs)
+        monkeypatch.setattr(occlusion, "_walk", counting_walk)
+        monkeypatch.setattr(occlusion, "_camera_memo", None)
+        out = tmp_path / "labels"
+        assert main(["label-gen", "--dataset", "semantickitti", "--sequence", str(seq),
+                     "--out", str(out), "--stride", "16"]) == 0
+        # one LiDAR walk per frame, one camera walk for the sequence
+        assert len(walks) == 4
+        for k in range(3):
+            stem = f"{k:06d}"
+            alone = tmp_path / f"alone{k}" / "sequences" / "00"
+            (alone / "voxels").mkdir(parents=True)
+            (alone / "velodyne").mkdir()
+            shutil.copy(seq / "calib.txt", alone / "calib.txt")
+            shutil.copy(seq / "velodyne" / f"{stem}.bin", alone / "velodyne")
+            for f in (seq / "voxels").glob(f"{stem}.*"):
+                shutil.copy(f, alone / "voxels")
+            monkeypatch.setattr(occlusion, "_camera_memo", None)
+            assert main(["label-gen", "--dataset", "semantickitti", "--sequence", str(alone),
+                         "--out", str(tmp_path / f"out{k}"), "--stride", "16"]) == 0
+            want = (tmp_path / f"out{k}" / f"{stem}.occ.u8").read_bytes()
+            assert (out / f"{stem}.occ.u8").read_bytes() == want
+        capsys.readouterr()
+
     def test_env_var_resolves_relative_sequence(self, tmp_path, capsys, monkeypatch):
         make_kitti_sequence(tmp_path)
         monkeypatch.setenv("VOXFUSE_DATA_ROOT", str(tmp_path))
@@ -518,6 +558,17 @@ ERROR_CASES = {
     "label-gen-singular-p2": (_bad_calib_args("P2", "0 0 641 0 0 0 193 0 0 0 1 0"), 3,
                               "calib.txt"),
     "label-gen-scaled-tr": (_bad_calib_args("Tr", "2 0 0 0 0 2 0 0 0 0 2 0"), 3, "calib.txt"),
+    "label-gen-nan-fx": (_bad_calib_args("P2", "nan 0 641 0 0 100 193 0 0 0 1 0"), 3,
+                         "P2 row holds a non-finite value"),
+    "label-gen-inf-tr-translation": (_bad_calib_args("Tr", "0 -1 0 0 0 0 -1 inf 1 0 0 0"), 3,
+                                     "Tr row holds a non-finite value"),
+    "forward-two-value-box-corner": (_demo_scene_with("boxes", 0, {"lo": [1, 1], "hi": [2, 2, 2],
+                                                                   "class_id": 1}), 3,
+                                     "bad scene spec: box corners must be 3-vectors"),
+    "label-gen-two-value-box-corner": (_demo_scene_with("boxes", 0, {"lo": [1, 1, 1], "hi": [2, 2],
+                                                                     "class_id": 1},
+                                                        command="label-gen"), 3,
+                                       "bad scene spec: box corners must be 3-vectors"),
     "forward-out-is-file": (_taken_out_args(lambda p: ["forward", "--scene", "demo"]), 1,
                             "File exists"),
     "label-gen-out-is-file": (_taken_out_args(

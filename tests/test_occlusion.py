@@ -352,6 +352,102 @@ class TestLabelsMatchPerRayLoops:
         np.testing.assert_array_equal(got, loop_label_camera(rig, sem, geom, stride))
 
 
+# two grids mirrored about the camera's x: the same corner distances give the
+# same ray reach, so both grids send bit-equal origins and targets to the walk
+GEOM_MIRROR_A = GridGeometry((0.0, 0.0, 0.0), 0.25, (16, 16, 16))
+GEOM_MIRROR_B = GridGeometry((-2.0, 0.0, 0.0), 0.25, (16, 16, 16))
+MIRROR_EYE = np.array([1.0, 2.0, 2.0])
+
+
+class TestCameraRayTable:
+    """label_camera walks a rig's rays once and reuses the table while the walk's inputs are equal."""
+
+    @pytest.fixture(autouse=True)
+    def no_table(self, monkeypatch):
+        monkeypatch.setattr(occlusion, "_camera_memo", None)
+
+    def spy_rows(self, monkeypatch):
+        """Record the (origins, targets, geom) each label_camera call hands to the table."""
+        calls = []
+        rows = occlusion._camera_rows
+
+        def spy(origins, targets, geom):
+            calls.append((origins.copy(), targets.copy(), geom))
+            return rows(origins, targets, geom)
+        monkeypatch.setattr(occlusion, "_camera_rows", spy)
+        return calls
+
+    def test_one_rig_many_volumes(self):
+        _, _, rig = random_labelling_scene(GEOM16, 0)
+        for seed in (1, 2, 3):
+            sem, _, _ = random_labelling_scene(GEOM16, seed)
+            got = label_camera(rig, sem, GEOM16, pixel_stride=2)
+            np.testing.assert_array_equal(got, loop_label_camera(rig, sem, GEOM16, 2))
+
+    def test_walks_once_per_rig(self, monkeypatch):
+        walks = []
+        walk = occlusion._walk
+
+        def counting_walk(*args, **kwargs):
+            walks.append(1)
+            return walk(*args, **kwargs)
+        monkeypatch.setattr(occlusion, "_walk", counting_walk)
+        _, _, rig = random_labelling_scene(GEOM16, 0)
+        for seed in range(5):
+            sem, _, _ = random_labelling_scene(GEOM16, seed)
+            label_camera(rig, sem, GEOM16, pixel_stride=2)
+        assert len(walks) == 1
+
+    def test_grid_with_shifted_origin(self, monkeypatch):
+        calls = self.spy_rows(monkeypatch)
+        rig = [CameraModel.from_lookat(MIRROR_EYE, MIRROR_EYE + [1.0, 0.0, 0.0],
+                                       8.0, 8.0, 7.5, 5.5, (16, 12))]
+        sem, _, _ = random_labelling_scene(GEOM_MIRROR_A, 0)
+        label_camera(rig, sem, GEOM_MIRROR_A, pixel_stride=1)
+        got = label_camera(rig, sem, GEOM_MIRROR_B, pixel_stride=1)
+        # only the geometry tells the two calls apart
+        assert np.array_equal(calls[0][0], calls[1][0])
+        assert np.array_equal(calls[0][1], calls[1][1])
+        np.testing.assert_array_equal(got, loop_label_camera(rig, sem, GEOM_MIRROR_B, 1))
+
+    def test_another_stride(self):
+        sem, _, rig = random_labelling_scene(GEOM16, 0)
+        label_camera(rig, sem, GEOM16, pixel_stride=2)
+        got = label_camera(rig, sem, GEOM16, pixel_stride=3)
+        np.testing.assert_array_equal(got, loop_label_camera(rig, sem, GEOM16, 3))
+
+    def test_another_rig(self):
+        sem, _, rig = random_labelling_scene(GEOM16, 0)
+        _, _, other = random_labelling_scene(GEOM16, 1)
+        label_camera(rig, sem, GEOM16, pixel_stride=2)
+        got = label_camera(other, sem, GEOM16, pixel_stride=2)
+        np.testing.assert_array_equal(got, loop_label_camera(other, sem, GEOM16, 2))
+
+    def test_camera_edited_in_place(self):
+        sem, _, rig = random_labelling_scene(GEOM16, 0)
+        before = label_camera(rig, sem, GEOM16, pixel_stride=2)
+        rig[1].extrinsics[:3, 3] += [0.3, -0.2, 0.1]
+        got = label_camera(rig, sem, GEOM16, pixel_stride=2)
+        expect = loop_label_camera(rig, sem, GEOM16, 2)
+        assert not np.array_equal(expect, before)
+        np.testing.assert_array_equal(got, expect)
+
+    def test_table_is_read_only_and_ray_major(self):
+        _, _, rig = random_labelling_scene(GEOM_ODD, 0)
+        label_camera(rig, np.zeros(GEOM_ODD.dims, dtype=np.uint8), GEOM_ODD, pixel_stride=3)
+        origins, targets, geom, (cells, starts) = occlusion._camera_memo
+        assert geom == GEOM_ODD and cells.dtype == np.int32 and cells.size
+        for a in (origins, targets, cells, starts):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            cells[0] = 0
+        ends = np.append(starts[1:], cells.size)
+        for o, t, lo, hi in zip(origins, targets, starts, ends):
+            coords, _ = _traverse_arrays(o, t, GEOM_ODD)
+            flat = np.ravel_multi_index(tuple(coords.T), GEOM_ODD.dims) if coords.size else []
+            np.testing.assert_array_equal(cells[lo:hi], flat)
+
+
 class TestLabelLidar:
     def test_single_point_nothing_behind(self):
         sem = np.zeros(GEOM16.dims, dtype=np.uint16)

@@ -221,6 +221,18 @@ class TestStageCounters:
         assert set(res.refined.meta) == {"dropped_refined"}
         assert res.o4.meta == {} and res.o1.meta == {}
 
+    @pytest.mark.parametrize("tau", [None, 1.01], ids=["refined", "nothing-refined"])
+    def test_refined_grid_always_counts_dropped_rows(self, tau):
+        # above 1 no parent passes either threshold, so both refinement sets are empty
+        config = PipelineConfig() if tau is None else PipelineConfig(tau1=tau, tau2=tau)
+        res = forward_scene(random_scene(7), config)
+        assert (res.counts["select"] == 0) == (tau is not None)
+        assert set(res.refined.meta) == {"dropped_refined"}
+        if tau is not None:
+            assert res.refined.meta["dropped_refined"] == 0
+            np.testing.assert_array_equal(res.refined.coords, res.fused.coords)
+            np.testing.assert_array_equal(res.refined.features, res.fused.features)
+
 
 class TestRefineStages:
     def test_reproduces_forward_on_demo_scene(self):

@@ -315,6 +315,7 @@ class TestFuseRefined:
         out = fuse_refined(empty1, empty2, fm4, s1, s2)
         assert np.array_equal(out.features, fm4.features)
         np.testing.assert_array_equal(out.coords, fm4.coords)
+        assert out.meta == {"dropped_refined": 0}
 
     def test_zero_weights_identity(self, rng):
         ff1, fs2, fm4, _, _ = self.make_inputs(rng, np.array([[1, 1, 1], [2, 2, 2]]))
