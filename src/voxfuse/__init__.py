@@ -4,8 +4,6 @@ from .camera import (
     NEAR_PLANE,
     CameraModel,
     FeatureMap2D,
-    back_project,
-    project,
     project_points,
     read_kitti_calib,
     sample_array,
@@ -29,9 +27,7 @@ from .grid import (
     VALID_SCALES,
     GridGeometry,
     SparseVoxelGrid,
-    VoxelIndex,
     align_coords,
-    align_scale,
     centers_for,
     pack_keys,
     subdivide_coords,
@@ -67,7 +63,6 @@ from .occlusion import (
     OcclusionVolume,
     assemble_output,
     build_volume,
-    combine,
     combine_volumes,
     decoder_input_set,
     label_camera,
@@ -85,8 +80,6 @@ from .refine import (
     fuse_refined,
     gather_fine,
     gather_semi_fine,
-    importance_from_scores,
-    occupied_fraction,
     seeded_projection,
     select_sets,
     sigmoid,
@@ -99,7 +92,6 @@ from .synthetic import (
     load_scene,
     random_scene,
     ring_rig,
-    save_scene,
     scene_from_dict,
 )
 

@@ -130,34 +130,6 @@ def camera_mean(rig: list[CameraModel], points: np.ndarray, channels: int, per_c
     return mean, n_hit
 
 
-def project(cam: CameraModel, p_world) -> tuple[float, float, float] | None:
-    """Project one world point; None when behind the near plane or off-image."""
-    uv, depth, hit = project_points(cam, np.asarray(p_world).reshape(1, 3))
-    if not hit[0]:
-        return None
-    return float(uv[0, 0]), float(uv[0, 1]), float(depth[0])
-
-
-def back_project(cam: CameraModel, u: float, v: float, depth: float) -> np.ndarray:
-    """Pixel plus depth back to a world point (inverse of :func:`project`)."""
-    ray = np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0])
-    p_cam = ray * depth
-    r = cam.extrinsics[:3, :3]
-    return r.T @ (p_cam - cam.extrinsics[:3, 3])
-
-
-def roundtrip_check(cam: CameraModel, p_world) -> float:
-    """Pixel residual after project -> back_project -> project. Requires a hit."""
-    first = project(cam, p_world)
-    if first is None:
-        raise ValueError("point does not project into the camera")
-    u, v, depth = first
-    again = project(cam, back_project(cam, u, v, depth))
-    if again is None:
-        return float("inf")
-    return float(np.hypot(again[0] - u, again[1] - v))
-
-
 @dataclass
 class FeatureMap2D:
     """Per-camera 2D feature arrays (H, W, C); all cameras share C."""
@@ -191,15 +163,6 @@ class FeatureMap2D:
         for cam in rig:
             w, h = cam.image_size
             maps.append(rng.normal(size=(h, w, channels)))
-        return cls(maps)
-
-    @classmethod
-    def constant(cls, rig: list[CameraModel], value: np.ndarray) -> FeatureMap2D:
-        value = np.asarray(value, dtype=np.float64).reshape(-1)
-        maps = []
-        for cam in rig:
-            w, h = cam.image_size
-            maps.append(np.broadcast_to(value, (h, w, value.shape[0])).copy())
         return cls(maps)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .grid import GridGeometry
@@ -100,9 +100,6 @@ class PipelineConfig:
     def seed_for(self, name: str) -> int:
         return split_seed(self.root_seed, name)
 
-    def with_overrides(self, **kwargs) -> "PipelineConfig":
-        return replace(self, **kwargs)
-
     def dumps(self) -> str:
         cp = configparser.ConfigParser(interpolation=None)
         cp.optionxform = str
@@ -111,10 +108,6 @@ class PipelineConfig:
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
-
-    def save(self, path: str):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
 
     @classmethod
     def loads(cls, text: str) -> "PipelineConfig":

@@ -97,14 +97,6 @@ class DeformableAttnParams:
             om = rng.normal(0.0, 0.1, size=(query_channels, n_ref * 2))
         return cls(offsets, logits, vp, op, om)
 
-    @classmethod
-    def identity(cls, channels: int, n_ref: int = 4, offsets=None,
-                 logits=None) -> DeformableAttnParams:
-        """Identity value/output maps; zero offsets and uniform weights by default."""
-        off = np.zeros((n_ref, 2)) if offsets is None else np.asarray(offsets, dtype=np.float64)
-        lg = np.zeros(off.shape[0]) if logits is None else np.asarray(logits, dtype=np.float64)
-        return cls(off, lg, np.eye(channels), np.eye(channels))
-
 
 @dataclass
 class QuerySet:

@@ -26,6 +26,13 @@ _PRESETS = {
 }
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an int; a bool, or a number with a fractional part, is rejected."""
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridGeometry:
     """Axis-aligned voxel lattice: world origin, base cell edge, base extent, scale."""
@@ -37,7 +44,8 @@ class GridGeometry:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
-        object.__setattr__(self, "dims_scale1", tuple(int(v) for v in self.dims_scale1))
+        object.__setattr__(self, "dims_scale1",
+                           tuple(as_int(v, "dims_scale1") for v in self.dims_scale1))
         if len(self.origin) != 3:
             raise ValueError(f"origin needs 3 values, got {self.origin}")
         if not all(math.isfinite(v) for v in self.origin):
@@ -97,38 +105,13 @@ class GridGeometry:
         return np.logical_and(c >= 0, c < dims).all(axis=1)
 
 
-@dataclass(frozen=True, order=True)
-class VoxelIndex:
-    """A single cell: non-negative lattice coordinates plus the scale they live at."""
-
-    x: int
-    y: int
-    z: int
-    scale: int = 1
-
-
-def align_scale(idx: VoxelIndex, target_scale: int) -> VoxelIndex:
-    """Re-express an index at another scale.
+def align_coords(coords: np.ndarray, from_scale: int, to_scale: int) -> np.ndarray:
+    """Re-express (N, 3) integer coords at another scale.
 
     Coarser->finer multiplies coordinates by the scale ratio (anchor corner);
-    finer->coarser integer-divides, which drops sub-cell phase and is lossy by
+    finer->coarser floor-divides, which drops sub-cell phase and is lossy by
     construction. Scales must be related by an integer factor.
     """
-    if target_scale < 1:
-        raise InvalidScale(f"target scale must be >= 1, got {target_scale}")
-    if idx.scale == target_scale:
-        return idx
-    if idx.scale % target_scale == 0:
-        f = idx.scale // target_scale
-        return VoxelIndex(idx.x * f, idx.y * f, idx.z * f, target_scale)
-    if target_scale % idx.scale == 0:
-        f = target_scale // idx.scale
-        return VoxelIndex(idx.x // f, idx.y // f, idx.z // f, target_scale)
-    raise InvalidScale(f"scales {idx.scale} and {target_scale} are not related by an integer factor")
-
-
-def align_coords(coords: np.ndarray, from_scale: int, to_scale: int) -> np.ndarray:
-    """Array version of :func:`align_scale` for (N, 3) integer coords."""
     c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     if from_scale == to_scale:
         return c.copy()
@@ -277,16 +260,6 @@ class SparseVoxelGrid:
     def centers(self) -> np.ndarray:
         """World-space centers of all cells, row-aligned with features."""
         return centers_for(self.coords, self.scale, self.geometry)
-
-    def to_dense(self, fill=0.0) -> np.ndarray:
-        """Dense (X, Y, Z, C) array at this scale. Intended for small grids.
-
-        ``fill`` is a scalar or a C-vector broadcast to every absent cell.
-        """
-        out = np.full(self.shape, fill, dtype=np.float64)
-        if len(self):
-            out[self.coords[:, 0], self.coords[:, 1], self.coords[:, 2]] = self.features
-        return out
 
     def __repr__(self) -> str:
         return (f"SparseVoxelGrid(scale={self.scale}, n={len(self)}, "

@@ -161,13 +161,6 @@ class SparseConvSpec:
                        size=(kernel_extent,) * 3 + (in_channels, out_channels))
         return cls(w, np.zeros(out_channels), mode)
 
-    @classmethod
-    def identity(cls, channels: int) -> SparseConvSpec:
-        """Submanifold 3x3x3 kernel: center tap = identity matrix, all other taps zero."""
-        w = np.zeros((3, 3, 3, channels, channels))
-        w[1, 1, 1] = np.eye(channels)
-        return cls(w, np.zeros(channels))
-
 
 def _kernel_map(grid: SparseVoxelGrid, anchors: np.ndarray, extent: int) -> np.ndarray:
     """(extent^3, anchors) table of the grid row at ``anchor + offset``.

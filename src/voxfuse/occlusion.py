@@ -50,87 +50,16 @@ def _length(d):
     return np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2])
 
 
-def _traverse_arrays(origin, target, geom: GridGeometry, margin: float = 0.0):
-    """Cells crossed by the segment origin->target (+margin), with entry parameters.
-
-    Returns (coords (M, 3) int64, t_entry (M,) float64) ordered by distance.
-    Cells the segment touches with zero length are not reported.
-    """
-    o = np.asarray(origin, dtype=np.float64).reshape(3)
-    d = np.asarray(target, dtype=np.float64).reshape(3) - o
-    seg = float(_length(d))
-    lo = geom.origin_array
-    h = geom.cell_size
-    dims = geom.dims
-    if seg < _EPS:
-        idx = np.floor((o - lo) / h).astype(np.int64)
-        if (idx >= 0).all() and (idx < np.asarray(dims)).all():
-            return idx.reshape(1, 3), np.zeros(1)
-        return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
-    dirn = d / seg
-    t1 = seg + margin
-    t0 = 0.0
-    for i in range(3):
-        if abs(dirn[i]) < 1e-15:
-            if o[i] < lo[i] or o[i] >= lo[i] + dims[i] * h:
-                return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
-        else:
-            ta = (lo[i] - o[i]) / dirn[i]
-            tb = (lo[i] + dims[i] * h - o[i]) / dirn[i]
-            if ta > tb:
-                ta, tb = tb, ta
-            if ta > t0:
-                t0 = ta
-            if tb < t1:
-                t1 = tb
-    if t1 - t0 <= _EPS:
-        return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
-
-    p = o + dirn * t0
-    cell = [min(dims[i] - 1, max(0, int(math.floor((p[i] - lo[i]) / h)))) for i in range(3)]
-    step = [0, 0, 0]
-    t_max = [math.inf, math.inf, math.inf]
-    t_delta = [math.inf, math.inf, math.inf]
-    # a subnormal direction component overflows these to inf, which is exact
-    with np.errstate(over="ignore", divide="ignore"):
-        for i in range(3):
-            if dirn[i] > 0:
-                step[i] = 1
-                t_max[i] = (lo[i] + (cell[i] + 1) * h - o[i]) / dirn[i]
-                t_delta[i] = h / dirn[i]
-            elif dirn[i] < 0:
-                step[i] = -1
-                t_max[i] = (lo[i] + cell[i] * h - o[i]) / dirn[i]
-                t_delta[i] = -h / dirn[i]
-
-    coords = []
-    entries = []
-    t_cur = t0
-    while True:
-        coords.append((cell[0], cell[1], cell[2]))
-        entries.append(t_cur)
-        axis = 0
-        if t_max[1] < t_max[axis]:
-            axis = 1
-        if t_max[2] < t_max[axis]:
-            axis = 2
-        t_cur = t_max[axis]
-        if t1 - t_cur <= _EPS:
-            break
-        cell[axis] += step[axis]
-        if cell[axis] < 0 or cell[axis] >= dims[axis]:
-            break
-        t_max[axis] += t_delta[axis]
-    return np.array(coords, dtype=np.int64), np.array(entries)
-
-
 def _walk(origins, targets, geom: GridGeometry, margin: float = 0.0):
-    """:func:`_traverse_arrays` on many segments at once, all rays in lockstep.
+    """A grid walk of many segments at once, all rays in lockstep.
 
     Yields one ``(ray_ids, flat_cells, t_entry)`` triple per step: step k
     holds row k of every ray that has one, with cells as flat C-order indices
-    into ``geom.dims``. The arithmetic is the scalar walk's, operation for
-    operation, so each ray's rows equal its scalar rows bit for bit.
+    into ``geom.dims``, and ``t_entry`` the distance along the ray at which
+    the cell is entered. A ray runs from its origin to ``margin`` past its
+    target. The arithmetic is that of the one-ray walk ``traverse_arrays``
+    in ``tests/oracles.py``, operation for operation, so each ray's rows
+    equal that walk's rows bit for bit.
 
     Compaction is lazy: a finished ray stays in the state arrays behind an
     ``alive`` mask and keeps stepping on values nothing reads, and the state
@@ -252,7 +181,8 @@ def label_lidar(pc: PointCloud, semantics: np.ndarray, geom: GridGeometry) -> np
 def _pixel_rays(cam: CameraModel, pixel_stride: int):
     """Camera center and unit ray direction per sampled pixel.
 
-    Same arithmetic as :func:`back_project` at depth 1 for each pixel.
+    Same arithmetic as the pixel-to-world ``back_project`` in
+    ``tests/oracles.py`` at depth 1 for each pixel.
     """
     r = cam.extrinsics[:3, :3]
     t = cam.extrinsics[:3, 3]
@@ -338,22 +268,11 @@ def _camera_rows(origins: np.ndarray, targets: np.ndarray, geom: GridGeometry):
     return cells, starts
 
 
-def combine(lidar: int, cam: int) -> int:
-    """Merge one voxel's two sensor labels.
+def combine_volumes(lidar: np.ndarray, cam: np.ndarray) -> np.ndarray:
+    """Merge two sensors' integer label arrays voxel by voxel, as uint8.
 
     Non-occluded if either sensor says so; occluded only when both agree;
-    empty whenever either sensor reports empty (and neither saw it directly).
-    """
-    if lidar == OcclusionLabel.NON_OCCLUDED or cam == OcclusionLabel.NON_OCCLUDED:
-        return OcclusionLabel.NON_OCCLUDED
-    if lidar == OcclusionLabel.OCCLUDED and cam == OcclusionLabel.OCCLUDED:
-        return OcclusionLabel.OCCLUDED
-    return OcclusionLabel.EMPTY
-
-
-def combine_volumes(lidar: np.ndarray, cam: np.ndarray) -> np.ndarray:
-    """Array form of :func:`combine` on integer label arrays, as uint8.
-
+    empty whenever either sensor reports empty and neither saw the voxel.
     Non-occluded (1) is the only label with bit 0 set and occluded (2) the
     only one with bit 1 set. ``(l | c) & 1`` is 1 when either sensor saw the
     voxel; ``l & c`` is non-zero only when both labels are equal, so it adds

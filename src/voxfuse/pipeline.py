@@ -4,8 +4,8 @@ Stages compose the library modules in fixed order — voxelize, pyramid,
 densify, camera fusion, importance-driven refinement, prediction head,
 fine decoder — with per-stage wall time and non-empty counts recorded.
 Both outputs are sparse grids of 21-channel probability rows. Every voxel
-not in a grid holds ``occlusion.BACKGROUND_ROW``, so ``to_dense(BACKGROUND_ROW)``
-is the dense view.
+not in a grid holds ``occlusion.BACKGROUND_ROW``, so the dense view is
+``dense_view(grid, BACKGROUND_ROW)`` from ``tests/oracles.py``.
 Learned weights are replaced by seeded deterministic stand-ins throughout,
 all split from one root seed.
 """

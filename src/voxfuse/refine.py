@@ -16,7 +16,7 @@ import numpy as np
 
 from .camera import CameraModel, FeatureMap2D, camera_mean, sample_array
 from .errors import ShapeError
-from .grid import SparseVoxelGrid, centers_for, group_coords, pack_keys, subdivide_coords
+from .grid import SparseVoxelGrid, centers_for, group_coords, subdivide_coords
 from .lidar import SparseConvSpec, sparse_conv
 
 
@@ -65,11 +65,6 @@ def estimate_importance(fm: SparseVoxelGrid, rie: SparseConvSpec) -> ImportanceM
         raise ValueError("importance conv must keep the input coordinate set (submanifold)")
     logits = sparse_conv(fm, rie).features[:, 0]
     return ImportanceMap(fm, sigmoid(logits))
-
-
-def importance_from_scores(fm: SparseVoxelGrid, scores: np.ndarray) -> ImportanceMap:
-    """Wrap externally computed scores (e.g. an oracle scorer) for set selection."""
-    return ImportanceMap(fm, scores)
 
 
 def select_sets(imp: ImportanceMap, tau1: float = 0.4, tau2: float = 0.7) -> RefinementSets:
@@ -171,25 +166,4 @@ def fuse_refined(ff1: SparseVoxelGrid, fs2: SparseVoxelGrid, fm4: SparseVoxelGri
     merged = fm4.with_features(feats)
     merged.meta["dropped_refined"] = int((~found).sum())
     return merged
-
-
-def occupied_fraction(parents: np.ndarray, occupied_scale1: np.ndarray) -> np.ndarray:
-    """Share of each scale-4 parent's 64 scale-1 children that are occupied.
-
-    ``occupied_scale1`` holds unique scale-1 coordinates; the result is the
-    oracle importance scorer used in place of the learned estimator.
-    """
-    parents = np.asarray(parents, dtype=np.int64).reshape(-1, 3)
-    occ = np.asarray(occupied_scale1, dtype=np.int64).reshape(-1, 3)
-    counts = np.zeros(parents.shape[0], dtype=np.int64)
-    if parents.size and occ.size:
-        pkeys = pack_keys(parents)
-        order = np.argsort(pkeys, kind="stable")
-        sorted_keys = pkeys[order]
-        okeys = pack_keys(occ // 4)
-        pos = np.searchsorted(sorted_keys, okeys)
-        pos_c = np.minimum(pos, sorted_keys.size - 1)
-        hit = sorted_keys[pos_c] == okeys
-        np.add.at(counts, order[pos_c[hit]], 1)
-    return counts / 64.0
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .camera import CameraModel, FeatureMap2D
 from .errors import EmptyInput, ParseError, ShapeError
-from .grid import GridGeometry
+from .grid import GridGeometry, as_int
 from .lidar import PointCloud
 from .occlusion import SEM_CHANNELS
 
@@ -36,12 +36,9 @@ class Box:
             raise ValueError(f"box corners must be finite, got lo={self.lo} hi={self.hi}")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ValueError(f"box must have positive extent, got lo={self.lo} hi={self.hi}")
+        object.__setattr__(self, "class_id", as_int(self.class_id, "class_id"))
         if not 1 <= self.class_id < SEM_CHANNELS:
             raise ValueError(f"class_id must lie in [1, {SEM_CHANNELS}), got {self.class_id}")
-
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=np.float64)
-        return bool((p > np.asarray(self.lo)).all() and (p < np.asarray(self.hi)).all())
 
 
 def _slab_hits(origin: np.ndarray, dirs: np.ndarray, box: Box):
@@ -226,34 +223,16 @@ def random_scene(seed: int, geometry: GridGeometry | None = None,
     return scene
 
 
-def save_scene(scene: SyntheticScene, path: str):
-    geom = scene.geometry
-    data = {
-        "seed": scene.seed,
-        "geometry": {
-            "origin": list(geom.origin),
-            "voxel_size": geom.voxel_size,
-            "dims": list(geom.dims_scale1),
-        },
-        "sensor_origin": list(scene.sensor_origin),
-        "boxes": [{"lo": list(b.lo), "hi": list(b.hi), "class_id": b.class_id}
-                  for b in scene.boxes],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-
-
 def scene_from_dict(data: dict) -> SyntheticScene:
     try:
         geom = GridGeometry(origin=tuple(data["geometry"]["origin"]),
                             voxel_size=float(data["geometry"]["voxel_size"]),
                             dims_scale1=tuple(data["geometry"]["dims"]), scale=1)
         boxes = tuple(Box(lo=tuple(b["lo"]), hi=tuple(b["hi"]),
-                          class_id=int(b["class_id"])) for b in data["boxes"])
+                          class_id=b["class_id"]) for b in data["boxes"])
         return SyntheticScene(geometry=geom, boxes=boxes,
                               sensor_origin=tuple(data["sensor_origin"]),
-                              seed=int(data.get("seed", 0)))
+                              seed=as_int(data.get("seed", 0), "seed"))
     except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise ParseError(f"bad scene spec: {exc}") from None
 

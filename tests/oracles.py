@@ -1,0 +1,225 @@
+"""Reference implementations and fixture builders that only tests use.
+
+The program never calls these. Tests compare the program's batched code
+against the scalar references here, or build inputs with the builders:
+
+- :func:`traverse_arrays` is the one-ray grid walk that ``occlusion._walk``
+  matches bit for bit, ray by ray, and :func:`slab_oracle` the brute-force
+  cell set and order that both walks must reproduce;
+- :func:`back_project` is the pixel-to-world inverse that
+  ``occlusion._pixel_rays`` matches at depth 1;
+- :func:`occupied_fraction` is the exact-occupancy importance scorer;
+- :func:`dense_view` is a sparse grid's dense array, every absent cell
+  holding ``fill``.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+
+from voxfuse.camera import CameraModel, FeatureMap2D
+from voxfuse.fusion import DeformableAttnParams
+from voxfuse.grid import GridGeometry, SparseVoxelGrid, pack_keys
+from voxfuse.lidar import SparseConvSpec
+from voxfuse.occlusion import _EPS, _length
+from voxfuse.synthetic import SyntheticScene
+
+
+def traverse_arrays(origin, target, geom: GridGeometry, margin: float = 0.0):
+    """Cells crossed by the segment origin->target (+margin), with entry parameters.
+
+    Returns (coords (M, 3) int64, t_entry (M,) float64) ordered by distance.
+    Cells the segment touches with zero length are not reported.
+    """
+    o = np.asarray(origin, dtype=np.float64).reshape(3)
+    d = np.asarray(target, dtype=np.float64).reshape(3) - o
+    seg = float(_length(d))
+    lo = geom.origin_array
+    h = geom.cell_size
+    dims = geom.dims
+    if seg < _EPS:
+        idx = np.floor((o - lo) / h).astype(np.int64)
+        if (idx >= 0).all() and (idx < np.asarray(dims)).all():
+            return idx.reshape(1, 3), np.zeros(1)
+        return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
+    dirn = d / seg
+    t1 = seg + margin
+    t0 = 0.0
+    for i in range(3):
+        if abs(dirn[i]) < 1e-15:
+            if o[i] < lo[i] or o[i] >= lo[i] + dims[i] * h:
+                return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
+        else:
+            ta = (lo[i] - o[i]) / dirn[i]
+            tb = (lo[i] + dims[i] * h - o[i]) / dirn[i]
+            if ta > tb:
+                ta, tb = tb, ta
+            if ta > t0:
+                t0 = ta
+            if tb < t1:
+                t1 = tb
+    if t1 - t0 <= _EPS:
+        return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
+
+    p = o + dirn * t0
+    cell = [min(dims[i] - 1, max(0, int(math.floor((p[i] - lo[i]) / h)))) for i in range(3)]
+    step = [0, 0, 0]
+    t_max = [math.inf, math.inf, math.inf]
+    t_delta = [math.inf, math.inf, math.inf]
+    # a subnormal direction component overflows these to inf, which is exact
+    with np.errstate(over="ignore", divide="ignore"):
+        for i in range(3):
+            if dirn[i] > 0:
+                step[i] = 1
+                t_max[i] = (lo[i] + (cell[i] + 1) * h - o[i]) / dirn[i]
+                t_delta[i] = h / dirn[i]
+            elif dirn[i] < 0:
+                step[i] = -1
+                t_max[i] = (lo[i] + cell[i] * h - o[i]) / dirn[i]
+                t_delta[i] = -h / dirn[i]
+
+    coords = []
+    entries = []
+    t_cur = t0
+    while True:
+        coords.append((cell[0], cell[1], cell[2]))
+        entries.append(t_cur)
+        axis = 0
+        if t_max[1] < t_max[axis]:
+            axis = 1
+        if t_max[2] < t_max[axis]:
+            axis = 2
+        t_cur = t_max[axis]
+        if t1 - t_cur <= _EPS:
+            break
+        cell[axis] += step[axis]
+        if cell[axis] < 0 or cell[axis] >= dims[axis]:
+            break
+        t_max[axis] += t_delta[axis]
+    return np.array(coords, dtype=np.int64), np.array(entries)
+
+
+def slab_oracle(origin, target, geom, margin=0.0):
+    """Cells of the segment origin->target (+margin), by a slab test of every cell
+    in its bounding box, ordered by entry distance; zero-length cells are dropped.
+    """
+    o = np.asarray(origin, dtype=np.float64)
+    d = np.asarray(target, dtype=np.float64) - o
+    seg = np.linalg.norm(d)
+    dirn = d / seg
+    t_end = seg + margin
+    end = o + dirn * t_end
+    lo = geom.origin_array
+    h = geom.cell_size
+    dims = np.asarray(geom.dims)
+    cmin = np.maximum(0, np.floor((np.minimum(o, end) - lo) / h).astype(int) - 1)
+    cmax = np.minimum(dims - 1, np.floor((np.maximum(o, end) - lo) / h).astype(int) + 1)
+    if (cmin > cmax).any():
+        return np.zeros((0, 3), dtype=np.int64)
+    grids = np.meshgrid(*(np.arange(cmin[i], cmax[i] + 1) for i in range(3)), indexing="ij")
+    cells = np.stack([g.reshape(-1) for g in grids], axis=1)
+    box_lo = lo + cells * h
+    box_hi = box_lo + h
+    t_in = np.zeros(cells.shape[0])
+    t_out = np.full(cells.shape[0], t_end)
+    for i in range(3):
+        if abs(dirn[i]) < 1e-15:
+            inside = (box_lo[:, i] <= o[i]) & (o[i] < box_hi[:, i])
+            t_out[~inside] = -np.inf
+        else:
+            ta = (box_lo[:, i] - o[i]) / dirn[i]
+            tb = (box_hi[:, i] - o[i]) / dirn[i]
+            lo_t, hi_t = np.minimum(ta, tb), np.maximum(ta, tb)
+            t_in = np.maximum(t_in, lo_t)
+            t_out = np.minimum(t_out, hi_t)
+    keep = t_out - t_in > 1e-12
+    cells = cells[keep]
+    order = np.argsort(t_in[keep], kind="stable")
+    return cells[order].astype(np.int64)
+
+
+def back_project(cam: CameraModel, u: float, v: float, depth: float) -> np.ndarray:
+    """Pixel plus depth back to a world point (inverse of ``project_points``)."""
+    ray = np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0])
+    p_cam = ray * depth
+    r = cam.extrinsics[:3, :3]
+    return r.T @ (p_cam - cam.extrinsics[:3, 3])
+
+
+def occupied_fraction(parents: np.ndarray, occupied_scale1: np.ndarray) -> np.ndarray:
+    """Share of each scale-4 parent's 64 scale-1 children that are occupied.
+
+    ``occupied_scale1`` holds unique scale-1 coordinates; the result is the
+    oracle importance scorer used in place of the learned estimator.
+    """
+    parents = np.asarray(parents, dtype=np.int64).reshape(-1, 3)
+    occ = np.asarray(occupied_scale1, dtype=np.int64).reshape(-1, 3)
+    counts = np.zeros(parents.shape[0], dtype=np.int64)
+    if parents.size and occ.size:
+        pkeys = pack_keys(parents)
+        order = np.argsort(pkeys, kind="stable")
+        sorted_keys = pkeys[order]
+        okeys = pack_keys(occ // 4)
+        pos = np.searchsorted(sorted_keys, okeys)
+        pos_c = np.minimum(pos, sorted_keys.size - 1)
+        hit = sorted_keys[pos_c] == okeys
+        np.add.at(counts, order[pos_c[hit]], 1)
+    return counts / 64.0
+
+
+def dense_view(grid: SparseVoxelGrid, fill=0.0) -> np.ndarray:
+    """Dense (X, Y, Z, C) array of ``grid``. Intended for small grids.
+
+    ``fill`` is a scalar or a C-vector broadcast to every absent cell.
+    """
+    out = np.full(grid.shape, fill, dtype=np.float64)
+    if len(grid):
+        out[grid.coords[:, 0], grid.coords[:, 1], grid.coords[:, 2]] = grid.features
+    return out
+
+
+def constant_maps(rig: list[CameraModel], value: np.ndarray) -> FeatureMap2D:
+    """Feature maps that hold ``value`` at every pixel of every camera."""
+    value = np.asarray(value, dtype=np.float64).reshape(-1)
+    maps = []
+    for cam in rig:
+        w, h = cam.image_size
+        maps.append(np.broadcast_to(value, (h, w, value.shape[0])).copy())
+    return FeatureMap2D(maps)
+
+
+def identity_attention(channels: int, n_ref: int = 4, offsets=None,
+                       logits=None) -> DeformableAttnParams:
+    """Identity value/output maps; zero offsets and uniform weights by default."""
+    off = np.zeros((n_ref, 2)) if offsets is None else np.asarray(offsets, dtype=np.float64)
+    lg = np.zeros(off.shape[0]) if logits is None else np.asarray(logits, dtype=np.float64)
+    return DeformableAttnParams(off, lg, np.eye(channels), np.eye(channels))
+
+
+def identity_conv(channels: int) -> SparseConvSpec:
+    """Submanifold 3x3x3 kernel: center tap = identity matrix, all other taps zero."""
+    w = np.zeros((3, 3, 3, channels, channels))
+    w[1, 1, 1] = np.eye(channels)
+    return SparseConvSpec(w, np.zeros(channels))
+
+
+def save_scene(scene: SyntheticScene, path: str):
+    """Write ``scene`` in the JSON form that ``synthetic.load_scene`` reads."""
+    geom = scene.geometry
+    data = {
+        "seed": scene.seed,
+        "geometry": {
+            "origin": list(geom.origin),
+            "voxel_size": geom.voxel_size,
+            "dims": list(geom.dims_scale1),
+        },
+        "sensor_origin": list(scene.sensor_origin),
+        "boxes": [{"lo": list(b.lo), "hi": list(b.hi), "class_id": b.class_id}
+                  for b in scene.boxes],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")

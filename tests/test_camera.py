@@ -5,14 +5,26 @@ from voxfuse.camera import (
     KITTI_IMAGE_SIZE,
     CameraModel,
     FeatureMap2D,
-    back_project,
-    project,
     project_points,
     read_kitti_calib,
-    roundtrip_check,
     sample_array,
 )
 from voxfuse.errors import ParseError, ShapeError
+
+from oracles import back_project
+
+
+def project(cam, p):
+    """``project_points`` on one point: (u, v, depth), or None on a miss."""
+    uv, depth, hit = project_points(cam, np.asarray(p, dtype=np.float64).reshape(1, 3))
+    return (float(uv[0, 0]), float(uv[0, 1]), float(depth[0])) if hit[0] else None
+
+
+def roundtrip_residual(cam, p):
+    """Pixel residual of ``p`` through project -> back_project -> project."""
+    u, v, depth = project(cam, p)
+    again = project(cam, back_project(cam, u, v, depth))
+    return float("inf") if again is None else float(np.hypot(again[0] - u, again[1] - v))
 
 
 def simple_cam(fx=100.0, fy=100.0, cx=50.0, cy=50.0, size=(101, 101), extrinsics=None):
@@ -163,7 +175,7 @@ class TestBilinear:
 
 class TestRoundtrip:
     def test_identity_axis_point(self):
-        assert roundtrip_check(simple_cam(), (0, 0, 5)) == pytest.approx(0.0, abs=1e-12)
+        assert roundtrip_residual(simple_cam(), (0, 0, 5)) == pytest.approx(0.0, abs=1e-12)
 
     def test_back_project_inverts(self, rng):
         cam = random_rig_camera(rng)
@@ -183,7 +195,7 @@ class TestRoundtrip:
             p = rng.uniform(-10, 10, size=3)
             if project(cam, p) is None:
                 continue
-            worst = max(worst, roundtrip_check(cam, p))
+            worst = max(worst, roundtrip_residual(cam, p))
             tried += 1
         assert worst < 1e-4
 

@@ -12,7 +12,9 @@ from voxfuse import occlusion
 from voxfuse.cli import BENCH_HEADER, main
 from voxfuse.grid import GridGeometry
 from voxfuse.occlusion import OcclusionLabel, read_volume, write_volume
-from voxfuse.synthetic import Box, SyntheticScene, save_scene
+from voxfuse.synthetic import Box, SyntheticScene
+
+from oracles import save_scene
 
 KITTI_DIMS = (256, 256, 32)
 
@@ -569,6 +571,19 @@ ERROR_CASES = {
                                                                      "class_id": 1},
                                                         command="label-gen"), 3,
                                        "bad scene spec: box corners must be 3-vectors"),
+    **{f"{command}-{case}": (_demo_scene_with(section, key, value, command=command), 3,
+                             f"parse error: bad scene spec: {needle}")
+       for command in ("forward", "label-gen")
+       for case, section, key, value, needle in (
+           ("fractional-dims", "geometry", "dims", [16.9, 16, 8],
+            "dims_scale1 must be an integer, got 16.9"),
+           ("fractional-class-id", "boxes", 0,
+            {"lo": [9.0, 3.0, 0.3], "hi": [9.8, 9.5, 2.5], "class_id": 3.7},
+            "class_id must be an integer, got 3.7"),
+           ("boolean-class-id", "boxes", 0,
+            {"lo": [9.0, 3.0, 0.3], "hi": [9.8, 9.5, 2.5], "class_id": True},
+            "class_id must be an integer, got True"),
+           ("fractional-seed", None, "seed", 1.5, "seed must be an integer, got 1.5"))},
     "forward-out-is-file": (_taken_out_args(lambda p: ["forward", "--scene", "demo"]), 1,
                             "File exists"),
     "label-gen-out-is-file": (_taken_out_args(

@@ -1,6 +1,7 @@
 """Configuration loading, validation, and seed-splitting tests."""
 
 import importlib.resources
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,9 +35,12 @@ class TestDefaults:
         assert geom.dims == (10, 20, 30)
 
     def test_with_overrides(self):
-        cfg = PipelineConfig().with_overrides(tau1=0.5)
+        cfg = replace(PipelineConfig(), tau1=0.5)
         assert cfg.tau1 == 0.5
         assert cfg.tau2 == 0.7
+        # a replaced field is validated like a constructed one
+        with pytest.raises(ConfigError, match="non-negative"):
+            replace(cfg, tau2=-0.1)
 
 
 class TestValidation:
@@ -93,7 +97,7 @@ class TestSerialization:
     def test_file_round_trip(self, tmp_path):
         cfg = PipelineConfig(tau1=0.45)
         path = tmp_path / "run.ini"
-        cfg.save(str(path))
+        path.write_text(cfg.dumps())
         assert PipelineConfig.load(str(path)) == cfg
 
     def test_unknown_section_rejected(self):

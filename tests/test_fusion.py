@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from voxfuse.camera import CameraModel, FeatureMap2D
+from voxfuse.camera import CameraModel, FeatureMap2D, project_points
 from voxfuse.errors import InvalidScale, ShapeError
 from voxfuse.fusion import DeformableAttnParams, QuerySet, fuse, guide_queries, softmax_rows
 from voxfuse.grid import GridGeometry, SparseVoxelGrid
+
+from oracles import constant_maps, identity_attention
 
 
 GEOM = GridGeometry((0.0, 0.0, 0.0), 0.2, (64, 64, 64), scale=4)
@@ -33,7 +35,7 @@ class TestParams:
         assert p.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_uniform_weights(self):
-        p = DeformableAttnParams.identity(4, n_ref=4)
+        p = identity_attention(4, n_ref=4)
         np.testing.assert_allclose(p.weights, 0.25)
 
     def test_shape_validation(self):
@@ -92,8 +94,8 @@ class TestFuse:
     def test_constant_field_invariance(self):
         rig = [forward_cam()]
         c = np.array([1.5, -2.0, 0.5])
-        maps = FeatureMap2D.constant(rig, c)
-        params = DeformableAttnParams.identity(3, n_ref=4, offsets=np.array(
+        maps = constant_maps(rig, c)
+        params = identity_attention(3, n_ref=4, offsets=np.array(
             [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
         qs = interior_queryset()
         out = fuse(qs, rig, maps, params)
@@ -126,8 +128,8 @@ class TestFuse:
         cam = rig[0]
         grid = grid4([[3, 3, 3]], np.zeros((1, 1)))
         qs = QuerySet(grid, np.zeros((1, 1)), np.zeros((1, 1)))
-        from voxfuse.camera import project
-        u, v, _ = project(cam, grid.centers()[0])
+        uv, _, _ = project_points(cam, grid.centers())
+        u, v = uv[0]
         img = np.zeros((16, 16, 1))
         # place values at the exact integer pixels the two offsets select
         base = np.array([np.floor(u), np.floor(v)])
@@ -135,7 +137,7 @@ class TestFuse:
         img[int(base[1]) + 1, int(base[0]) + 1, 0] = 3.0
         offsets = np.array([base - [u, v], base + 1.0 - [u, v]])
         logits = np.log([1.0, 3.0])  # softmax_rows -> (0.25, 0.75)
-        params = DeformableAttnParams.identity(1, n_ref=2, offsets=offsets, logits=logits)
+        params = identity_attention(1, n_ref=2, offsets=offsets, logits=logits)
         out = fuse(qs, rig, [img] and FeatureMap2D([img]), params)
         assert out.features[0, 0] == pytest.approx(0.25 * 1.0 + 0.75 * 3.0)
 
@@ -143,7 +145,7 @@ class TestFuse:
         rig = [forward_cam()]
         maps = FeatureMap2D.seeded(rig, 1, seed=4)
         qs = interior_queryset(channels=1)
-        params = DeformableAttnParams.identity(1, n_ref=4, offsets=rng.normal(0, 2, (4, 2)))
+        params = identity_attention(1, n_ref=4, offsets=rng.normal(0, 2, (4, 2)))
         out = fuse(qs, rig, maps, params)
         lo, hi = maps.maps[0].min(), maps.maps[0].max()
         # zero-padding can only pull toward 0, widen hull accordingly
@@ -181,12 +183,12 @@ class TestFuse:
     def test_equal_samples_give_v_plus_query(self, rng):
         rig = [forward_cam()]
         v = np.array([2.0, -1.0, 0.25])
-        maps = FeatureMap2D.constant(rig, v)
+        maps = constant_maps(rig, v)
         coords = [[2, 3, 3], [3, 3, 3]]
         feats = rng.normal(size=(2, 3))
         grid = grid4(coords, feats)
         qs = guide_queries(grid, qv_seed=2)
-        params = DeformableAttnParams.identity(3, n_ref=3, offsets=np.array(
+        params = identity_attention(3, n_ref=3, offsets=np.array(
             [[0.5, 0.5], [-0.5, 0.25], [1.0, -1.0]]))
         out = fuse(qs, rig, maps, params)
         np.testing.assert_allclose(out.features, v + qs.guided_queries, atol=1e-9)

@@ -8,9 +8,7 @@ from voxfuse.errors import DuplicateVoxels, InvalidFactor, InvalidScale, OutOfBo
 from voxfuse.grid import (
     GridGeometry,
     SparseVoxelGrid,
-    VoxelIndex,
     align_coords,
-    align_scale,
     centers_for,
     group_coords,
     pack_keys,
@@ -18,6 +16,8 @@ from voxfuse.grid import (
     unique_coords,
     unpack_keys,
 )
+
+from oracles import dense_view
 
 
 def small_geom(scale=1):
@@ -74,27 +74,30 @@ class TestGeometry:
         assert mask.tolist() == [True, True, False, False]
 
 
+def align(xyz, from_scale, to_scale):
+    """``align_coords`` on one coordinate triple, as a tuple."""
+    return tuple(align_coords(np.array([xyz]), from_scale, to_scale)[0].tolist())
+
+
 class TestAlignScale:
     def test_coarse_to_fine(self):
-        out = align_scale(VoxelIndex(1, 1, 1, scale=8), 4)
-        assert out == VoxelIndex(2, 2, 2, scale=4)
+        assert align((1, 1, 1), 8, 4) == (2, 2, 2)
 
     def test_coarse_to_fine_16(self):
-        out = align_scale(VoxelIndex(2, 2, 2, scale=16), 4)
-        assert out == VoxelIndex(8, 8, 8, scale=4)
+        assert align((2, 2, 2), 16, 4) == (8, 8, 8)
 
     def test_fine_to_coarse_floors(self):
-        assert align_scale(VoxelIndex(7, 5, 3, scale=1), 4) == VoxelIndex(1, 1, 0, scale=4)
+        assert align((7, 5, 3), 1, 4) == (1, 1, 0)
 
     def test_same_scale_identity(self):
-        v = VoxelIndex(3, 4, 5, scale=2)
-        assert align_scale(v, 2) == v
+        coords = np.array([[3, 4, 5], [0, 1, 2]])
+        out = align_coords(coords, 2, 2)
+        np.testing.assert_array_equal(out, coords)
+        assert not np.shares_memory(out, coords)
 
     def test_roundtrip_coarse_fine_coarse(self, rng):
-        for _ in range(50):
-            xyz = rng.integers(0, 30, size=3)
-            v = VoxelIndex(int(xyz[0]), int(xyz[1]), int(xyz[2]), scale=8)
-            assert align_scale(align_scale(v, 2), 8) == v
+        coords = rng.integers(0, 30, size=(50, 3))
+        np.testing.assert_array_equal(align_coords(align_coords(coords, 8, 2), 2, 8), coords)
 
     def test_unrelated_scales_raise(self):
         # 8 and 16 are fine (factor 2); fabricate a non-integer ratio via raw coords
@@ -103,10 +106,14 @@ class TestAlignScale:
 
     def test_array_matches_scalar(self, rng):
         coords = rng.integers(0, 20, size=(40, 3))
-        out = align_coords(coords, 8, 2)
-        for row_in, row_out in zip(coords, out):
-            v = align_scale(VoxelIndex(*map(int, row_in), scale=8), 2)
-            assert tuple(row_out) == (v.x, v.y, v.z)
+        for from_scale, to_scale in ((8, 2), (2, 8), (1, 4)):
+            out = align_coords(coords, from_scale, to_scale)
+            for row_in, row_out in zip(coords.tolist(), out.tolist()):
+                if from_scale > to_scale:
+                    want = [v * (from_scale // to_scale) for v in row_in]
+                else:
+                    want = [v // (to_scale // from_scale) for v in row_in]
+                assert row_out == want
 
 
 class TestSubdivide:
@@ -124,8 +131,7 @@ class TestSubdivide:
     def test_children_tile_parent_exactly(self):
         kids = subdivide_coords([[3, 1, 2]], 2)
         # every child aligns back to the parent, and children are distinct
-        assert all(align_scale(VoxelIndex(*map(int, k), scale=2), 4) == VoxelIndex(3, 1, 2, scale=4)
-                   for k in kids)
+        assert all(align(k, 2, 4) == (3, 1, 2) for k in kids.tolist())
         assert len({tuple(k) for k in kids.tolist()}) == 8
 
     def test_sibling_disjointness(self):
@@ -302,7 +308,7 @@ class TestSparseVoxelGrid:
         g = GridGeometry((0, 0, 0), 0.1, (8, 8, 8))
         coords = np.unique(rng.integers(0, 8, size=(20, 3)), axis=0)
         feats = rng.normal(size=(coords.shape[0], 2))
-        dense = SparseVoxelGrid(g, coords, feats).to_dense()
+        dense = dense_view(SparseVoxelGrid(g, coords, feats))
         assert dense.shape == (8, 8, 8, 2)
         for c, f in zip(coords, feats):
             np.testing.assert_array_equal(dense[tuple(c)], f)
@@ -325,7 +331,7 @@ class TestSparseVoxelGrid:
         coords = np.array([[0, 0, 0], [3, 2, 1]])
         feats = rng.normal(size=(2, 21))
         fill = np.arange(21, dtype=np.float64)
-        dense = SparseVoxelGrid(g, coords, feats).to_dense(fill)
+        dense = dense_view(SparseVoxelGrid(g, coords, feats), fill)
         assert dense.shape == (4, 3, 2, 21)
         mask = np.zeros((4, 3, 2), dtype=bool)
         mask[tuple(coords.T)] = True

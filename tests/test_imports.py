@@ -2,10 +2,15 @@
 
 A stdlib ``ast`` pass. An import binding that no expression of its module
 reads fails here; ``voxfuse/__init__.py`` is exempt, because its imports are
-the package's exports. A module-level function or class of ``src/voxfuse/``
-that no file under ``src/``, ``tests/`` or ``perfbench/`` names fails too,
-so a fold cannot leave its old helper behind. The package's own export
-list does not count as a use.
+the package's exports.
+
+Every module-level function or class of ``src/voxfuse/``, and every
+non-dunder method of such a class, is named by the program: a file under
+``src/`` or ``perfbench/`` (its tests aside). Tests are not callers, and
+the package's own export list is not a use. So ``src/`` holds only what the
+program runs; a reference that only tests compare against lives in
+``tests/oracles.py``. ``EXEMPT_DEFINITIONS`` names what stays regardless,
+each with its reason.
 
 Every defaulted parameter of a ``src/voxfuse/`` function or method is passed
 by some call under ``src/`` or ``perfbench/`` (its tests aside), by keyword
@@ -31,7 +36,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(p for p in (ROOT / "src" / "voxfuse").glob("*.py") if p.name != "__init__.py")
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
-# every Python file that may name a package definition, the export list aside
+# every Python file that may read a dataclass field, the export list aside
 READERS = MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
@@ -65,56 +70,113 @@ def test_every_import_is_used(path):
 
 def named(source: str) -> set[str]:
     """Names that ``source`` reads, imports or reaches as an attribute."""
-    out = set()
+    out = attributes(source)
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
+    return out
+
+
+def attributes(source: str) -> set[str]:
+    """Attribute names that ``source`` reaches, plus its string constants.
+
+    A method is named only this way: ``obj.m``, ``Cls.m`` or a ``getattr``
+    table entry, so a local variable of the same name does not count.
+    """
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.add(node.value)  # getattr(module, "name") tables
     return out
 
 
-def unnamed_definitions(source: str, names: set[str]) -> list[tuple[int, str]]:
-    """(line, name) of each module-level function or class of ``source`` not in ``names``."""
-    return [(node.lineno, node.name) for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in names]
+def unnamed_definitions(source: str, names: set[str], attrs: set[str]) -> list[tuple[int, str]]:
+    """(line, qualname) of each definition of ``source`` that no caller names.
+
+    Covers module-level functions and classes, which match ``names``, and the
+    non-dunder methods of module-level classes, which match ``attrs``.
+    """
+    out = []
+    for top in ast.parse(source).body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if top.name not in names:
+            out.append((top.lineno, top.name))
+        if isinstance(top, ast.ClassDef):
+            out.extend((node.lineno, f"{top.name}.{node.name}") for node in top.body
+                       if isinstance(node, ast.FunctionDef) and node.name not in attrs
+                       and not (node.name.startswith("__") and node.name.endswith("__")))
+    return out
 
 
 def test_checker_flags_unnamed_definitions():
-    source = "def used():\n    pass\n\n\nclass Orphan:\n    pass\n\n\ndef orphan():\n    used()\n"
-    assert unnamed_definitions(source, named(source)) == [(5, "Orphan"), (9, "orphan")]
+    source = ("def used():\n    pass\n\n\n"
+              "class Orphan:\n    pass\n\n\n"
+              "class Kept:\n"
+              "    def __init__(self):\n        self.called()\n\n"
+              "    def called(self):\n        pass\n\n"
+              "    def shadowed(self):\n        pass\n\n"
+              "    def looked_up(self):\n        pass\n\n\n"
+              "def orphan():\n    used()\n    shadowed = Kept()\n"
+              "    return shadowed, getattr(shadowed, 'looked_up')\n")
+    assert unnamed_definitions(source, named(source), attributes(source)) == [
+        (5, "Orphan"), (16, "Kept.shadowed"), (23, "orphan")]
+
+
+# The program: src/ and perfbench/ outside perfbench's own tests. Tests are
+# not callers, and the package's export list is not a use.
+CALLERS = sorted((ROOT / "src").rglob("*.py")) + sorted(
+    p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.relative_to(ROOT).parts)
+PROGRAM = [p for p in CALLERS if p.name != "__init__.py"]
+
+# a module, or module.qualname, that the program does not name but keeps
+EXEMPT_DEFINITIONS = {
+    "losses": "the paper's training objective, which A08 checks; the program does not train",
+    "cli._Parser.error": "argparse calls it on a bad command line",
+}
 
 
 @cache
-def names_in_readers() -> frozenset[str]:
-    return frozenset().union(*(named(p.read_text(encoding="utf-8")) for p in READERS))
+def names_in_program() -> tuple[frozenset[str], frozenset[str]]:
+    sources = [p.read_text(encoding="utf-8") for p in PROGRAM]
+    return (frozenset().union(*map(named, sources)),
+            frozenset().union(*map(attributes, sources)))
+
+
+def unnamed_in(path: Path) -> list[str]:
+    """``module.qualname`` of each definition in ``path`` that the program does not name."""
+    return [f"{path.stem}.{qualname}" for _, qualname in unnamed_definitions(
+        path.read_text(encoding="utf-8"), *names_in_program())]
+
+
+def exempts(key: str, name: str) -> bool:
+    """Whether the ``EXEMPT_DEFINITIONS`` key ``key`` covers ``module.qualname``."""
+    return key in (name, name.partition(".")[0])
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_definition_is_named(path):
-    assert unnamed_definitions(path.read_text(encoding="utf-8"), names_in_readers()) == []
+    """A definition only tests reach is not the program: delete it or move it to oracles."""
+    assert [name for name in unnamed_in(path)
+            if not any(exempts(key, name) for key in EXEMPT_DEFINITIONS)] == []
 
 
+def test_every_definition_exemption_is_needed():
+    """An exempt module or definition that the program now names, or that is gone."""
+    unnamed = [name for path in PACKAGE for name in unnamed_in(path)]
+    assert sorted(key for key in EXEMPT_DEFINITIONS
+                  if not any(exempts(key, name) for name in unnamed)) == []
 
-# Program calls are those under src/ and perfbench/; perfbench's own tests
-# are not program calls.
-CALLERS = sorted((ROOT / "src").rglob("*.py")) + sorted(
-    p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.relative_to(ROOT).parts)
 
 # (module, qualname, parameter) that no program call passes but a check needs
 EXEMPT = {
     ("cli", "main", "argv"): "the console entry point; the CLI tests call main(argv)",
     ("fusion", "fuse", "residual"): "A04 fuses with residual=False",
     ("fusion", "DeformableAttnParams.seeded", "query_conditioned"): "A04",
-    ("fusion", "DeformableAttnParams.identity", "n_ref"): "A04's hand-built attention",
-    ("fusion", "DeformableAttnParams.identity", "offsets"): "A04's hand-built attention",
-    ("fusion", "DeformableAttnParams.identity", "logits"): "test_fusion's hand-built weights",
-    ("grid", "SparseVoxelGrid.to_dense", "fill"): "the dense view of the pipeline pins",
-    ("occlusion", "_traverse_arrays", "margin"): "the reference walk _walk is pinned to",
 }
 
 

@@ -16,6 +16,8 @@ from voxfuse.lidar import (
     voxelize,
 )
 
+from oracles import dense_view, identity_conv
+
 
 def geom16(scale=1):
     return GridGeometry((0.0, 0.0, 0.0), 0.2, (16, 16, 16), scale)
@@ -84,7 +86,7 @@ def conv_cases(draw):
 
 def dense_conv_oracle(grid, spec, stride=1):
     """scipy correlate on the densified grid; returns a dense (X, Y, Z, Cout) array."""
-    dense = grid.to_dense()
+    dense = dense_view(grid)
     out = np.zeros(dense.shape[:3] + (spec.out_channels,))
     for co in range(spec.out_channels):
         acc = np.zeros(dense.shape[:3])
@@ -273,7 +275,7 @@ class TestSparseConvSpec:
 class TestSparseConv:
     def test_identity_kernel(self, rng):
         grid = random_grid(rng, geom16(), channels=4)
-        out = sparse_conv(grid, SparseConvSpec.identity(4))
+        out = sparse_conv(grid, identity_conv(4))
         np.testing.assert_array_equal(out.coords, grid.coords)
         np.testing.assert_allclose(out.features, grid.features, atol=1e-12)
 
@@ -295,7 +297,7 @@ class TestSparseConv:
     def test_output_meta_starts_empty(self, rng, stride):
         grid = random_grid(rng, geom16(), channels=4)
         grid.meta.update(points_total=9, points_dropped=2)
-        assert sparse_conv(grid, SparseConvSpec.identity(4), stride=stride).meta == {}
+        assert sparse_conv(grid, identity_conv(4), stride=stride).meta == {}
 
     def test_channel_mismatch(self, rng):
         grid = random_grid(rng, geom16(), channels=3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxfuse import occlusion
-from voxfuse.camera import CameraModel, back_project
+from voxfuse.camera import CameraModel
 from voxfuse.errors import ParseError, ShapeError
 from voxfuse.grid import GridGeometry, SparseVoxelGrid
 from voxfuse.lidar import PointCloud
@@ -15,11 +15,9 @@ from voxfuse.occlusion import (
     OcclusionLabel,
     OcclusionVolume,
     _length,
-    _traverse_arrays,
     _walk,
     assemble_output,
     build_volume,
-    combine,
     combine_volumes,
     decoder_input_set,
     label_camera,
@@ -29,6 +27,8 @@ from voxfuse.occlusion import (
     read_volume,
     write_volume,
 )
+
+from oracles import back_project, dense_view, slab_oracle, traverse_arrays
 
 E, N, O = OcclusionLabel.EMPTY, OcclusionLabel.NON_OCCLUDED, OcclusionLabel.OCCLUDED
 
@@ -42,46 +42,9 @@ def center(cell, geom=GEOM16):
     return geom.origin_array + (np.asarray(cell, dtype=np.float64) + 0.5) * geom.cell_size
 
 
-def oracle_traverse(origin, target, geom, margin=0.0):
-    """Slab-test every cell in the segment's bounding box; order by entry t."""
-    o = np.asarray(origin, dtype=np.float64)
-    d = np.asarray(target, dtype=np.float64) - o
-    seg = np.linalg.norm(d)
-    dirn = d / seg
-    t_end = seg + margin
-    end = o + dirn * t_end
-    lo = geom.origin_array
-    h = geom.cell_size
-    dims = np.asarray(geom.dims)
-    cmin = np.maximum(0, np.floor((np.minimum(o, end) - lo) / h).astype(int) - 1)
-    cmax = np.minimum(dims - 1, np.floor((np.maximum(o, end) - lo) / h).astype(int) + 1)
-    if (cmin > cmax).any():
-        return np.zeros((0, 3), dtype=np.int64)
-    grids = np.meshgrid(*(np.arange(cmin[i], cmax[i] + 1) for i in range(3)), indexing="ij")
-    cells = np.stack([g.reshape(-1) for g in grids], axis=1)
-    box_lo = lo + cells * h
-    box_hi = box_lo + h
-    t_in = np.zeros(cells.shape[0])
-    t_out = np.full(cells.shape[0], t_end)
-    for i in range(3):
-        if abs(dirn[i]) < 1e-15:
-            inside = (box_lo[:, i] <= o[i]) & (o[i] < box_hi[:, i])
-            t_out[~inside] = -np.inf
-        else:
-            ta = (box_lo[:, i] - o[i]) / dirn[i]
-            tb = (box_hi[:, i] - o[i]) / dirn[i]
-            lo_t, hi_t = np.minimum(ta, tb), np.maximum(ta, tb)
-            t_in = np.maximum(t_in, lo_t)
-            t_out = np.minimum(t_out, hi_t)
-    keep = t_out - t_in > 1e-12
-    cells = cells[keep]
-    order = np.argsort(t_in[keep], kind="stable")
-    return cells[order].astype(np.int64)
-
-
 class TestTraverse:
     def test_axis_ray_through_centers(self):
-        cells, _ = _traverse_arrays(center((0, 0, 0)), center((5, 0, 0)), GEOM16)
+        cells, _ = traverse_arrays(center((0, 0, 0)), center((5, 0, 0)), GEOM16)
         assert cells.dtype == np.int64
         assert cells.tolist() == [[x, 0, 0] for x in range(6)]
 
@@ -89,28 +52,28 @@ class TestTraverse:
         for _ in range(50):
             a = rng.uniform(0.0, 3.2, size=3)
             b = rng.uniform(0.0, 3.2, size=3)
-            cells = [tuple(c) for c in _traverse_arrays(a, b, GEOM16)[0].tolist()]
+            cells = [tuple(c) for c in traverse_arrays(a, b, GEOM16)[0].tolist()]
             assert len(cells) == len(set(cells))
 
     def test_origin_outside_starts_at_entry(self):
-        cells, ts = _traverse_arrays((-1.0, 0.1, 0.1), (0.5, 0.1, 0.1), GEOM16)
+        cells, ts = traverse_arrays((-1.0, 0.1, 0.1), (0.5, 0.1, 0.1), GEOM16)
         assert cells[0].tolist() == [0, 0, 0]
         # the walk enters at the grid face, 1 m along the ray
         assert ts[0] == pytest.approx(1.0)
 
     def test_miss_returns_empty(self):
-        cells, ts = _traverse_arrays((-1.0, -1.0, 0.1), (-0.5, -2.0, 0.1), GEOM16)
+        cells, ts = traverse_arrays((-1.0, -1.0, 0.1), (-0.5, -2.0, 0.1), GEOM16)
         assert cells.shape == (0, 3) and ts.shape == (0,)
 
     def test_margin_extends_past_target(self):
         a, b = center((0, 0, 0)), center((2, 0, 0))
-        short, _ = _traverse_arrays(a, b, GEOM16)
-        extended, _ = _traverse_arrays(a, b, GEOM16, margin=1.0)
+        short, _ = traverse_arrays(a, b, GEOM16)
+        extended, _ = traverse_arrays(a, b, GEOM16, margin=1.0)
         assert len(extended) > len(short)
         np.testing.assert_array_equal(extended[:len(short)], short)
 
     def test_degenerate_segment(self):
-        cells, ts = _traverse_arrays(center((3, 3, 3)), center((3, 3, 3)), GEOM16)
+        cells, ts = traverse_arrays(center((3, 3, 3)), center((3, 3, 3)), GEOM16)
         assert cells.tolist() == [[3, 3, 3]]
         assert ts.tolist() == [0.0]
 
@@ -121,7 +84,7 @@ class TestTraverse:
         o = np.array([0.05, 0.0, 0.45])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cells, _ = _traverse_arrays(o, o + [3.0, tiny, 0.0], geom)
+            cells, _ = traverse_arrays(o, o + [3.0, tiny, 0.0], geom)
         # the tiny component never wins a step, so the walk stays on its row
         assert cells.tolist() == [[x, 0, 2] for x in range(16)]
 
@@ -131,8 +94,8 @@ class TestTraverse:
             b = rng.uniform(-1.0, 7.4, size=3)
             if np.linalg.norm(b - a) < 1e-6:
                 continue
-            got, _ = _traverse_arrays(a, b, GEOM32)
-            want = oracle_traverse(a, b, GEOM32)
+            got, _ = traverse_arrays(a, b, GEOM32)
+            want = slab_oracle(a, b, GEOM32)
             np.testing.assert_array_equal(got, want)
 
     def test_matches_oracle_with_margin(self, rng):
@@ -141,8 +104,8 @@ class TestTraverse:
             b = rng.uniform(0.0, 6.4, size=3)
             if np.linalg.norm(b - a) < 1e-6:
                 continue
-            got, _ = _traverse_arrays(a, b, GEOM32, margin=2.0)
-            want = oracle_traverse(a, b, GEOM32, margin=2.0)
+            got, _ = traverse_arrays(a, b, GEOM32, margin=2.0)
+            want = slab_oracle(a, b, GEOM32, margin=2.0)
             np.testing.assert_array_equal(got, want)
 
     def test_entry_parameters_increase(self, rng):
@@ -151,7 +114,7 @@ class TestTraverse:
             b = rng.uniform(0.0, 3.2, size=3)
             if np.linalg.norm(b - a) < 1e-6:
                 continue
-            _, ts = _traverse_arrays(a, b, GEOM16)
+            _, ts = traverse_arrays(a, b, GEOM16)
             assert (np.diff(ts) > 0).all()
 
 
@@ -196,7 +159,7 @@ class TestBatchedWalk:
                 rows[i][0].append(c)
                 rows[i][1].append(t)
         for i, (o, t) in enumerate(zip(origins, targets)):
-            coords, entries = _traverse_arrays(o, t, geom, margin)
+            coords, entries = traverse_arrays(o, t, geom, margin)
             cells, got = rows.pop(i, ([], []))
             want_cells = np.ravel_multi_index(tuple(coords.T), geom.dims)
             np.testing.assert_array_equal(cells, want_cells)
@@ -241,12 +204,12 @@ class TestBatchedWalk:
             for i, cell, t in zip(ids.tolist(), cells.tolist(), t_entry.tolist()):
                 rows.setdefault(i, []).append((cell, t))
         for i, (o, t) in enumerate(zip(origins, targets)):
-            coords, entries = _traverse_arrays(o, t, GEOM16)
+            coords, entries = traverse_arrays(o, t, GEOM16)
             want = list(zip(np.ravel_multi_index(tuple(coords.T), GEOM16.dims).tolist(),
                             entries.tolist()))
             assert rows.pop(i, []) == want, i
         assert not rows
-        assert steps == len(_traverse_arrays(origins[0], targets[0], GEOM16)[0])
+        assert steps == len(traverse_arrays(origins[0], targets[0], GEOM16)[0])
 
     def test_length_matches_norm_to_rounding(self, rng):
         d = rng.normal(size=(200, 3))
@@ -262,7 +225,7 @@ def loop_label_lidar(pc, semantics, geom):
     dims = np.asarray(geom.dims)
     origin = pc.sensor_origin
     for p in pc.points:
-        coords, entries = _traverse_arrays(origin, p, geom, geom.diagonal)
+        coords, entries = traverse_arrays(origin, p, geom, geom.diagonal)
         if coords.shape[0] == 0:
             continue
         t_point = float(_length(p - origin))
@@ -297,7 +260,7 @@ def loop_label_camera(rig, semantics, geom, pixel_stride=4):
             for u in range(0, w, pixel_stride):
                 direction = back_project(cam, float(u), float(v), 1.0) - eye
                 direction /= _length(direction)
-                coords, _ = _traverse_arrays(eye, eye + direction * reach, geom)
+                coords, _ = traverse_arrays(eye, eye + direction * reach, geom)
                 if coords.shape[0] == 0:
                     continue
                 occ = semantics[coords[:, 0], coords[:, 1], coords[:, 2]] > 0
@@ -443,7 +406,7 @@ class TestCameraRayTable:
             cells[0] = 0
         ends = np.append(starts[1:], cells.size)
         for o, t, lo, hi in zip(origins, targets, starts, ends):
-            coords, _ = _traverse_arrays(o, t, GEOM_ODD)
+            coords, _ = traverse_arrays(o, t, GEOM_ODD)
             flat = np.ravel_multi_index(tuple(coords.T), GEOM_ODD.dims) if coords.size else []
             np.testing.assert_array_equal(cells[lo:hi], flat)
 
@@ -499,7 +462,7 @@ class TestLabelLidar:
         target = center((6, 9, 7))
         pc = PointCloud([target], [1.0], sensor_origin=origin)
         labels = label_lidar(pc, sem, GEOM16)
-        coords, ts = _traverse_arrays(origin, target, GEOM16, margin=GEOM16.diagonal)
+        coords, ts = traverse_arrays(origin, target, GEOM16, margin=GEOM16.diagonal)
         t_point = np.linalg.norm(target - origin)
         occluded = np.argwhere(labels == O)
         visited = {tuple(c): t for c, t in zip(coords, ts)}
@@ -562,15 +525,16 @@ class TestLabelCamera:
         assert labels.dtype == np.uint8 and (labels == E).all()
 
 
+# the cross-sensor merge: rows are the LiDAR label E, N, O, columns the camera label
+MERGE = np.array([[E, N, E],
+                  [N, N, N],
+                  [E, N, O]], dtype=np.uint8)
+
+
 class TestCombine:
     def test_full_truth_table(self):
-        table = {
-            (E, E): E, (E, N): N, (E, O): E,
-            (N, E): N, (N, N): N, (N, O): N,
-            (O, E): E, (O, N): N, (O, O): O,
-        }
-        for (a, b), want in table.items():
-            assert combine(a, b) == want, (a, b)
+        lidar, cam = np.meshgrid(np.array([E, N, O]), np.array([E, N, O]), indexing="ij")
+        np.testing.assert_array_equal(combine_volumes(lidar, cam), MERGE)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
     def test_array_all_pairs(self, dtype):
@@ -578,19 +542,21 @@ class TestCombine:
         cam = np.tile(np.array([E, N, O], dtype=dtype), 3)
         merged = combine_volumes(lidar, cam)
         assert merged.dtype == np.uint8
-        assert merged.tolist() == [combine(a, b) for a, b in zip(lidar.tolist(), cam.tolist())]
+        assert merged.tolist() == [MERGE[a, b] for a, b in zip(lidar.tolist(), cam.tolist())]
 
     def test_array_matches_scalar(self, rng):
         a = rng.integers(0, 3, size=(4, 4, 4)).astype(np.uint8)
         b = rng.integers(0, 3, size=(4, 4, 4)).astype(np.uint8)
         merged = combine_volumes(a, b)
         for idx in np.ndindex(4, 4, 4):
-            assert merged[idx] == combine(int(a[idx]), int(b[idx]))
+            assert merged[idx] == MERGE[a[idx], b[idx]]
 
     def test_nonoccluded_rows_commute(self):
-        for other in (E, N, O):
-            assert combine(N, other) == combine(other, N) == N
-        assert combine(O, O) == O
+        labels = np.array([E, N, O], dtype=np.uint8)
+        with_n = np.full(3, N, dtype=np.uint8)
+        np.testing.assert_array_equal(combine_volumes(with_n, labels), with_n)
+        np.testing.assert_array_equal(combine_volumes(labels, with_n), with_n)
+        assert combine_volumes(labels, labels)[O] == O
 
 
 class TestVolume:
@@ -685,7 +651,7 @@ class TestVolume:
         # rows tied at zero: argmax picks the empty channel, as the background row does
         rows[rng.random(n) < 0.2, 18:] = 0.0
         grid = SparseVoxelGrid(geom, coords, rows)
-        dense = grid.to_dense(BACKGROUND_ROW)
+        dense = dense_view(grid, BACKGROUND_ROW)
         want = np.argwhere(np.argmax(dense[..., 18:], axis=-1) != E)
         got = decoder_input_set(grid)
         assert np.array_equal(got.coords, want)

@@ -1,6 +1,7 @@
 """Forward-pass composition tests: shapes, determinism, the identity path and the readout."""
 
 import importlib.resources
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -8,19 +9,22 @@ import numpy as np
 import pytest
 
 from voxfuse.config import PipelineConfig
+from voxfuse.fusion import softmax_rows
 from voxfuse.grid import GridGeometry, SparseVoxelGrid, subdivide_coords
+from voxfuse.lidar import SparseConvSpec, sparse_conv
 from voxfuse.occlusion import BACKGROUND_ROW, OCC_CHANNELS, SEM_CHANNELS, assemble_output
 from voxfuse.pipeline import (
     OUT_CHANNELS,
     _decode_fine,
-    _head_logits,
-    _split_probs,
     forward,
     forward_scene,
     refine_stages,
     volume_labels,
 )
+from voxfuse.refine import seeded_projection
 from voxfuse.synthetic import load_scene, random_scene, ring_rig
+
+from oracles import dense_view
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +50,13 @@ class TestShapes:
         assert result.o1.shape == scene.geometry.dims + (21,)
 
     def test_probability_blocks_normalized(self, result):
-        for vol in (result.o4.to_dense(BACKGROUND_ROW), result.o1.to_dense(BACKGROUND_ROW)):
+        for vol in (dense_view(result.o4, BACKGROUND_ROW), dense_view(result.o1, BACKGROUND_ROW)):
             assert np.allclose(vol[..., :SEM_CHANNELS].sum(axis=-1), 1.0)
             assert np.allclose(vol[..., SEM_CHANNELS:].sum(axis=-1), 1.0)
 
     def test_decoder_emits_64_children_per_visible_voxel(self, result):
         n_visible = np.count_nonzero(
-            np.argmax(result.o4.to_dense(BACKGROUND_ROW)[..., SEM_CHANNELS:], axis=-1) != 0)
+            np.argmax(dense_view(result.o4, BACKGROUND_ROW)[..., SEM_CHANNELS:], axis=-1) != 0)
         assert len(result.o1) == 64 * n_visible
         assert result.counts["decode"] == 64 * n_visible
 
@@ -93,14 +97,14 @@ class TestDeterminism:
         cfg = PipelineConfig(root_seed=31)
         a = forward_scene(scene, cfg)
         b = forward_scene(scene, cfg)
-        assert np.array_equal(a.o4.to_dense(BACKGROUND_ROW), b.o4.to_dense(BACKGROUND_ROW))
-        assert np.array_equal(a.o1.to_dense(BACKGROUND_ROW), b.o1.to_dense(BACKGROUND_ROW))
+        assert np.array_equal(dense_view(a.o4, BACKGROUND_ROW), dense_view(b.o4, BACKGROUND_ROW))
+        assert np.array_equal(dense_view(a.o1, BACKGROUND_ROW), dense_view(b.o1, BACKGROUND_ROW))
         assert np.array_equal(a.refined.features, b.refined.features)
 
     def test_different_seed_differs(self, scene, result):
         other = forward_scene(scene, PipelineConfig(root_seed=99))
-        assert not np.array_equal(other.o4.to_dense(BACKGROUND_ROW),
-                                  result.o4.to_dense(BACKGROUND_ROW))
+        assert not np.array_equal(dense_view(other.o4, BACKGROUND_ROW),
+                                  dense_view(result.o4, BACKGROUND_ROW))
 
     def test_seeds_recorded(self, result):
         assert set(result.seeds) >= {"backbone", "queries", "fusion", "rie", "head"}
@@ -141,10 +145,21 @@ def _dense_reference(dims, coords, rows):
     return assemble_output(sem, occ)
 
 
+def _split_softmax(logits):
+    """The semantic and the visibility block of each row, each normalized on its own."""
+    return np.concatenate([softmax_rows(logits[:, :SEM_CHANNELS]),
+                           softmax_rows(logits[:, SEM_CHANNELS:])], axis=1)
+
+
 def _reference_outputs(res, config):
     """o4 and o1 rebuilt densely from the head and decoder definitions."""
     refined = res.refined
-    probs4 = _split_probs(_head_logits(refined, config.lidar_channels, res.seeds["head"]))
+    c = config.lidar_channels
+    seed = res.seeds["head"]
+    # the head: set-preserving conv, ReLU, then a 1x1 map to the 21 output channels
+    spec = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=seed)
+    hidden = np.maximum(sparse_conv(refined, spec).features, 0.0)
+    probs4 = _split_softmax(hidden @ seeded_projection(c, OUT_CHANNELS, seed=seed + 1))
     o4 = _dense_reference(refined.geometry.dims, refined.coords, probs4)
 
     parents = np.argwhere(np.argmax(o4[..., SEM_CHANNELS:], axis=-1) != 0)
@@ -155,7 +170,7 @@ def _reference_outputs(res, config):
         0.0, 1.0 / np.sqrt(OUT_CHANNELS + 3), size=(OUT_CHANNELS + 3, OUT_CHANNELS))
     w[:OUT_CHANNELS] += np.eye(OUT_CHANNELS)
     parent_vecs = o4[parents[:, 0], parents[:, 1], parents[:, 2]][parent_rows]
-    probs1 = _split_probs(np.hstack([parent_vecs, offsets]) @ w)
+    probs1 = _split_softmax(np.hstack([parent_vecs, offsets]) @ w)
     dims1 = res.o1.geometry.dims
     keep = (children < np.asarray(dims1)).all(axis=1)
     return o4, _dense_reference(dims1, children[keep], probs1[keep])
@@ -184,11 +199,11 @@ class TestRowReadout:
     def test_labels_scale1_match_dense_argmax(self, readout):
         assert len(readout.o1) > 0
         assert np.array_equal(readout.labels_scale1(),
-                              volume_labels(readout.o1.to_dense(BACKGROUND_ROW)))
+                              volume_labels(dense_view(readout.o1, BACKGROUND_ROW)))
 
     def test_labels_scale4_match_dense_argmax(self, readout):
         assert np.array_equal(readout.labels_scale4(),
-                              volume_labels(readout.o4.to_dense(BACKGROUND_ROW)))
+                              volume_labels(dense_view(readout.o4, BACKGROUND_ROW)))
 
     @pytest.mark.parametrize("scene_name", ["demo", "random-7"])
     def test_outputs_equal_dense_reference(self, scene_name):
@@ -196,8 +211,8 @@ class TestRowReadout:
         config = PipelineConfig()
         res = forward_scene(scene, config)
         o4, o1 = _reference_outputs(res, config)
-        assert np.array_equal(res.o4.to_dense(BACKGROUND_ROW), o4)
-        assert np.array_equal(res.o1.to_dense(BACKGROUND_ROW), o1)
+        assert np.array_equal(dense_view(res.o4, BACKGROUND_ROW), o4)
+        assert np.array_equal(dense_view(res.o1, BACKGROUND_ROW), o1)
 
     def test_no_visible_parent_gives_empty_o1(self, scene, result):
         parents = SparseVoxelGrid.empty(scene.geometry.with_scale(4), OUT_CHANNELS)
@@ -258,3 +273,44 @@ class TestRefineStages:
         assert len(fs2) + len(ff1) == res.counts["gather"]
         assert np.array_equal(refined.coords, res.refined.coords)
         assert np.array_equal(refined.features, res.refined.features)
+
+
+class TestSparsity:
+    def test_forward_cost_tracks_occupied_voxels_not_volume(self):
+        """One scene on grids of 1x, 4x and 16x the volume gives the same rows
+        for the same traced peak memory.
+
+        The grids scale the x and y dims and keep the origin, so the boxes, the
+        sensor and the occupied cells stay the same. ``counts`` and the o4 and
+        o1 coords and rows must be equal, and the ``tracemalloc`` peak of
+        ``forward`` must stay within 10% of the 1x peak; allocation sizes are
+        deterministic, so this is a count, not a timing. The readouts
+        (``labels_scale1``) and label-gen are O(volume) by design, because the
+        label file formats are dense, so they are not part of this check.
+        """
+        scene = _demo_scene()
+        config = PipelineConfig()
+        rig = ring_rig(scene)
+        maps = scene.feature_maps(rig, config.image_channels)
+        pc = scene.lidar_scan()
+        forward(pc, rig, maps, config, geometry=scene.geometry)  # warm-up
+        x, y, z = scene.geometry.dims_scale1
+        runs = []
+        for k in (1, 2, 4):
+            geom = replace(scene.geometry, dims_scale1=(x * k, y * k, z))
+            tracemalloc.start()
+            try:
+                res = forward(pc, rig, maps, config, geometry=geom)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            runs.append((res, peak))
+        (base, base_peak), *bigger = runs
+        assert len(base.o1) > 0
+        for res, peak in bigger:
+            assert res.counts == base.counts
+            for name in ("o4", "o1"):
+                a, b = getattr(base, name), getattr(res, name)
+                assert np.array_equal(a.coords, b.coords)
+                assert np.array_equal(a.features, b.features)
+            assert peak <= 1.1 * base_peak, (peak, base_peak)

@@ -13,12 +13,12 @@ from voxfuse.refine import (
     fuse_refined,
     gather_fine,
     gather_semi_fine,
-    importance_from_scores,
-    occupied_fraction,
     seeded_projection,
     select_sets,
     sigmoid,
 )
+
+from oracles import dense_view, occupied_fraction
 
 
 BASE = GridGeometry((0.0, 0.0, 0.0), 0.2, (64, 64, 64))
@@ -58,7 +58,7 @@ class TestImportance:
             fm = random_grid4(rng, channels=3)
             rie = SparseConvSpec.seeded(3, 1, seed=trial)
             imp = estimate_importance(fm, rie)
-            dense = fm.to_dense()
+            dense = dense_view(fm)
             acc = np.zeros(dense.shape[:3])
             for ci in range(3):
                 acc += ndimage.correlate(dense[..., ci], rie.weights[..., ci, 0],
@@ -80,44 +80,44 @@ class TestImportance:
 class TestSelectSets:
     def test_all_zero_scores(self, rng):
         fm = random_grid4(rng)
-        sets = select_sets(importance_from_scores(fm, np.zeros(len(fm))))
+        sets = select_sets(ImportanceMap(fm, np.zeros(len(fm))))
         assert sets.semi_fine.shape[0] == sets.fine.shape[0] == 0
 
     def test_tie_handling_at_defaults(self):
         fm = grid_at(4, [[0, 0, 0], [1, 1, 1], [2, 2, 2]], np.zeros((3, 1)))
-        imp = importance_from_scores(fm, [0.4, 0.69, 0.7])
+        imp = ImportanceMap(fm, [0.4, 0.69, 0.7])
         sets = select_sets(imp, 0.4, 0.7)
         assert (sets.semi_fine.shape[0], sets.fine.shape[0]) == (3, 1)
         assert tuple(sets.fine[0]) == (2, 2, 2)
 
     def test_fine_subset_of_semi_fine(self, rng):
         fm = random_grid4(rng, n=60)
-        imp = importance_from_scores(fm, rng.uniform(size=len(fm)))
+        imp = ImportanceMap(fm, rng.uniform(size=len(fm)))
         sets = select_sets(imp, 0.4, 0.7)
         semi = {tuple(c) for c in sets.semi_fine}
         assert all(tuple(c) in semi for c in sets.fine)
 
     def test_monotone_in_thresholds(self, rng):
         fm = random_grid4(rng, n=60)
-        imp = importance_from_scores(fm, rng.uniform(size=len(fm)))
+        imp = ImportanceMap(fm, rng.uniform(size=len(fm)))
         sizes = [select_sets(imp, t, 1.0).semi_fine.shape[0] for t in (0.1, 0.3, 0.5, 0.9)]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_thresholds_above_one_disable(self, rng):
         fm = random_grid4(rng)
-        imp = importance_from_scores(fm, np.ones(len(fm)))
+        imp = ImportanceMap(fm, np.ones(len(fm)))
         sets = select_sets(imp, 1.01, 1.01)
         assert sets.semi_fine.shape[0] == sets.fine.shape[0] == 0
 
     def test_negative_threshold_rejected(self, rng):
         fm = random_grid4(rng)
-        imp = importance_from_scores(fm, np.zeros(len(fm)))
+        imp = ImportanceMap(fm, np.zeros(len(fm)))
         with pytest.raises(ValueError):
             select_sets(imp, -0.1, 0.5)
 
     def test_nan_threshold_rejected(self, rng):
         fm = random_grid4(rng)
-        imp = importance_from_scores(fm, np.ones(len(fm)))
+        imp = ImportanceMap(fm, np.ones(len(fm)))
         for taus in ((np.nan, 0.7), (0.4, np.nan)):
             with pytest.raises(ValueError, match="non-negative"):
                 select_sets(imp, *taus)
@@ -174,13 +174,10 @@ class TestGathers:
         out = gather_semi_fine(parent, lidar2, self.rig, self.maps, proj)
         np.testing.assert_allclose(out.features[:, :3], feats, atol=1e-12)
         # image part equals a direct sample at each child center
-        from voxfuse.camera import project, sample_array
-        for i in range(8):
-            ctr = out.centers()[i]
-            hit = project(self.rig[0], ctr)
-            assert hit is not None
-            expect = sample_array(self.maps.maps[0], [[hit[0], hit[1]]])[0]
-            np.testing.assert_allclose(out.features[i, 3:], expect, atol=1e-12)
+        uv, _, hit = project_points(self.rig[0], out.centers())
+        assert hit.all()
+        expect = sample_array(self.maps.maps[0], uv)
+        np.testing.assert_allclose(out.features[:, 3:], expect, atol=1e-12)
 
     def test_overlap_fine_and_semi_children_coexist(self):
         parent = np.array([[4, 8, 8]])
@@ -334,12 +331,12 @@ class TestFuseRefined:
         ff1, fs2, fm4, s1, s2 = self.make_inputs(rng, refined)
         out = fuse_refined(ff1, fs2, fm4, s1, s2)
 
-        mid_dense = dense_strided_conv(ff1.to_dense(), s1)
+        mid_dense = dense_strided_conv(dense_view(ff1), s1)
         # restrict to the sparse branch's declared set before the union-sum
         mask_mid = np.zeros(mid_dense.shape[:3], dtype=bool)
         mask_mid[tuple(np.unique(ff1.coords // 2, axis=0).T)] = True
         mid_dense[~mask_mid] = 0.0
-        mid_dense += fs2.to_dense()
+        mid_dense += dense_view(fs2)
         union = np.unique(np.vstack([np.unique(ff1.coords // 2, axis=0), fs2.coords]), axis=0)
         keep = np.zeros(mid_dense.shape[:3], dtype=bool)
         keep[tuple(union.T)] = True
@@ -403,7 +400,7 @@ class TestOracleScorer:
         occ = np.vstack(occupied)
         fm = grid_at(4, parents, np.zeros((n, 1)))
         scores = occupied_fraction(fm.coords, occ)
-        sets = select_sets(importance_from_scores(fm, scores), 0.4, 0.7)
+        sets = select_sets(ImportanceMap(fm, scores), 0.4, 0.7)
         frac_all = occupied_fraction(fm.coords, occ)
         semi = {tuple(c) for c in sets.semi_fine}
         fine = {tuple(c) for c in sets.fine}

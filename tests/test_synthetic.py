@@ -16,8 +16,9 @@ from voxfuse.synthetic import (
     load_scene,
     random_scene,
     ring_rig,
-    save_scene,
 )
+
+from oracles import save_scene
 
 SMALL = GridGeometry(origin=(0.0, 0.0, 0.0), voxel_size=0.2, dims_scale1=(8, 8, 8), scale=1)
 
@@ -34,11 +35,6 @@ class TestBox:
     def test_class_zero_rejected(self):
         with pytest.raises(ValueError):
             Box(lo=(0, 0, 0), hi=(1, 1, 1), class_id=0)
-
-    def test_contains_is_open(self):
-        b = Box(lo=(0, 0, 0), hi=(1, 1, 1), class_id=1)
-        assert b.contains((0.5, 0.5, 0.5))
-        assert not b.contains((1.0, 0.5, 0.5))
 
 
 class TestRasterization:
@@ -256,7 +252,9 @@ class TestRandomScene:
     def test_sensor_outside_every_box(self):
         for seed in range(8):
             scene = random_scene(seed)
-            assert not any(b.contains(scene.sensor_origin) for b in scene.boxes)
+            sensor = np.asarray(scene.sensor_origin)
+            assert not any(((np.asarray(b.lo) < sensor) & (sensor < np.asarray(b.hi))).all()
+                           for b in scene.boxes)
 
 
 class TestSceneJson:
