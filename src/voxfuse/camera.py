@@ -183,8 +183,7 @@ def sample_array(img: np.ndarray, uv: np.ndarray) -> np.ndarray:
     def tap(iu, iv):
         ok = (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
         out = np.zeros((uv.shape[0], c))
-        if ok.any():
-            out[ok] = img[iv[ok], iu[ok]]
+        out[ok] = img[iv[ok], iu[ok]]
         return out
 
     a, b = tap(u0, v0), tap(u0 + 1, v0)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -43,24 +42,20 @@ def _parse_ints(text: str, n: int, key: str) -> tuple:
     return tuple(int(v) for v in vals)
 
 
-def _join(values) -> str:
-    return " ".join(str(v) for v in values)
-
-
-# section -> key -> (PipelineConfig field, parse from text, format to text)
+# section -> key -> (PipelineConfig field, parse from text)
 _SCHEMA = {
     "geometry": {
-        "origin": ("origin", lambda t: _parse_floats(t, 3, "origin"), _join),
-        "voxel_size": ("voxel_size", float, str),
-        "dims": ("dims", lambda t: _parse_ints(t, 3, "dims"), _join),
+        "origin": ("origin", lambda t: _parse_floats(t, 3, "origin")),
+        "voxel_size": ("voxel_size", float),
+        "dims": ("dims", lambda t: _parse_ints(t, 3, "dims")),
     },
     "channels": {
-        "lidar": ("lidar_channels", int, str),
-        "image": ("image_channels", int, str),
+        "lidar": ("lidar_channels", int),
+        "image": ("image_channels", int),
     },
-    "refine": {"tau1": ("tau1", float, str), "tau2": ("tau2", float, str)},
-    "fusion": {"n_ref": ("n_ref", int, str)},
-    "seeds": {"root": ("root_seed", int, str)},
+    "refine": {"tau1": ("tau1", float), "tau2": ("tau2", float)},
+    "fusion": {"n_ref": ("n_ref", int)},
+    "seeds": {"root": ("root_seed", int)},
 }
 
 
@@ -100,15 +95,6 @@ class PipelineConfig:
     def seed_for(self, name: str) -> int:
         return split_seed(self.root_seed, name)
 
-    def dumps(self) -> str:
-        cp = configparser.ConfigParser(interpolation=None)
-        cp.optionxform = str
-        for section, keys in _SCHEMA.items():
-            cp[section] = {key: fmt(getattr(self, name)) for key, (name, _, fmt) in keys.items()}
-        buf = io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
-
     @classmethod
     def loads(cls, text: str) -> "PipelineConfig":
         cp = configparser.ConfigParser(interpolation=None)
@@ -125,7 +111,7 @@ class PipelineConfig:
             for key, raw in cp[section].items():
                 if key not in _SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                field_name, parse, _ = _SCHEMA[section][key]
+                field_name, parse = _SCHEMA[section][key]
                 try:
                     kwargs[field_name] = parse(raw)
                 except ConfigError:

@@ -33,6 +33,15 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def as_float(value, name: str) -> float:
+    """``value`` as a float; a bool, or a non-finite number, is rejected."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(out := float(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class GridGeometry:
     """Axis-aligned voxel lattice: world origin, base cell edge, base extent, scale."""
@@ -43,15 +52,14 @@ class GridGeometry:
     scale: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
+        object.__setattr__(self, "origin", tuple(as_float(v, "origin") for v in self.origin))
+        object.__setattr__(self, "voxel_size", as_float(self.voxel_size, "voxel_size"))
         object.__setattr__(self, "dims_scale1",
                            tuple(as_int(v, "dims_scale1") for v in self.dims_scale1))
         if len(self.origin) != 3:
             raise ValueError(f"origin needs 3 values, got {self.origin}")
-        if not all(math.isfinite(v) for v in self.origin):
-            raise ValueError(f"origin must be finite, got {self.origin}")
-        if not (math.isfinite(self.voxel_size) and self.voxel_size > 0):
-            raise ValueError(f"voxel_size must be positive and finite, got {self.voxel_size}")
+        if self.voxel_size <= 0:
+            raise ValueError(f"voxel_size must be positive, got {self.voxel_size}")
         if self.scale not in VALID_SCALES:
             raise InvalidScale(f"scale must be one of {VALID_SCALES}, got {self.scale}")
         if len(self.dims_scale1) != 3:

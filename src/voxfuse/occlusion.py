@@ -56,10 +56,21 @@ def _walk(origins, targets, geom: GridGeometry, margin: float = 0.0):
     Yields one ``(ray_ids, flat_cells, t_entry)`` triple per step: step k
     holds row k of every ray that has one, with cells as flat C-order indices
     into ``geom.dims``, and ``t_entry`` the distance along the ray at which
-    the cell is entered. A ray runs from its origin to ``margin`` past its
+    the cell is entered. A ray that stops yielding never yields again, so
+    step k's ``ray_ids`` are exactly the rays with more than k rows, in
+    ascending order. A ray runs from its origin to ``margin`` past its
     target. The arithmetic is that of the one-ray walk ``traverse_arrays``
     in ``tests/oracles.py``, operation for operation, so each ray's rows
     equal that walk's rows bit for bit.
+
+    Where two axes' next crossings are equal as floats, the lower axis steps
+    first. Where crossings tie only in exact arithmetic, rounding picks the
+    order: a general ray through a cell edge or corner may step either axis
+    first, and a ray entering the grid exactly at a cell corner may have its
+    entry point ``o + dirn * t0`` round into the neighbouring cell. Rays whose
+    direction components share one magnitude, from origins inside a grid
+    whose faces and endpoints are exact in binary, tie in floats exactly
+    where they tie exactly, so they follow the rule at every corner.
 
     Compaction is lazy: a finished ray stays in the state arrays behind an
     ``alive`` mask and keeps stepping on values nothing reads, and the state
@@ -253,15 +264,16 @@ def _camera_rows(origins: np.ndarray, targets: np.ndarray, geom: GridGeometry):
             and np.array_equal(memo[1], targets)):
         return memo[3]
     dtype = np.int32 if math.prod(geom.dims) <= np.iinfo(np.int32).max else np.int64
-    ids, cells = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=dtype)]
+    length = np.zeros(origins.shape[0], dtype=np.int64)
+    steps = []
     for step_ids, step_cells, _ in _walk(origins, targets, geom):
-        ids.append(step_ids.astype(np.int32))
-        cells.append(step_cells.astype(dtype))
-    ids = np.concatenate(ids)
-    # each step holds one row per live ray, so a stable sort keeps every ray's rows in step order
-    order = np.argsort(ids, kind="stable")
-    cells = np.concatenate(cells)[order]
-    starts = np.searchsorted(ids[order], np.arange(origins.shape[0]))
+        length[step_ids] += 1
+        steps.append(step_cells.astype(dtype))
+    # step k holds row k of exactly the rays longer than k, in ascending ray order
+    starts = np.cumsum(length) - length
+    cells = np.empty(int(length.sum()), dtype=dtype)
+    for k, step_cells in enumerate(steps):
+        cells[starts[length > k] + k] = step_cells
     for a in (origins, targets, cells, starts):
         a.flags.writeable = False
     _camera_memo = (origins, targets, geom, (cells, starts))

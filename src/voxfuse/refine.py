@@ -101,8 +101,6 @@ def _gather(parents: np.ndarray, factor: int, lidar: SparseVoxelGrid,
         raise ShapeError(f"factor {factor} children live at scale {child_scale}, "
                          f"grid is at scale {lidar.scale}")
     geom = lidar.geometry
-    if parents.shape[0] == 0:
-        return SparseVoxelGrid.empty(geom, proj.shape[1])
     children = subdivide_coords(parents, factor)
     lidar_feats = np.zeros((children.shape[0], lidar.channels))
     rows, found = lidar.rows_for(children)
@@ -149,14 +147,7 @@ def fuse_refined(ff1: SparseVoxelGrid, fs2: SparseVoxelGrid, fm4: SparseVoxelGri
     """
     if fm4.scale != 4 or fs2.scale != 2 or ff1.scale != 1:
         raise ShapeError(f"expected scales 1/2/4, got {ff1.scale}/{fs2.scale}/{fm4.scale}")
-    if len(ff1) == 0 and len(fs2) == 0:
-        merged = fm4.with_features(fm4.features)
-        merged.meta["dropped_refined"] = 0
-        return merged
-    if len(ff1):
-        mid = _aligned_sum(sparse_conv(ff1, sconv1, stride=2), fs2)
-    else:
-        mid = fs2
+    mid = _aligned_sum(sparse_conv(ff1, sconv1, stride=2), fs2)
     coarse = sparse_conv(mid, sconv2, stride=2)
     if coarse.channels != fm4.channels:
         raise ShapeError(f"fusion emits {coarse.channels} channels, coarse grid has {fm4.channels}")

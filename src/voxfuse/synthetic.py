@@ -14,7 +14,7 @@ import numpy as np
 
 from .camera import CameraModel, FeatureMap2D
 from .errors import EmptyInput, ParseError, ShapeError
-from .grid import GridGeometry, as_int
+from .grid import GridGeometry, as_float, as_int
 from .lidar import PointCloud
 from .occlusion import SEM_CHANNELS
 
@@ -32,8 +32,9 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != 3 or len(self.hi) != 3:
             raise ShapeError("box corners must be 3-vectors")
-        if not np.isfinite(np.asarray([self.lo, self.hi], dtype=np.float64)).all():
-            raise ValueError(f"box corners must be finite, got lo={self.lo} hi={self.hi}")
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, tuple(as_float(v, "box corners")
+                                                 for v in getattr(self, name)))
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ValueError(f"box must have positive extent, got lo={self.lo} hi={self.hi}")
         object.__setattr__(self, "class_id", as_int(self.class_id, "class_id"))
@@ -42,31 +43,30 @@ class Box:
 
 
 def _slab_hits(origin: np.ndarray, dirs: np.ndarray, box: Box):
-    """Entry/exit parameters of rays against one box; entry must be ahead."""
-    lo = np.asarray(box.lo) - origin
-    hi = np.asarray(box.hi) - origin
-    t0 = np.full(dirs.shape[0], -np.inf)
-    t1 = np.full(dirs.shape[0], np.inf)
-    for ax in range(3):
-        d = dirs[:, ax]
-        moving = d != 0.0
-        a = np.where(moving, lo[ax] / np.where(moving, d, 1.0), -np.inf)
-        b = np.where(moving, hi[ax] / np.where(moving, d, 1.0), np.inf)
-        t0 = np.maximum(t0, np.minimum(a, b))
-        t1 = np.minimum(t1, np.maximum(a, b))
-        inside = (lo[ax] < 0.0) & (0.0 < hi[ax])
-        t0 = np.where(moving, t0, np.where(inside, t0, np.inf))
-        t1 = np.where(moving, t1, np.where(inside, t1, -np.inf))
-    hit = (t1 > t0) & (t0 > _EPS)
+    """Entry parameter of each ray into one box; inf unless the entry is ahead.
+
+    ``dirs`` holds one ray direction per column, (3, rays). The slab test
+    divides by the raw direction (Williams et al., JGT 2005). A zero
+    component gives +-inf on its axis, which leaves the axis unconstrained
+    when the origin lies strictly inside the slab and makes the ray miss when
+    it lies outside; an origin on a face plane gives NaN, which also misses.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = (np.asarray(box.lo) - origin)[:, None] / dirs
+        b = (np.asarray(box.hi) - origin)[:, None] / dirs
+        t0 = np.minimum(a, b).max(axis=0)
+        t1 = np.maximum(a, b).min(axis=0)
+        hit = (t1 > t0) & (t0 > _EPS)
     return np.where(hit, t0, np.inf)
 
 
 def first_hits(origin, directions, boxes):
     """Nearest strictly-forward box hit per ray: (distance, class_id, hit)."""
-    dirs = np.asarray(directions, dtype=np.float64)
+    # one contiguous row per axis, so the slab test reduces along rows
+    dirs = np.ascontiguousarray(np.asarray(directions, dtype=np.float64).T)
     origin = np.asarray(origin, dtype=np.float64)
-    best_t = np.full(dirs.shape[0], np.inf)
-    best_c = np.zeros(dirs.shape[0], dtype=np.int64)
+    best_t = np.full(dirs.shape[1], np.inf)
+    best_c = np.zeros(dirs.shape[1], dtype=np.int64)
     for box in boxes:
         t = _slab_hits(origin, dirs, box)
         closer = t < best_t
@@ -105,9 +105,9 @@ class SyntheticScene:
         if self.geometry.scale != 1:
             raise ValueError("scene geometry must be at scale 1")
         object.__setattr__(self, "boxes", tuple(self.boxes))
-        origin = tuple(float(v) for v in self.sensor_origin)
-        if len(origin) != 3 or not np.isfinite(origin).all():
-            raise ValueError(f"sensor_origin must be 3 finite numbers, got {self.sensor_origin}")
+        origin = tuple(as_float(v, "sensor_origin") for v in self.sensor_origin)
+        if len(origin) != 3:
+            raise ValueError(f"sensor_origin must be 3 numbers, got {self.sensor_origin}")
         object.__setattr__(self, "sensor_origin", origin)
 
     def gt_volume(self) -> np.ndarray:
@@ -195,7 +195,6 @@ def random_scene(seed: int, geometry: GridGeometry | None = None,
     hi_bound = origin + 0.95 * span
 
     boxes = []
-    scene = None
     # foreground is counted box by box: each box adds its not yet covered cells
     covered = np.zeros(geom.dims, dtype=bool)
     n_covered = 0
@@ -214,19 +213,17 @@ def random_scene(seed: int, geometry: GridGeometry | None = None,
         if cells is not None:
             n_covered += np.count_nonzero(~covered[cells])
             covered[cells] = True
-        scene = SyntheticScene(geometry=geom, boxes=tuple(boxes),
-                               sensor_origin=tuple(sensor), seed=seed)
         if len(boxes) >= 3 and n_covered / covered.size >= min_foreground:
-            return scene
-    if scene is None or n_covered / covered.size < min_foreground:
+            break
+    if not boxes or n_covered / covered.size < min_foreground:
         raise EmptyInput(f"could not reach {min_foreground * 100:.4g}% foreground for seed {seed}")
-    return scene
+    return SyntheticScene(geometry=geom, boxes=tuple(boxes), sensor_origin=tuple(sensor), seed=seed)
 
 
 def scene_from_dict(data: dict) -> SyntheticScene:
     try:
         geom = GridGeometry(origin=tuple(data["geometry"]["origin"]),
-                            voxel_size=float(data["geometry"]["voxel_size"]),
+                            voxel_size=data["geometry"]["voxel_size"],
                             dims_scale1=tuple(data["geometry"]["dims"]), scale=1)
         boxes = tuple(Box(lo=tuple(b["lo"]), hi=tuple(b["hi"]),
                           class_id=b["class_id"]) for b in data["boxes"])

@@ -4,28 +4,41 @@ The program never calls these. Tests compare the program's batched code
 against the scalar references here, or build inputs with the builders:
 
 - :func:`traverse_arrays` is the one-ray grid walk that ``occlusion._walk``
-  matches bit for bit, ray by ray, and :func:`slab_oracle` the brute-force
-  cell set and order that both walks must reproduce;
+  matches bit for bit, ray by ray, :func:`slab_oracle` the brute-force
+  cell set and order that both walks must reproduce, and
+  :func:`exact_walk` the same walk in rational arithmetic, which pins the
+  tie rule;
+- :func:`masked_slab_hits` is the ray-box test with explicit masks for
+  axis-parallel rays that ``synthetic._slab_hits`` matches bit for bit;
 - :func:`back_project` is the pixel-to-world inverse that
   ``occlusion._pixel_rays`` matches at depth 1;
 - :func:`occupied_fraction` is the exact-occupancy importance scorer;
+- :func:`lovasz_oracle` is the Lovász extension from its definition;
 - :func:`dense_view` is a sparse grid's dense array, every absent cell
-  holding ``fill``.
+  holding ``fill``;
+- :func:`config_text` writes a config as the ini text that
+  ``PipelineConfig.loads`` reads.
 """
 
 from __future__ import annotations
 
+import configparser
+import io
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from voxfuse.camera import CameraModel, FeatureMap2D
+from voxfuse.config import _SCHEMA, PipelineConfig
 from voxfuse.fusion import DeformableAttnParams
 from voxfuse.grid import GridGeometry, SparseVoxelGrid, pack_keys
 from voxfuse.lidar import SparseConvSpec
 from voxfuse.occlusion import _EPS, _length
-from voxfuse.synthetic import SyntheticScene
+from voxfuse.synthetic import _EPS as _SLAB_EPS
+from voxfuse.synthetic import Box, SyntheticScene
 
 
 def traverse_arrays(origin, target, geom: GridGeometry, margin: float = 0.0):
@@ -141,6 +154,53 @@ def slab_oracle(origin, target, geom, margin=0.0):
     return cells[order].astype(np.int64)
 
 
+def exact_walk(origin, target, geom: GridGeometry) -> list[int]:
+    """Flat C-order cells of the segment origin->target, in exact arithmetic.
+
+    Every crossing is a ``Fraction`` of the segment, so nothing rounds. On
+    an exact tie the lower axis steps first. The segment ends at the target
+    or where it leaves the grid, whichever comes first, and a cell it enters
+    only at that end is not reported. The origin must lie inside the grid.
+    """
+    o = [Fraction(v) for v in origin]
+    d = [Fraction(v) - a for v, a in zip(target, o)]
+    lo = [Fraction(v) for v in geom.origin]
+    h = Fraction(geom.cell_size)
+    dims = geom.dims
+    end = min([Fraction(1)] + [(lo[i] + dims[i] * h * (d[i] > 0) - o[i]) / d[i]
+                               for i in range(3) if d[i]])
+    cell = [math.floor((o[i] - lo[i]) / h) for i in range(3)]
+    cells = []
+    while True:
+        cells.append((cell[0] * dims[1] + cell[1]) * dims[2] + cell[2])
+        cross = [(lo[i] + (cell[i] + (d[i] > 0)) * h - o[i]) / d[i] if d[i] else math.inf
+                 for i in range(3)]
+        axis = min(range(3), key=cross.__getitem__)  # the first minimum: ties go low
+        if cross[axis] >= end:
+            return cells
+        cell[axis] += 1 if d[axis] > 0 else -1
+
+
+def masked_slab_hits(origin: np.ndarray, dirs: np.ndarray, box: Box):
+    """Entry/exit parameters of rays against one box; entry must be ahead."""
+    lo = np.asarray(box.lo) - origin
+    hi = np.asarray(box.hi) - origin
+    t0 = np.full(dirs.shape[0], -np.inf)
+    t1 = np.full(dirs.shape[0], np.inf)
+    for ax in range(3):
+        d = dirs[:, ax]
+        moving = d != 0.0
+        a = np.where(moving, lo[ax] / np.where(moving, d, 1.0), -np.inf)
+        b = np.where(moving, hi[ax] / np.where(moving, d, 1.0), np.inf)
+        t0 = np.maximum(t0, np.minimum(a, b))
+        t1 = np.minimum(t1, np.maximum(a, b))
+        inside = (lo[ax] < 0.0) & (0.0 < hi[ax])
+        t0 = np.where(moving, t0, np.where(inside, t0, np.inf))
+        t1 = np.where(moving, t1, np.where(inside, t1, -np.inf))
+    hit = (t1 > t0) & (t0 > _SLAB_EPS)
+    return np.where(hit, t0, np.inf)
+
+
 def back_project(cam: CameraModel, u: float, v: float, depth: float) -> np.ndarray:
     """Pixel plus depth back to a world point (inverse of ``project_points``)."""
     ray = np.array([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, 1.0])
@@ -168,6 +228,44 @@ def occupied_fraction(parents: np.ndarray, occupied_scale1: np.ndarray) -> np.nd
         hit = sorted_keys[pos_c] == okeys
         np.add.at(counts, order[pos_c[hit]], 1)
     return counts / 64.0
+
+
+def lovasz_oracle(probs, labels):
+    """Evaluate the Lovász extension from its definition.
+
+    For each present class, sort the per-voxel errors descending and combine
+    the Jaccard losses of the prefix misprediction sets with the error
+    increments: LE(e) = sum_k e_(k) * (J(S_k) - J(S_{k-1})).
+    """
+    labels = np.asarray(labels)
+    losses = []
+    for c in np.unique(labels):
+        member = labels == c
+        gsum = int(member.sum())
+        e = np.where(member, 1.0 - probs[:, c], probs[:, c])
+        order = np.argsort(-e, kind="stable")
+        e_sorted, g_sorted = e[order], member[order]
+        total, prev = 0.0, 0.0
+        for k in range(1, len(e_sorted) + 1):
+            m_in_g = int(g_sorted[:k].sum())
+            m_out = k - m_in_g
+            delta = 1.0 - (gsum - m_in_g) / (gsum + m_out)
+            total += e_sorted[k - 1] * (delta - prev)
+            prev = delta
+        losses.append(total)
+    return float(np.mean(losses))
+
+
+LATTICE = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def lattice_rows(num_classes):
+    """Probability rows over ``num_classes`` classes with every entry on ``LATTICE``."""
+    rows = []
+    for combo in itertools.product(LATTICE, repeat=num_classes):
+        if abs(sum(combo) - 1.0) < 1e-12:
+            rows.append(combo)
+    return rows
 
 
 def dense_view(grid: SparseVoxelGrid, fill=0.0) -> np.ndarray:
@@ -204,6 +302,22 @@ def identity_conv(channels: int) -> SparseConvSpec:
     w = np.zeros((3, 3, 3, channels, channels))
     w[1, 1, 1] = np.eye(channels)
     return SparseConvSpec(w, np.zeros(channels))
+
+
+def _ini_value(value) -> str:
+    """A config value as ini text: a tuple as its items separated by spaces."""
+    return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def config_text(cfg: PipelineConfig) -> str:
+    """``cfg`` as the ini text that ``PipelineConfig.loads`` reads back to ``cfg``."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    for section, keys in _SCHEMA.items():
+        cp[section] = {key: _ini_value(getattr(cfg, name)) for key, (name, _) in keys.items()}
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 def save_scene(scene: SyntheticScene, path: str):

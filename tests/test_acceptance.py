@@ -53,9 +53,12 @@ from voxfuse.refine import ImportanceMap, fuse_refined, select_sets
 from voxfuse.synthetic import load_scene, random_scene
 
 from oracles import (
+    config_text,
     constant_maps,
     dense_view,
     identity_attention,
+    lattice_rows,
+    lovasz_oracle,
     occupied_fraction,
     slab_oracle,
 )
@@ -361,37 +364,6 @@ def test_visibility_merge_and_two_wall_scene():
 
 # --- A08: loss terms ----------------------------------------------------------
 
-LATTICE = [0.0, 0.25, 0.5, 0.75, 1.0]
-
-
-def lattice_rows(num_classes):
-    rows = []
-    for combo in itertools.product(LATTICE, repeat=num_classes):
-        if abs(sum(combo) - 1.0) < 1e-12:
-            rows.append(combo)
-    return rows
-
-
-def lovasz_oracle(probs, labels):
-    labels = np.asarray(labels)
-    losses = []
-    for c in np.unique(labels):
-        member = labels == c
-        gsum = int(member.sum())
-        e = np.where(member, 1.0 - probs[:, c], probs[:, c])
-        order = np.argsort(-e, kind="stable")
-        e_sorted, g_sorted = e[order], member[order]
-        total, prev = 0.0, 0.0
-        for k in range(1, len(e_sorted) + 1):
-            m_in_g = int(g_sorted[:k].sum())
-            m_out = k - m_in_g
-            delta = 1.0 - (gsum - m_in_g) / (gsum + m_out)
-            total += e_sorted[k - 1] * (delta - prev)
-            prev = delta
-        losses.append(total)
-    return float(np.mean(losses))
-
-
 def test_loss_terms_match_oracles_and_vanish_when_perfect(rng):
     ok = True
 
@@ -560,7 +532,7 @@ def test_selection_concentrates_on_foreground():
 
 def test_refinement_cost_tracks_sets_not_volume(tmp_path):
     cfg_path = tmp_path / "bench.ini"
-    cfg_path.write_text(replace(PipelineConfig(), dims=(128, 128, 32)).dumps())
+    cfg_path.write_text(config_text(replace(PipelineConfig(), dims=(128, 128, 32))))
     csv_path = tmp_path / "bench.csv"
     sizes = [0, 64, 512, 4096]
 

@@ -154,6 +154,7 @@ class TestBilinear:
         img = np.ones((4, 4, 2))
         np.testing.assert_array_equal(sample_array(img, [[-5.0, -5.0]])[0], [0.0, 0.0])
         np.testing.assert_array_equal(sample_array(img, [[10.0, 2.0]])[0], [0.0, 0.0])
+        assert sample_array(img, np.zeros((0, 2))).shape == (0, 2)
 
     def test_affine_along_axis(self, rng):
         img = rng.normal(size=(3, 5, 1))

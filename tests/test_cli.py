@@ -583,7 +583,16 @@ ERROR_CASES = {
            ("boolean-class-id", "boxes", 0,
             {"lo": [9.0, 3.0, 0.3], "hi": [9.8, 9.5, 2.5], "class_id": True},
             "class_id must be an integer, got True"),
-           ("fractional-seed", None, "seed", 1.5, "seed must be an integer, got 1.5"))},
+           ("fractional-seed", None, "seed", 1.5, "seed must be an integer, got 1.5"),
+           ("boolean-voxel-size", "geometry", "voxel_size", True,
+            "voxel_size must be a number, got True"),
+           ("boolean-grid-origin", "geometry", "origin", [True, 0, 0],
+            "origin must be a number, got True"),
+           ("boolean-box-corner", "boxes", 0,
+            {"lo": [True, 3.0, 0.3], "hi": [9.8, 9.5, 2.5], "class_id": 3},
+            "box corners must be a number, got True"),
+           ("boolean-sensor-origin", None, "sensor_origin", [True, 1, 1],
+            "sensor_origin must be a number, got True"))},
     "forward-out-is-file": (_taken_out_args(lambda p: ["forward", "--scene", "demo"]), 1,
                             "File exists"),
     "label-gen-out-is-file": (_taken_out_args(

@@ -57,6 +57,14 @@ class TestGeometry:
         with pytest.raises(ValueError, match="origin must be finite"):
             GridGeometry(origin, 0.2, (16, 16, 16))
 
+    @pytest.mark.parametrize("origin, voxel_size, needle", [
+        ((True, 0, 0), 0.2, "origin must be a number, got True"),
+        ((0, 0, 0), True, "voxel_size must be a number, got True"),
+        ((0, 0, 0), float("inf"), "voxel_size must be finite, got inf")])
+    def test_boolean_or_non_finite_float_rejected(self, origin, voxel_size, needle):
+        with pytest.raises(ValueError, match=needle):
+            GridGeometry(origin, voxel_size, (16, 16, 16))
+
     def test_world_to_index_floor(self):
         g = small_geom()
         idx = g.world_to_index(np.array([[0.05, 0.1, 0.199], [0.0, 0.0, 0.0]]))

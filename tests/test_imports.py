@@ -6,10 +6,11 @@ the package's exports.
 
 Every module-level function or class of ``src/voxfuse/``, and every
 non-dunder method of such a class, is named by the program: a file under
-``src/`` or ``perfbench/`` (its tests aside). Tests are not callers, and
-the package's own export list is not a use. So ``src/`` holds only what the
-program runs; a reference that only tests compare against lives in
-``tests/oracles.py``. ``EXEMPT_DEFINITIONS`` names what stays regardless,
+``src/`` or ``perfbench/`` (its tests aside). Tests are not callers, the
+package's own export list is not a use, and neither is an attribute reached
+through a module bound by ``import m`` outside voxfuse (``json.dumps``). So
+``src/`` holds only what the program runs; a reference that only tests
+compare against lives in ``tests/oracles.py``. ``EXEMPT_DEFINITIONS`` names what stays regardless,
 each with its reason.
 
 Every defaulted parameter of a ``src/voxfuse/`` function or method is passed
@@ -83,12 +84,23 @@ def attributes(source: str) -> set[str]:
     """Attribute names that ``source`` reaches, plus its string constants.
 
     A method is named only this way: ``obj.m``, ``Cls.m`` or a ``getattr``
-    table entry, so a local variable of the same name does not count.
+    table entry, so a local variable of the same name does not count. An
+    attribute chain that starts at a name bound by ``import m`` for a module
+    ``m`` outside voxfuse (``json.dumps``, ``np.linalg.norm``) names nothing
+    of voxfuse, so it does not count either.
     """
+    tree = ast.parse(source)
+    foreign = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name.split(".")[0] != "voxfuse"}
     out = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in foreign):
+                out.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.add(node.value)  # getattr(module, "name") tables
     return out
@@ -120,11 +132,13 @@ def test_checker_flags_unnamed_definitions():
               "    def __init__(self):\n        self.called()\n\n"
               "    def called(self):\n        pass\n\n"
               "    def shadowed(self):\n        pass\n\n"
-              "    def looked_up(self):\n        pass\n\n\n"
-              "def orphan():\n    used()\n    shadowed = Kept()\n"
+              "    def looked_up(self):\n        pass\n\n"
+              "    def dumps(self):\n        pass\n\n\n"
+              "def orphan():\n    import json\n    used()\n    shadowed = Kept()\n"
+              "    json.dumps(shadowed)\n"
               "    return shadowed, getattr(shadowed, 'looked_up')\n")
     assert unnamed_definitions(source, named(source), attributes(source)) == [
-        (5, "Orphan"), (16, "Kept.shadowed"), (23, "orphan")]
+        (5, "Orphan"), (16, "Kept.shadowed"), (22, "Kept.dumps"), (26, "orphan")]
 
 
 # The program: src/ and perfbench/ outside perfbench's own tests. Tests are

@@ -21,48 +21,13 @@ from voxfuse.losses import (
     sem_scal,
 )
 
+from oracles import lattice_rows, lovasz_oracle
+
 
 def one_hot(labels, num_classes):
     out = np.zeros((len(labels), num_classes))
     out[np.arange(len(labels)), labels] = 1.0
     return out
-
-
-def lovasz_oracle(probs, labels):
-    """Evaluate the Lovász extension from its definition.
-
-    For each present class, sort the per-voxel errors descending and combine
-    the Jaccard losses of the prefix misprediction sets with the error
-    increments: LE(e) = sum_k e_(k) * (J(S_k) - J(S_{k-1})).
-    """
-    labels = np.asarray(labels)
-    losses = []
-    for c in np.unique(labels):
-        member = labels == c
-        gsum = int(member.sum())
-        e = np.where(member, 1.0 - probs[:, c], probs[:, c])
-        order = np.argsort(-e, kind="stable")
-        e_sorted, g_sorted = e[order], member[order]
-        total, prev = 0.0, 0.0
-        for k in range(1, len(e_sorted) + 1):
-            m_in_g = int(g_sorted[:k].sum())
-            m_out = k - m_in_g
-            delta = 1.0 - (gsum - m_in_g) / (gsum + m_out)
-            total += e_sorted[k - 1] * (delta - prev)
-            prev = delta
-        losses.append(total)
-    return float(np.mean(losses))
-
-
-LATTICE = [0.0, 0.25, 0.5, 0.75, 1.0]
-
-
-def lattice_rows(num_classes):
-    rows = []
-    for combo in itertools.product(LATTICE, repeat=num_classes):
-        if abs(sum(combo) - 1.0) < 1e-12:
-            rows.append(combo)
-    return rows
 
 
 class TestCrossEntropy:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voxfuse import occlusion
-from voxfuse.camera import CameraModel
+from voxfuse.camera import CameraModel, read_kitti_calib
 from voxfuse.errors import ParseError, ShapeError
 from voxfuse.grid import GridGeometry, SparseVoxelGrid
 from voxfuse.lidar import PointCloud
@@ -28,7 +29,7 @@ from voxfuse.occlusion import (
     write_volume,
 )
 
-from oracles import back_project, dense_view, slab_oracle, traverse_arrays
+from oracles import back_project, dense_view, exact_walk, slab_oracle, traverse_arrays
 
 E, N, O = OcclusionLabel.EMPTY, OcclusionLabel.NON_OCCLUDED, OcclusionLabel.OCCLUDED
 
@@ -211,10 +212,44 @@ class TestBatchedWalk:
         assert not rows
         assert steps == len(traverse_arrays(origins[0], targets[0], GEOM16)[0])
 
+    @settings(max_examples=100, deadline=None)
+    @given(ray_batches())
+    def test_step_k_holds_the_rays_longer_than_k(self, batch):
+        """The rule by which _camera_rows places step k's cells: ids ascend, and
+        they are exactly the rays with more than k rows."""
+        geom, origins, targets, margin = batch
+        steps = [ids for ids, _, _ in _walk(origins, targets, geom, margin)]
+        length = np.zeros(origins.shape[0], dtype=np.int64)
+        for ids in steps:
+            length[ids] += 1
+        for k, ids in enumerate(steps):
+            np.testing.assert_array_equal(ids, np.flatnonzero(length > k))
+
     def test_length_matches_norm_to_rounding(self, rng):
         d = rng.normal(size=(200, 3))
         np.testing.assert_allclose(_length(d), np.linalg.norm(d, axis=1), rtol=1e-15)
         assert float(_length(d[0])) == _length(d)[0]
+
+
+class TestTieRule:
+    """The walk against rational arithmetic, where a tie is a tie."""
+
+    def test_diagonal_rays_match_exact_walk(self):
+        """3,000 rays whose direction components all have one magnitude, from
+        origins inside a grid of 0.5 m cells, with quarter-cell endpoints: every
+        float is exact, and crossings that tie exactly also tie as floats, so
+        the walk must step the lower axis first at every edge and corner."""
+        geom = GridGeometry((0.0, 0.0, 0.0), 0.5, (16, 16, 8))
+        rng = np.random.default_rng(26)
+        n, quarter = 3000, 0.125
+        origins = rng.integers(1, [64, 64, 32], size=(n, 3)) * quarter
+        reach = rng.integers(1, 65, size=(n, 1)) * quarter
+        targets = origins + rng.choice([-1.0, 1.0], size=(n, 3)) * reach
+        rows = [[] for _ in range(n)]
+        for ids, cells, _ in _walk(origins, targets, geom):
+            for i, cell in zip(ids.tolist(), cells.tolist()):
+                rows[i].append(cell)
+        assert [i for i in range(n) if rows[i] != exact_walk(origins[i], targets[i], geom)] == []
 
 
 def loop_label_lidar(pc, semantics, geom):
@@ -394,6 +429,26 @@ class TestCameraRayTable:
         expect = loop_label_camera(rig, sem, GEOM16, 2)
         assert not np.array_equal(expect, before)
         np.testing.assert_array_equal(got, expect)
+
+    def test_build_peak_stays_near_the_table(self, tmp_path):
+        """A cold table for one KITTI-sized camera: the build holds the
+        walk's rows once more beside the table, and little else."""
+        calib = tmp_path / "calib.txt"
+        calib.write_text("P2: 718.856 0 607.1928 45.38225 0 718.856 185.2157 -0.1130887 "
+                         "0 0 1 0.003779761\nTr: 0 -1 0 0 0 0 -1 0 1 0 0 0\n")
+        rig = [read_kitti_calib(str(calib))]
+        geom = GridGeometry.preset("semantickitti")
+        sem = np.zeros(geom.dims, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            label_camera(rig, sem, geom, pixel_stride=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells, starts = occlusion._camera_memo[3]
+        table = cells.nbytes + starts.nbytes
+        print(f"table {table / 2**20:.1f} MiB, cold build peak {peak / 2**20:.1f} MiB")
+        assert peak < 2 * table + 4 * 2**20
 
     def test_table_is_read_only_and_ray_major(self):
         _, _, rig = random_labelling_scene(GEOM_ODD, 0)

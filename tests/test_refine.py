@@ -5,7 +5,7 @@ from scipy import ndimage
 from voxfuse.camera import CameraModel, FeatureMap2D, project_points, sample_array
 from voxfuse.errors import ShapeError
 from voxfuse.grid import GridGeometry, SparseVoxelGrid, centers_for, subdivide_coords, unique_coords
-from voxfuse.lidar import SparseConvSpec
+from voxfuse.lidar import SparseConvSpec, sparse_conv
 from voxfuse.refine import (
     ImportanceMap,
     _aligned_sum,
@@ -149,6 +149,7 @@ class TestGathers:
         out = gather_fine(np.zeros((0, 3)), lidar1, self.rig, self.maps,
                           seeded_projection(5, 4))
         assert len(out) == 0
+        assert out.features.shape == (0, 4) and out.scale == 1 and out.meta == {}
 
     def test_child_counts_scale_with_parents(self, rng):
         parents = np.unique(rng.integers(2, 14, size=(9, 3)), axis=0)
@@ -362,6 +363,24 @@ class TestFuseRefined:
         others[row] = False
         assert not np.allclose(out.features[row], fm4.features[row])
         np.testing.assert_array_equal(out.features[others], fm4.features[others])
+
+    def test_empty_fine_set_adds_the_semi_fine_conv(self, rng):
+        """An empty fine set leaves ``sparse_conv(fs2, sconv2, stride=2)`` added
+        at the rows it finds, bit for bit, though the general path sums fs2
+        onto +0.0 (which turns its -0.0 entries into +0.0) and convolves that."""
+        _, fs2, fm4, s1, s2 = self.make_inputs(rng, np.array([[1, 1, 1], [2, 1, 0], [3, 3, 3]]))
+        feats = fs2.features.copy()
+        feats[::3, 1] = -0.0
+        fs2 = fs2.with_features(feats)
+        empty1 = SparseVoxelGrid.empty(fm4.geometry.with_scale(1), 3)
+        out = fuse_refined(empty1, fs2, fm4, s1, s2)
+        coarse = sparse_conv(fs2, s2, stride=2)
+        rows, found = fm4.rows_for(coarse.coords)
+        expect = fm4.features.copy()
+        expect[rows[found]] += coarse.features[found]
+        assert np.array_equal(out.features.view(np.int64), expect.view(np.int64))
+        np.testing.assert_array_equal(out.coords, fm4.coords)
+        assert out.meta == {"dropped_refined": int((~found).sum())}
 
     def test_scale_mismatch_rejected(self, rng):
         ff1, fs2, fm4, s1, s2 = self.make_inputs(rng, np.array([[1, 1, 1]]))

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from voxfuse.errors import EmptyInput, ParseError
 from voxfuse.grid import GridGeometry
@@ -11,6 +14,7 @@ from voxfuse.occlusion import SEM_CHANNELS
 from voxfuse.synthetic import (
     Box,
     SyntheticScene,
+    _slab_hits,
     default_geometry,
     first_hits,
     load_scene,
@@ -18,7 +22,7 @@ from voxfuse.synthetic import (
     ring_rig,
 )
 
-from oracles import save_scene
+from oracles import masked_slab_hits, save_scene
 
 SMALL = GridGeometry(origin=(0.0, 0.0, 0.0), voxel_size=0.2, dims_scale1=(8, 8, 8), scale=1)
 
@@ -104,6 +108,37 @@ class TestRays:
         # same slab geometry but the ray runs parallel outside the box
         _, _, miss = first_hits((0, 0.5, 0), np.array([[1.0, 0.0, 0.0]]), boxes)
         assert not miss[0]
+
+
+# per-axis box bounds, and the origin offsets from them that put it on a face
+# plane, strictly inside the slab or outside it
+_BOUND = st.sampled_from([-1.0, 0.0, 0.5, 1.0])
+_EXTENT = st.sampled_from([0.5, 1.0, 2.0])
+_COMPONENT = st.sampled_from([0.0, -0.0, 1e-300, -1e-300]) | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def slab_cases(draw):
+    lo = np.array([draw(_BOUND) for _ in range(3)])
+    hi = lo + [draw(_EXTENT) for _ in range(3)]
+    origin = np.array([draw(st.sampled_from([lo[i], hi[i], (lo[i] + hi[i]) / 2, lo[i] - 0.75,
+                                             hi[i] + 0.25]) | st.floats(-3.0, 4.0))
+                       for i in range(3)])
+    dirs = draw(hnp.arrays(np.float64, st.tuples(st.integers(1, 16), st.just(3)),
+                           elements=_COMPONENT))
+    return origin, dirs, Box(lo=tuple(lo), hi=tuple(hi), class_id=1)
+
+
+class TestSlabHits:
+    @settings(max_examples=400, deadline=None)
+    @given(slab_cases())
+    def test_equals_masked_slab_test(self, case):
+        """Signed zero components and origins on face planes take the same
+        branch-free path as every other ray and give the same bits."""
+        origin, dirs, box = case
+        with np.errstate(over="ignore"):  # the masked test divides by subnormals too
+            want = masked_slab_hits(origin, dirs, box)
+        assert np.array_equal(_slab_hits(origin, np.ascontiguousarray(dirs.T), box), want)
 
 
 class TestLidarScan:
