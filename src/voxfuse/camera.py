@@ -200,17 +200,21 @@ def read_kitti_calib(path) -> CameraModel:
     transform Tr gives a single world(velodyne)-to-image model. The file
     carries no image size, so the camera gets ``KITTI_IMAGE_SIZE``.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
     entries = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or ":" not in line:
-                continue
-            key, _, rest = line.partition(":")
-            try:
-                entries[key.strip()] = np.array([float(t) for t in rest.split()])
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad numeric row for {key!r}") from exc
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or ":" not in line:
+            continue
+        key, _, rest = line.partition(":")
+        try:
+            entries[key.strip()] = np.array([float(t) for t in rest.split()])
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad numeric row for {key!r}") from exc
     for key in ("P2", "Tr"):
         if key not in entries or entries[key].size != 12:
             raise ParseError(f"{path}: missing or malformed {key} row")

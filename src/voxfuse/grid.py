@@ -26,16 +26,21 @@ _PRESETS = {
 }
 
 
+# not numbers, though int() and float() accept them: True is 1, "0.2" parses
+_NOT_NUMBERS = (bool, str, bytes)
+
+
 def as_int(value, name: str) -> int:
-    """``value`` as an int; a bool, or a number with a fractional part, is rejected."""
-    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+    """``value`` as an int; a bool, a string, or a number with a fractional part, is rejected."""
+    if isinstance(value, _NOT_NUMBERS) or not (isinstance(value, int)
+                                               or float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def as_float(value, name: str) -> float:
-    """``value`` as a float; a bool, or a non-finite number, is rejected."""
-    if isinstance(value, bool):
+    """``value`` as a float; a bool, a string, or a non-finite number, is rejected."""
+    if isinstance(value, _NOT_NUMBERS):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(out := float(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")

@@ -117,13 +117,11 @@ class SparseConvSpec:
     """Weights for a 3D convolution over sparse grids.
 
     ``weights`` has shape (extent, extent, extent, in_channels, out_channels);
-    ``mode`` picks the output set: "submanifold" keeps the input set,
-    "expanding" dilates it by the kernel footprint.
+    the stride alone picks the output set (see :func:`sparse_conv`).
     """
 
     weights: np.ndarray
     bias: np.ndarray
-    mode: str = "submanifold"
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -134,8 +132,6 @@ class SparseConvSpec:
             raise ShapeError(f"kernel extent must be odd, got {w.shape[0]}")
         if b.shape != (w.shape[4],):
             raise ShapeError(f"bias must be ({w.shape[4]},), got {b.shape}")
-        if self.mode not in ("submanifold", "expanding"):
-            raise ValueError(f"mode must be 'submanifold' or 'expanding', got {self.mode!r}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
@@ -152,14 +148,12 @@ class SparseConvSpec:
         return self.weights.shape[4]
 
     @classmethod
-    def seeded(cls, in_channels: int, out_channels: int, kernel_extent: int = 3,
-               mode: str = "submanifold", seed: int = 0) -> SparseConvSpec:
-        """Deterministic pseudo-random weights, scaled by fan-in; zero bias."""
+    def seeded(cls, in_channels: int, out_channels: int, seed: int = 0) -> SparseConvSpec:
+        """Deterministic pseudo-random 3x3x3 weights, scaled by fan-in; zero bias."""
         rng = np.random.default_rng(seed)
-        fan_in = kernel_extent ** 3 * in_channels
-        w = rng.normal(0.0, 1.0 / np.sqrt(fan_in),
-                       size=(kernel_extent,) * 3 + (in_channels, out_channels))
-        return cls(w, np.zeros(out_channels), mode)
+        w = rng.normal(0.0, 1.0 / np.sqrt(27 * in_channels),
+                       size=(3, 3, 3, in_channels, out_channels))
+        return cls(w, np.zeros(out_channels))
 
 
 def _kernel_map(grid: SparseVoxelGrid, anchors: np.ndarray, extent: int) -> np.ndarray:
@@ -187,10 +181,11 @@ def _kernel_map(grid: SparseVoxelGrid, anchors: np.ndarray, extent: int) -> np.n
 def sparse_conv(grid: SparseVoxelGrid, spec: SparseConvSpec, stride: int = 1) -> SparseVoxelGrid:
     """Gather-multiply-accumulate convolution over a sparse grid.
 
-    stride 1 uses ``spec.mode`` to pick the output set. stride > 1 anchors
-    each kernel window at ``stride * coord`` on a grid one scale level coarser
-    whose non-empty set is the integer-division image of the input set.
-    Missing neighbors contribute zero.
+    stride 1 keeps the input set (a submanifold convolution, Graham et al.,
+    CVPR 2018). stride > 1 anchors each kernel window at ``stride * coord`` on
+    a grid ``stride`` times coarser whose non-empty set is the
+    integer-division image of the input set. Missing neighbors contribute
+    zero.
 
     The kernel map (taps x output rows) is built once per call. Each tap's
     hit rows are multiplied by that tap's weights and added onto the bias,
@@ -200,13 +195,7 @@ def sparse_conv(grid: SparseVoxelGrid, spec: SparseConvSpec, stride: int = 1) ->
         raise ShapeError(f"spec expects {spec.in_channels} channels, grid has {grid.channels}")
     if stride == 1:
         out_geom = grid.geometry
-        if spec.mode == "submanifold":
-            out_coords = grid.coords
-        else:
-            offsets = kernel_offsets(spec.kernel_extent)
-            dil = (grid.coords[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-            out_coords = unique_coords(dil[out_geom.contains_index(dil)])
-        anchors = out_coords
+        out_coords = anchors = grid.coords
     else:
         out_geom = grid.geometry.with_scale(grid.scale * stride)
         out_coords = unique_coords(grid.coords // stride)

@@ -1,8 +1,10 @@
 """Visibility-aware ground truth: ray traversal, per-sensor labels, merging.
 
 Each sensor ray marks the voxel it hits as non-occluded and every occupied
-voxel further along the ray as occluded. Per-voxel merging uses the priority
-non-occluded > occluded > empty, so results do not depend on ray order. The
+voxel further along the ray as occluded. Per-voxel merging ranks
+non-occluded > occluded > empty: each labeller writes all its occluded
+voxels first and its non-occluded voxels last, so a voxel any ray saw ends
+non-occluded and results do not depend on ray order. The
 cross-sensor combination keeps a voxel non-occluded if either sensor saw it,
 occluded only when both agree, and empty otherwise; unoccupied voxels are
 forced to empty at the end.
@@ -152,41 +154,31 @@ def _walk(origins, targets, geom: GridGeometry, margin: float = 0.0):
             alive, rows = np.ones(live, dtype=bool), rows[:live]
 
 
-def _labels_from_priority(prio: np.ndarray, geom: GridGeometry) -> np.ndarray:
-    """Merge priorities 0, 1, 2 (empty < occluded < non-occluded) to labels, in place.
-
-    ``(5p >> 1) & 3`` maps 0, 1, 2 to 0, 2, 1 (empty, occluded, non-occluded)
-    in three passes with no division and no second volume.
-    """
-    prio *= 5
-    prio >>= 1
-    prio &= 3
-    return prio.reshape(geom.dims)
-
-
 def label_lidar(pc: PointCloud, semantics: np.ndarray, geom: GridGeometry) -> np.ndarray:
     """Per-voxel visibility from the point sensor, as a dense label array.
 
     Each return's voxel becomes non-occluded; occupied voxels further along
     the same ray (continued by the grid diagonal) become occluded. Free space
     stays empty. Returns whose ray crosses no cell mark nothing, and so does
-    an empty point cloud.
+    an empty point cloud. Return voxels are written after every occluded
+    voxel, so they end non-occluded (the module's rank rule).
     """
     semantics = _check_semantics(semantics, geom)
     occupied = semantics.reshape(-1) > 0
-    prio = np.zeros(occupied.shape[0], dtype=np.uint8)
+    labels = np.zeros(occupied.shape[0], dtype=np.uint8)
     pts = pc.points
     beyond = _length(pts - pc.sensor_origin) + 1e-9
     cell_pt = geom.world_to_index(pts)
     inside = geom.contains_index(cell_pt)
     flat_pt = np.ravel_multi_index(tuple(cell_pt.T), geom.dims, mode="clip")
+    returns = flat_pt[:0]
     for k, (ids, cells, t_entry) in enumerate(_walk(pc.sensor_origin, pts, geom, geom.diagonal)):
         if k == 0:
-            prio[flat_pt[ids[inside[ids]]]] = 2
+            returns = flat_pt[ids[inside[ids]]]
         far = cells[t_entry > beyond[ids]]
-        far = far[occupied[far]]
-        prio[far] = np.maximum(prio[far], 1)
-    return _labels_from_priority(prio, geom)
+        labels[far[occupied[far]]] = OcclusionLabel.OCCLUDED
+    labels[returns] = OcclusionLabel.NON_OCCLUDED
+    return labels.reshape(geom.dims)
 
 
 def _pixel_rays(cam: CameraModel, pixel_stride: int):
@@ -212,8 +204,10 @@ def label_camera(rig: list[CameraModel], semantics: np.ndarray, geom: GridGeomet
     """Per-voxel visibility from the cameras, as a dense label array.
 
     One ray per sampled pixel: the first occupied voxel it reaches becomes
-    non-occluded, occupied voxels behind it become occluded. Voxels outside
-    every frustum stay empty, so an empty rig labels every voxel empty.
+    non-occluded, occupied voxels behind it become occluded. First hits are
+    written after every occluded voxel, so they end non-occluded (the
+    module's rank rule). Voxels outside every frustum stay empty, so an
+    empty rig labels every voxel empty.
     The rays' cells do not depend on ``semantics``: they are walked once per
     rig, grid and stride (see :func:`_camera_rows`), and each call only
     gathers its occupancy along them.
@@ -238,10 +232,10 @@ def label_camera(rig: list[CameraModel], semantics: np.ndarray, geom: GridGeomet
     # rows are ray-major, so a ray's first hit is the first hit row past its start
     ray = np.searchsorted(starts, hit, side="right")
     first = np.diff(ray, prepend=-1) != 0
-    prio = np.zeros(semantics.size, dtype=np.uint8)
-    prio[cells[hit]] = 1
-    prio[cells[hit[first]]] = 2
-    return _labels_from_priority(prio, geom)
+    labels = np.zeros(semantics.size, dtype=np.uint8)
+    labels[cells[hit]] = OcclusionLabel.OCCLUDED
+    labels[cells[hit[first]]] = OcclusionLabel.NON_OCCLUDED
+    return labels.reshape(geom.dims)
 
 
 # the last camera ray table: walk inputs (origins, targets, geom), then (cells, starts)
@@ -368,26 +362,24 @@ def _check_semantics(semantics: np.ndarray, geom: GridGeometry) -> np.ndarray:
 
 
 def write_volume(path, vol: np.ndarray, geom: GridGeometry) -> None:
-    """Flat little-endian array (x slowest) plus a text sidecar '<path>.meta'."""
+    """Flat uint8 array (x slowest) plus a text sidecar '<path>.meta'.
+
+    uint8 is the only format: every label volume the program writes fits in a byte.
+    """
     vol = np.asarray(vol)
     if vol.shape != geom.dims:
         raise ShapeError(f"volume shape {vol.shape} does not match dims {geom.dims}")
-    if vol.dtype == np.uint8:
-        dtype = "uint8"
-        np.ascontiguousarray(vol).tofile(path)
-    elif vol.dtype == np.uint16:
-        dtype = "uint16"
-        np.ascontiguousarray(vol.astype("<u2")).tofile(path)
-    else:
-        raise ShapeError(f"volumes must be uint8 or uint16, got {vol.dtype}")
+    if vol.dtype != np.uint8:
+        raise ShapeError(f"volumes must be uint8, got {vol.dtype}")
+    np.ascontiguousarray(vol).tofile(path)
     lines = [
         f"dims={geom.dims[0]} {geom.dims[1]} {geom.dims[2]}",
         f"scale={geom.scale}",
         f"origin={geom.origin[0]} {geom.origin[1]} {geom.origin[2]}",
         f"voxel_size={geom.voxel_size}",
-        f"dtype={dtype}",
+        "dtype=uint8",
     ]
-    with open(f"{path}.meta", "w") as fh:
+    with open(f"{path}.meta", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -397,7 +389,7 @@ def read_volume(path):
         raise FileNotFoundError(f"volume file {path} does not exist")
     meta = {}
     try:
-        with open(f"{path}.meta") as fh:
+        with open(f"{path}.meta", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if line:
@@ -405,6 +397,8 @@ def read_volume(path):
                     meta[key] = val
     except FileNotFoundError:
         raise ParseError(f"{path}.meta not found; volumes need their sidecar header") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}.meta is not UTF-8 text: {exc}") from None
     try:
         dims = tuple(int(v) for v in meta["dims"].split())
         if len(dims) != 3:
@@ -412,14 +406,15 @@ def read_volume(path):
         scale = int(meta["scale"])
         origin = tuple(float(v) for v in meta["origin"].split())
         voxel_size = float(meta["voxel_size"])
-        dtype = {"uint8": np.uint8, "uint16": "<u2"}[meta["dtype"]]
+        if meta["dtype"] != "uint8":
+            raise ValueError(f"dtype must be uint8, got {meta['dtype']!r}")
         geom = GridGeometry(origin, voxel_size, tuple(d * scale for d in dims), scale)
     except (KeyError, ValueError, InvalidScale) as exc:
         raise ParseError(f"{path}.meta is malformed: {exc}") from exc
-    raw = np.fromfile(path, dtype=dtype)
+    raw = np.fromfile(path, dtype=np.uint8)
     if raw.size != dims[0] * dims[1] * dims[2]:
         raise ParseError(f"{path}: expected {dims[0] * dims[1] * dims[2]} voxels, got {raw.size}")
-    return raw.reshape(dims).astype(np.uint16 if meta["dtype"] == "uint16" else np.uint8), geom
+    return raw.reshape(dims), geom
 
 
 def read_kitti_label_volume(path, dims) -> np.ndarray:

@@ -115,7 +115,7 @@ def _row_labels(out: SparseVoxelGrid) -> np.ndarray:
 
 def _head_logits(grid: SparseVoxelGrid, channels: int, seed: int) -> np.ndarray:
     """Set-preserving conv, ReLU, then a 1x1 map to the 21 output channels."""
-    spec = SparseConvSpec.seeded(channels, channels, 3, mode="submanifold", seed=seed)
+    spec = SparseConvSpec.seeded(channels, channels, seed=seed)
     hidden = np.maximum(sparse_conv(grid, spec).features, 0.0)
     return hidden @ seeded_projection(channels, OUT_CHANNELS, seed=seed + 1)
 
@@ -137,7 +137,7 @@ def refine_stages(fused: SparseVoxelGrid, pyramid: dict, rig: list[CameraModel],
     """
     c = config.lidar_channels
     with stage("select"):
-        rie = SparseConvSpec.seeded(c, 1, 3, mode="submanifold", seed=config.seed_for("rie"))
+        rie = SparseConvSpec.seeded(c, 1, seed=config.seed_for("rie"))
         sets = select_sets(estimate_importance(fused, rie), config.tau1, config.tau2)
 
     with stage("gather"):
@@ -147,8 +147,8 @@ def refine_stages(fused: SparseVoxelGrid, pyramid: dict, rig: list[CameraModel],
         ff1 = gather_fine(sets.fine, pyramid[1], rig, maps, proj1)
 
     with stage("refine"):
-        sconv1 = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=config.seed_for("refine-a"))
-        sconv2 = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=config.seed_for("refine-b"))
+        sconv1 = SparseConvSpec.seeded(c, c, seed=config.seed_for("refine-a"))
+        sconv2 = SparseConvSpec.seeded(c, c, seed=config.seed_for("refine-b"))
         refined = fuse_refined(ff1, fs2, fused, sconv1, sconv2)
     return sets, fs2, ff1, refined
 

@@ -61,8 +61,6 @@ def estimate_importance(fm: SparseVoxelGrid, rie: SparseConvSpec) -> ImportanceM
     """Sigmoid of a single-channel convolution over the coarse feature grid."""
     if rie.out_channels != 1:
         raise ShapeError(f"importance conv must emit 1 channel, got {rie.out_channels}")
-    if rie.mode != "submanifold":
-        raise ValueError("importance conv must keep the input coordinate set (submanifold)")
     logits = sparse_conv(fm, rie).features[:, 0]
     return ImportanceMap(fm, sigmoid(logits))
 

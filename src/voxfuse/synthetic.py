@@ -242,6 +242,6 @@ def load_scene(path: str) -> SyntheticScene:
         raise
     except OSError as exc:
         raise ParseError(f"cannot read scene {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"scene {path} is not valid JSON: {exc}") from None
     return scene_from_dict(data)

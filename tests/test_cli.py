@@ -493,16 +493,35 @@ def _nan_scan_args(tmp_path):
             "--out", str(tmp_path / "o")]
 
 
+def _kitti_label_args(tmp_path):
+    """label-gen on the sequence of :func:`make_kitti_sequence`, one camera ray per 64 pixels."""
+    seq = make_kitti_sequence(tmp_path)
+    return ["label-gen", "--dataset", "semantickitti", "--sequence", str(seq),
+            "--out", str(tmp_path / "o"), "--stride", "64"]
+
+
 def _bad_calib_args(key, row):
     """label-gen on a KITTI sequence whose calib.txt has ``row`` as its ``key`` row."""
     def build(tmp_path):
-        seq = make_kitti_sequence(tmp_path)
-        calib = seq / "calib.txt"
+        argv = _kitti_label_args(tmp_path)
+        calib = tmp_path / "sequences" / "00" / "calib.txt"
         lines = [f"{key}: {row}" if line.startswith(f"{key}:") else line
                  for line in calib.read_text().splitlines()]
         calib.write_text("\n".join(lines) + "\n")
-        return ["label-gen", "--dataset", "semantickitti", "--sequence", str(seq),
-                "--out", str(tmp_path / "o"), "--stride", "64"]
+        return argv
+    return build
+
+
+def _not_utf8(argv, target):
+    """``argv``, with the file that ``target`` names behind a UTF-16 byte-order mark.
+
+    ``b"\\xff\\xfe"`` is not valid UTF-8, so every text reader must refuse it.
+    """
+    def build(tmp_path):
+        args = argv(tmp_path)
+        path = target(tmp_path)
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        return args
     return build
 
 
@@ -550,11 +569,11 @@ ERROR_CASES = {
     "label-gen-stride-zero": (lambda p: _synthetic_label_args(p, "0"), 1, "stride"),
     "label-gen-nan-scan": (_nan_scan_args, 3, "row 7"),
     "forward-corrupt-scene": (_corrupt_scene_args, 3, "parse error"),
-    "forward-nan-sensor-origin": (_demo_scene_with(None, "sensor_origin", ["nan", 1, 1]), 3,
-                                  "sensor_origin"),
-    "forward-nan-grid-origin": (_demo_scene_with("geometry", "origin", ["nan", 0, 0]), 3,
+    "forward-nan-sensor-origin": (_demo_scene_with(None, "sensor_origin",
+                                                   [float("nan"), 1, 1]), 3, "sensor_origin"),
+    "forward-nan-grid-origin": (_demo_scene_with("geometry", "origin", [float("nan"), 0, 0]), 3,
                                 "origin must be finite"),
-    "label-gen-nan-grid-origin": (_demo_scene_with("geometry", "origin", [0, "inf", 0],
+    "label-gen-nan-grid-origin": (_demo_scene_with("geometry", "origin", [0, float("inf"), 0],
                                                    command="label-gen"), 3,
                                   "origin must be finite"),
     "label-gen-singular-p2": (_bad_calib_args("P2", "0 0 641 0 0 0 193 0 0 0 1 0"), 3,
@@ -593,6 +612,36 @@ ERROR_CASES = {
             "box corners must be a number, got True"),
            ("boolean-sensor-origin", None, "sensor_origin", [True, 1, 1],
             "sensor_origin must be a number, got True"))},
+    **{f"{command}-string-{case}": (_demo_scene_with(section, key, value, command=command), 3,
+                                    f"parse error: bad scene spec: {needle}")
+       for command in ("forward", "label-gen")
+       for case, section, key, value, needle in (
+           ("dims", "geometry", "dims", ["64", "64", "16"],
+            "dims_scale1 must be an integer, got '64'"),
+           ("voxel-size", "geometry", "voxel_size", "0.2",
+            "voxel_size must be a number, got '0.2'"),
+           ("sensor-origin", None, "sensor_origin", ["6.4", "6.4", "1.6"],
+            "sensor_origin must be a number, got '6.4'"),
+           ("seed", None, "seed", "0", "seed must be an integer, got '0'"),
+           ("class-id", "boxes", 0,
+            {"lo": [9.0, 3.0, 0.3], "hi": [9.8, 9.5, 2.5], "class_id": "3"},
+            "class_id must be an integer, got '3'"),
+           ("box-corner", "boxes", 0, {"lo": "123", "hi": [9.8, 9.5, 2.5], "class_id": 3},
+            "box corners must be a number, got '1'"))},
+    "eval-meta-not-utf8": (_not_utf8(lambda p: _eval_args(p, "2"), lambda p: p / "vol.u8.meta"),
+                           3, "vol.u8.meta is not UTF-8 text"),
+    "eval-meta-uint16": (_eval_meta_args("dtype", "uint16"), 3, "dtype must be uint8"),
+    "label-gen-calib-not-utf8": (_not_utf8(_kitti_label_args,
+                                           lambda p: p / "sequences" / "00" / "calib.txt"),
+                                 3, "calib.txt is not UTF-8 text"),
+    **{f"{command}-scene-not-utf8": (_not_utf8(_demo_scene_with(None, "seed", 0, command=command),
+                                               lambda p: p / "bad_scene.json"),
+                                     3, "is not valid JSON")
+       for command in ("forward", "label-gen")},
+    "forward-config-not-utf8": (_not_utf8(_forward_config_args("refine", "tau1", "0.4"),
+                                          lambda p: p / "run.ini"), 1, "config error: cannot read"),
+    "bench-config-not-utf8": (_not_utf8(_bench_config_args("voxel_size", "0.2"),
+                                        lambda p: p / "bench.cfg"), 1, "config error: cannot read"),
     "forward-out-is-file": (_taken_out_args(lambda p: ["forward", "--scene", "demo"]), 1,
                             "File exists"),
     "label-gen-out-is-file": (_taken_out_args(

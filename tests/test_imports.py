@@ -15,11 +15,12 @@ each with its reason.
 
 Every defaulted parameter of a ``src/voxfuse/`` function or method is passed
 by some call under ``src/`` or ``perfbench/`` (its tests aside), by keyword
-or by position, unless ``EXEMPT`` names the check that needs it. It is the
-parameter counterpart of ``test_config.py::TestLiveKeys``. Calls match by
-callee name, and a ``*args``/``**kwargs`` call passes everything, so the
-check can miss a dead parameter but does not flag one that a call writes
-out.
+or by position, unless ``EXEMPT`` names the check that needs it. A literal
+equal to the default (``f(3)`` for ``def f(k=3)``) does not count: it
+changes nothing. It is the parameter counterpart of
+``test_config.py::TestLiveKeys``. Calls match by callee name, and a
+``*args``/``**kwargs`` call passes everything, so the check can miss a dead
+parameter but does not flag one that a call sets to another value.
 
 Every field of a ``@dataclass`` in ``src/voxfuse/`` is read somewhere under
 ``src/``, ``tests/`` or ``perfbench/``: an attribute load of its name, or a
@@ -194,12 +195,30 @@ EXEMPT = {
 }
 
 
-def defaulted_parameters(source: str) -> list[tuple[int, str, str, int | None]]:
-    """(line, qualname, parameter, position) of each defaulted parameter in ``source``.
+# stands for an expression that is not a literal, so it equals no default
+NOT_LITERAL = object()
+
+
+def literal(node: ast.expr):
+    """The value of a literal expression (``3``, ``"a"``, ``(1, 2)``), else ``NOT_LITERAL``."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return NOT_LITERAL
+
+
+def same_literal(a, b) -> bool:
+    """Two literals written alike: equal and of one type, so ``1`` is not ``1.0`` or ``True``."""
+    return a is not NOT_LITERAL and type(a) is type(b) and a == b
+
+
+def defaulted_parameters(source: str) -> list[tuple[int, str, str, int | None, object]]:
+    """(line, qualname, parameter, position, default) of each defaulted parameter.
 
     Covers module-level functions and the methods of module-level classes.
     ``position`` counts the arguments a caller writes, so ``self`` and
-    ``cls`` are dropped; it is None for a keyword-only parameter.
+    ``cls`` are dropped; it is None for a keyword-only parameter. ``default``
+    is the default's :func:`literal` value.
     """
     out = []
     for top in ast.parse(source).body:
@@ -214,19 +233,21 @@ def defaulted_parameters(source: str) -> list[tuple[int, str, str, int | None]]:
         for qualname, node, bound in defs:
             positional = (node.args.posonlyargs + node.args.args)[int(bound):]
             first = len(positional) - len(node.args.defaults)
-            out.extend((arg.lineno, qualname, arg.arg, i)
-                       for i, arg in enumerate(positional[first:], first))
-            out.extend((arg.lineno, qualname, arg.arg, None)
+            out.extend((arg.lineno, qualname, arg.arg, i, literal(default))
+                       for i, (arg, default) in enumerate(
+                           zip(positional[first:], node.args.defaults), first))
+            out.extend((arg.lineno, qualname, arg.arg, None, literal(default))
                        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
                        if default is not None)
     return out
 
 
-def call_sites(source: str) -> list[tuple[str | None, int, set[str], bool]]:
-    """(callee, positional count, keywords, starred) of each call in ``source``.
+def call_sites(source: str) -> list[tuple[str | None, list, dict, bool]]:
+    """(callee, positional values, keyword values, starred) of each call in ``source``.
 
     The callee is the called name or attribute, so ``f(x)`` and ``m.f(x)``
-    both match ``f``. A call with ``*args`` or ``**kwargs`` is starred.
+    both match ``f``. Each passed value is its :func:`literal` value. A call
+    with ``*args`` or ``**kwargs`` is starred.
     """
     out = []
     for node in ast.walk(ast.parse(source)):
@@ -235,7 +256,8 @@ def call_sites(source: str) -> list[tuple[str | None, int, set[str], bool]]:
             callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             starred = any(isinstance(a, ast.Starred) for a in node.args) \
                 or any(k.arg is None for k in node.keywords)
-            out.append((callee, len(node.args), {k.arg for k in node.keywords}, starred))
+            out.append((callee, [literal(a) for a in node.args],
+                        {k.arg: literal(k.value) for k in node.keywords}, starred))
     return out
 
 
@@ -243,15 +265,22 @@ def unpassed_parameters(source: str, calls) -> list[tuple[int, str, str]]:
     """(line, qualname, parameter) of each defaulted parameter that no call passes.
 
     A function or method matches the calls of its own name, ``__init__`` those
-    of its class. A starred call passes every parameter.
+    of its class. A starred call passes every parameter; a literal equal to
+    the default passes nothing.
     """
+    def passes(pos, param, default, args, keywords, starred):
+        if starred:
+            return True
+        if param in keywords:
+            return not same_literal(keywords[param], default)
+        return pos is not None and pos < len(args) and not same_literal(args[pos], default)
+
     out = []
-    for line, qualname, param, pos in defaulted_parameters(source):
+    for line, qualname, param, pos, default in defaulted_parameters(source):
         owner, _, name = qualname.rpartition(".")
         callee = owner if name == "__init__" else name
-        if not any(c == callee and (starred or param in keywords
-                                    or (pos is not None and pos < n_pos))
-                   for c, n_pos, keywords, starred in calls):
+        if not any(c == callee and passes(pos, param, default, args, keywords, starred)
+                   for c, args, keywords, starred in calls):
             out.append((line, qualname, param))
     return out
 
@@ -263,8 +292,14 @@ def test_checker_flags_unpassed_parameters():
               "    def m(self, y=0, z=0):\n        pass\n\n"
               "    @staticmethod\n"
               "    def s(w=0):\n        pass\n\n\n"
-              "f(0, 1, d=3)\nK(5)\nobj.m(1)\nK.s(*args)\n")
-    assert unpassed_parameters(source, call_sites(source)) == [(1, "f", "c"), (9, "K.m", "z")]
+              "def g(p=3, q='a', r=1, t=(1, 2), u=None):\n    pass\n\n\n"
+              "f(0, 2, d=4)\nK(5)\nobj.m(1)\nK.s(*args)\n"
+              "g(3, q='a', r=1.0, t=(1, 3), u=v)\n")
+    # b=1 is passed as 2 and d=3 as 4; g's p and q only ever get their own
+    # defaults, while r (1.0 is not 1), t (another tuple) and u (not a
+    # literal) get other values
+    assert unpassed_parameters(source, call_sites(source)) == [
+        (1, "f", "c"), (9, "K.m", "z"), (17, "g", "p"), (17, "g", "q")]
 
 
 @cache

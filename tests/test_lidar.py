@@ -37,13 +37,7 @@ def _reference_sparse_conv(grid, spec, stride=1):
     dims = np.asarray(grid.geometry.dims)
     if stride == 1:
         out_geom = grid.geometry
-        if spec.mode == "submanifold":
-            out_coords = grid.coords
-        else:
-            dil = (grid.coords[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-            dil = dil[np.logical_and(dil >= 0, dil < dims).all(axis=1)]
-            out_coords = np.unique(dil, axis=0)
-        anchors = out_coords
+        out_coords = anchors = grid.coords
     else:
         out_geom = grid.geometry.with_scale(grid.scale * stride)
         out_coords = np.unique(grid.coords // stride, axis=0)
@@ -73,14 +67,13 @@ def conv_cases(draw):
     cin = draw(st.integers(1, 8), label="cin")
     cout = draw(st.integers(1, 8), label="cout")
     extent = draw(st.sampled_from([1, 3, 5]), label="extent")
-    mode = draw(st.sampled_from(["submanifold", "expanding"]), label="mode")
     stride = draw(st.sampled_from([1, 2, 4]), label="stride")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     coords = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
     grid = SparseVoxelGrid(GridGeometry((0.0, 0.0, 0.0), 0.2, dims), coords,
                            rng.normal(size=(coords.shape[0], cin)))
     spec = SparseConvSpec(rng.normal(size=(extent,) * 3 + (cin, cout)),
-                          rng.normal(size=cout), mode)
+                          rng.normal(size=cout))
     return grid, spec, stride
 
 
@@ -314,32 +307,6 @@ class TestSparseConv:
             got = dense[out.coords[:, 0], out.coords[:, 1], out.coords[:, 2]]
             np.testing.assert_allclose(out.features, got, atol=1e-6)
 
-    def test_expanding_matches_dense_oracle(self, rng):
-        for trial in range(10):
-            grid = random_grid(rng, geom16(), channels=2, n=30)
-            spec = SparseConvSpec.seeded(2, 2, mode="expanding", seed=trial)
-            out = sparse_conv(grid, spec)
-            dense = dense_conv_oracle(grid, spec)
-            got = dense[out.coords[:, 0], out.coords[:, 1], out.coords[:, 2]]
-            np.testing.assert_allclose(out.features, got, atol=1e-6)
-            # all dense mass lives inside the declared output set
-            mask = np.zeros(dense.shape[:3], dtype=bool)
-            mask[out.coords[:, 0], out.coords[:, 1], out.coords[:, 2]] = True
-            assert np.abs(dense[~mask]).max() < 1e-12
-
-    def test_expanding_set_is_dilation(self):
-        g = geom16()
-        grid = SparseVoxelGrid(g, [[5, 5, 5]], [[1.0]])
-        out = sparse_conv(grid, SparseConvSpec.seeded(1, 1, mode="expanding"))
-        assert len(out) == 27
-
-    def test_expanding_clips_to_bounds(self):
-        g = geom16()
-        grid = SparseVoxelGrid(g, [[0, 0, 0]], [[1.0]])
-        out = sparse_conv(grid, SparseConvSpec.seeded(1, 1, mode="expanding"))
-        assert len(out) == 8
-        assert out.coords.min() >= 0
-
     def test_strided_matches_dense_oracle(self, rng):
         for trial in range(10):
             grid = random_grid(rng, geom16(), channels=3, n=60)
@@ -366,7 +333,7 @@ class TestSparseConv:
     def test_taps_without_hits_contribute_nothing(self, stride):
         g = GridGeometry((0.0, 0.0, 0.0), 0.2, (8, 8, 8))
         grid = SparseVoxelGrid(g, [[0, 0, 0], [7, 7, 7]], [[1.0], [2.0]])
-        spec = SparseConvSpec(np.ones((5, 5, 5, 1, 1)), np.full(1, 0.5), "expanding")
+        spec = SparseConvSpec(np.ones((5, 5, 5, 1, 1)), np.full(1, 0.5))
         out = sparse_conv(grid, spec, stride)
         ref = _reference_sparse_conv(grid, spec, stride)
         assert np.array_equal(out.coords, ref.coords)

@@ -731,13 +731,11 @@ class TestVolumeIO:
         assert geom2.scale == 4
         assert geom2.origin == geom.origin
 
-    def test_uint16_roundtrip(self, tmp_path, rng):
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64, np.float64])
+    def test_write_rejects_wider_dtypes(self, tmp_path, dtype):
         geom = GridGeometry((0, 0, 0), 0.2, (4, 4, 4))
-        vol = rng.integers(0, 18, size=geom.dims).astype(np.uint16)
-        path = tmp_path / "sem.bin"
-        write_volume(path, vol, geom)
-        back, _ = read_volume(path)
-        np.testing.assert_array_equal(back, vol)
+        with pytest.raises(ShapeError, match="must be uint8"):
+            write_volume(tmp_path / "sem.bin", np.zeros(geom.dims, dtype=dtype), geom)
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "orphan.bin"

@@ -157,7 +157,7 @@ def _reference_outputs(res, config):
     c = config.lidar_channels
     seed = res.seeds["head"]
     # the head: set-preserving conv, ReLU, then a 1x1 map to the 21 output channels
-    spec = SparseConvSpec.seeded(c, c, 3, mode="submanifold", seed=seed)
+    spec = SparseConvSpec.seeded(c, c, seed=seed)
     hidden = np.maximum(sparse_conv(refined, spec).features, 0.0)
     probs4 = _split_softmax(hidden @ seeded_projection(c, OUT_CHANNELS, seed=seed + 1))
     o4 = _dense_reference(refined.geometry.dims, refined.coords, probs4)

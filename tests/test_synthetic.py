@@ -332,7 +332,7 @@ class TestSceneJson:
 
     def test_non_finite_box_corner_rejected(self, tmp_path):
         def nan_corner(data):
-            data["boxes"][0]["hi"][2] = "nan"
+            data["boxes"][0]["hi"][2] = float("nan")
         with pytest.raises(ParseError, match="box corners must be finite"):
             self._load_edited(tmp_path, nan_corner)
 
