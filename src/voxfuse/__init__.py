@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
     VoxfuseError,
 )
-from .fusion import DeformableAttnParams, QuerySet, fuse, guide_queries, softmax_rows
+from .fusion import DeformableAttnParams, fuse, guide_queries, softmax_rows
 from .grid import (
     VALID_SCALES,
     GridGeometry,

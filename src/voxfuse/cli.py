@@ -110,7 +110,6 @@ def _kitti_frames(seq_dir: str, geom: GridGeometry):
 
 def _cmd_label_gen(args) -> int:
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     if args.dataset == "synthetic":
         scene = load_scene(args.sequence)
         geom = scene.geometry
@@ -135,6 +134,7 @@ def _cmd_label_gen(args) -> int:
     for name, semantics, pc in inputs:
         volume, stats = _label_one(semantics, pc, rig, geom, args.stride)
         path = os.path.join(out_dir, f"{name}.occ.u8")
+        os.makedirs(out_dir, exist_ok=True)
         write_volume(path, volume.occlusion, geom)
         frames.append({"name": name, "volume": path,
                        "histogram": _histogram(volume.occlusion), **stats})

@@ -1,20 +1,22 @@
 """Pipeline configuration: a sectioned key-value file with strict validation.
 
 Every tunable of ``forward`` and ``bench`` lives here; unknown sections or
-keys are rejected so config files cannot drift silently. ``[geometry]`` is
-read by ``bench`` only: ``forward`` runs on the scene's own grid. All
-randomness derives from one root seed, split per consumer by name.
+keys are rejected so config files cannot drift silently. ``[geometry]`` holds
+only ``dims``, read by ``bench`` only: it sizes the demo grid that ``bench``
+runs on, while ``forward`` runs on the scene's own grid. All randomness
+derives from one root seed, split per consumer by name.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .grid import GridGeometry
 from .lidar import BASE_FEATURES
+from .synthetic import default_geometry
 
 DATA_ROOT_ENV = "VOXFUSE_DATA_ROOT"
 
@@ -25,30 +27,19 @@ def split_seed(root_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def _parse_floats(text: str, n: int, key: str) -> tuple:
-    parts = text.replace(",", " ").split()
-    if len(parts) != n:
-        raise ConfigError(f"{key} needs {n} values, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
-def _parse_ints(text: str, n: int, key: str) -> tuple:
-    vals = _parse_floats(text, n, key)
-    if any(v != int(v) for v in vals):
-        raise ConfigError(f"{key} must be integers, got {text!r}")
+def _parse_dims(text: str) -> tuple:
+    vals = [float(p) for p in text.replace(",", " ").split()]
+    if len(vals) != 3:
+        raise ConfigError(f"dims needs 3 values, got {text!r}")
+    # is_integer() is False for inf and NaN, which int() would not take
+    if not all(v.is_integer() for v in vals):
+        raise ConfigError(f"dims must be integers, got {text!r}")
     return tuple(int(v) for v in vals)
 
 
 # section -> key -> (PipelineConfig field, parse from text)
 _SCHEMA = {
-    "geometry": {
-        "origin": ("origin", lambda t: _parse_floats(t, 3, "origin")),
-        "voxel_size": ("voxel_size", float),
-        "dims": ("dims", lambda t: _parse_ints(t, 3, "dims")),
-    },
+    "geometry": {"dims": ("dims", _parse_dims)},
     "channels": {
         "lidar": ("lidar_channels", int),
         "image": ("image_channels", int),
@@ -63,8 +54,6 @@ _SCHEMA = {
 class PipelineConfig:
     """Validated settings for the full forward pipeline."""
 
-    origin: tuple = (0.0, 0.0, 0.0)
-    voxel_size: float = 0.2
     dims: tuple = (64, 64, 16)
     lidar_channels: int = 8
     image_channels: int = 8
@@ -90,7 +79,8 @@ class PipelineConfig:
             raise ConfigError("root_seed must be non-negative")
 
     def geometry(self) -> GridGeometry:
-        return GridGeometry(self.origin, self.voxel_size, self.dims)
+        """The demo grid at this config's ``dims``: the grid ``bench`` runs on."""
+        return replace(default_geometry(), dims_scale1=self.dims)
 
     def seed_for(self, name: str) -> int:
         return split_seed(self.root_seed, name)

@@ -98,26 +98,8 @@ class DeformableAttnParams:
         return cls(offsets, logits, vp, op, om)
 
 
-@dataclass
-class QuerySet:
-    """Per-voxel query vectors, before and after grid-feature guidance."""
-
-    grid: SparseVoxelGrid
-    base_queries: np.ndarray
-    guided_queries: np.ndarray
-
-    def __post_init__(self):
-        n, c = len(self.grid), self.grid.channels
-        if self.base_queries.shape != (n, c) or self.guided_queries.shape != (n, c):
-            raise ShapeError(f"queries must be ({n}, {c})")
-
-    @property
-    def channels(self) -> int:
-        return self.base_queries.shape[1]
-
-
-def guide_queries(dense: SparseVoxelGrid, qv_seed: int = 0) -> QuerySet:
-    """Seeded per-voxel queries shifted by the voxel's grid feature.
+def guide_queries(dense: SparseVoxelGrid, qv_seed: int = 0) -> SparseVoxelGrid:
+    """``dense`` with each row's feature shifted by a seeded base query.
 
     Guided query = grid feature + base query, elementwise, one row per
     non-empty voxel. Rows follow the grid's canonical coordinate order, so a
@@ -127,16 +109,18 @@ def guide_queries(dense: SparseVoxelGrid, qv_seed: int = 0) -> QuerySet:
         raise InvalidScale(f"expected a scale-4 grid, got scale {dense.scale}")
     rng = np.random.default_rng(qv_seed)
     base = rng.normal(size=(len(dense), dense.channels))
-    return QuerySet(dense, base, dense.features + base)
+    return dense.with_features(dense.features + base)
 
 
-def fuse(queries: QuerySet, rig: list[CameraModel], maps: FeatureMap2D,
+def fuse(queries: SparseVoxelGrid, rig: list[CameraModel], maps: FeatureMap2D,
          params: DeformableAttnParams, residual: bool = True) -> SparseVoxelGrid:
     """Cross-attend every query voxel into the camera maps.
 
-    Per camera, hits sample ``n_ref`` offset locations around the projected
-    center, weight them by ``params.weights``, and pass through the value and
-    output maps; the per-camera vectors average over the cameras that saw the voxel.
+    ``queries`` is the scale-4 grid from ``guide_queries``: its rows are the
+    query voxels and its features the guided queries. Per camera, hits
+    sample ``n_ref`` offset locations around the projected center, weight
+    them by ``params.weights``, and pass through the value and output maps;
+    the per-camera vectors average over the cameras that saw the voxel.
     Unseen voxels get zero attention. With ``residual`` the guided query adds
     back into every output row. ``meta['miss_count']`` reports how many
     voxels no camera saw.
@@ -148,12 +132,11 @@ def fuse(queries: QuerySet, rig: list[CameraModel], maps: FeatureMap2D,
     if len(rig) != maps.num_cameras:
         raise ShapeError(f"{len(rig)} cameras but {maps.num_cameras} feature maps")
 
-    grid = queries.grid
-    n = len(grid)
+    n = len(queries)
     w = params.weights
 
     if params.offset_map is not None:
-        dyn = (queries.guided_queries @ params.offset_map).reshape(n, params.n_ref, 2)
+        dyn = (queries.features @ params.offset_map).reshape(n, params.n_ref, 2)
     else:
         dyn = None
 
@@ -169,10 +152,10 @@ def fuse(queries: QuerySet, rig: list[CameraModel], maps: FeatureMap2D,
             "mrc,r->mc", samples[:, 1:, :] - samples[:, :1, :], w[1:])
         return (pooled @ params.value_proj) @ params.output_proj
 
-    out, n_hit = camera_mean(rig, grid.centers(), params.query_channels, attend)
+    out, n_hit = camera_mean(rig, queries.centers(), params.query_channels, attend)
     if residual:
-        out = out + queries.guided_queries
-    fused = grid.with_features(out)
+        out = out + queries.features
+    fused = queries.with_features(out)
     fused.meta["miss_count"] = int((n_hit == 0).sum())
     fused.meta["hit_counts"] = n_hit
     return fused

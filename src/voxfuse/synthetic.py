@@ -227,9 +227,16 @@ def scene_from_dict(data: dict) -> SyntheticScene:
                             dims_scale1=tuple(data["geometry"]["dims"]), scale=1)
         boxes = tuple(Box(lo=tuple(b["lo"]), hi=tuple(b["hi"]),
                           class_id=b["class_id"]) for b in data["boxes"])
-        return SyntheticScene(geometry=geom, boxes=boxes,
-                              sensor_origin=tuple(data["sensor_origin"]),
-                              seed=as_int(data.get("seed", 0), "seed"))
+        scene = SyntheticScene(geometry=geom, boxes=boxes,
+                               sensor_origin=tuple(data["sensor_origin"]),
+                               seed=as_int(data.get("seed", 0), "seed"))
+        try:
+            ring_rig(scene)
+        except ValueError as exc:
+            # so far out that the ring's unit view offsets vanish in float64
+            raise ValueError(f"no camera ring fits at sensor_origin "
+                             f"{scene.sensor_origin}: {exc}") from None
+        return scene
     except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise ParseError(f"bad scene spec: {exc}") from None
 

@@ -21,7 +21,7 @@ from voxfuse.camera import NEAR_PLANE, CameraModel, FeatureMap2D, project_points
 from voxfuse.cli import main
 from voxfuse.config import PipelineConfig
 from voxfuse.densify import MultiScaleFeatures, densify
-from voxfuse.fusion import DeformableAttnParams, QuerySet, fuse, guide_queries
+from voxfuse.fusion import DeformableAttnParams, fuse, guide_queries
 from voxfuse.grid import (
     GridGeometry,
     SparseVoxelGrid,
@@ -210,8 +210,7 @@ def test_fusion_constant_field_miss_rule_and_determinism(rng):
                 [_forward_cam(), _forward_cam(eye=(7.12, 2.56, 2.56), target=(-10.0, 2.56, 2.56))]):
         maps = constant_maps(rig, c)
         params = identity_attention(3, n_ref=4, offsets=offsets)
-        zero = np.zeros((len(coords), 3))
-        qs = QuerySet(SparseVoxelGrid(GEOM4, coords, zero), zero, zero.copy())
+        qs = SparseVoxelGrid(GEOM4, coords, np.zeros((len(coords), 3)))
         out = fuse(qs, rig, maps, params)
         exact = all(np.array_equal(row, c) for row in out.features)
         if out.meta["miss_count"] != 0 or not exact:
@@ -225,7 +224,7 @@ def test_fusion_constant_field_miss_rule_and_determinism(rng):
     qs = guide_queries(grid, qv_seed=1)
     params = DeformableAttnParams.seeded(3, 3, seed=2)
     out = fuse(qs, away, maps, params)
-    if out.meta["miss_count"] != 2 or not np.array_equal(out.features, qs.guided_queries):
+    if out.meta["miss_count"] != 2 or not np.array_equal(out.features, qs.features):
         ok = False
     bare = fuse(qs, away, maps, params, residual=False)
     if not np.array_equal(bare.features, np.zeros((2, 3))):

@@ -222,6 +222,21 @@ class TestLabelGen:
         assert err.count("\n") == 1 and "stride" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case,code", [("stride-zero", 1), ("missing-scene", 2),
+                                           ("scene-not-json", 3)])
+    def test_rejected_input_leaves_no_out_dir(self, tmp_path, capsys, case, code):
+        scene_path, _ = small_scene_file(tmp_path)
+        if case == "missing-scene":
+            scene_path = tmp_path / "none.json"
+        elif case == "scene-not-json":
+            scene_path.write_text("{broken")
+        out = tmp_path / "labels"
+        stride = "0" if case == "stride-zero" else "4"
+        assert main(["label-gen", "--dataset", "synthetic", "--sequence", str(scene_path),
+                     "--out", str(out), "--stride", stride]) == code
+        capsys.readouterr()
+        assert not out.exists()
+
 
 def make_kitti_sequence(root):
     seq = root / "sequences" / "00"
@@ -571,6 +586,10 @@ ERROR_CASES = {
     "forward-corrupt-scene": (_corrupt_scene_args, 3, "parse error"),
     "forward-nan-sensor-origin": (_demo_scene_with(None, "sensor_origin",
                                                    [float("nan"), 1, 1]), 3, "sensor_origin"),
+    **{f"{command}-far-sensor-origin": (_demo_scene_with(None, "sensor_origin", [1e300, 0, 0],
+                                                          command=command), 3,
+                                        "parse error: bad scene spec: no camera ring fits")
+       for command in ("forward", "label-gen")},
     "forward-nan-grid-origin": (_demo_scene_with("geometry", "origin", [float("nan"), 0, 0]), 3,
                                 "origin must be finite"),
     "label-gen-nan-grid-origin": (_demo_scene_with("geometry", "origin", [0, float("inf"), 0],
@@ -640,7 +659,7 @@ ERROR_CASES = {
        for command in ("forward", "label-gen")},
     "forward-config-not-utf8": (_not_utf8(_forward_config_args("refine", "tau1", "0.4"),
                                           lambda p: p / "run.ini"), 1, "config error: cannot read"),
-    "bench-config-not-utf8": (_not_utf8(_bench_config_args("voxel_size", "0.2"),
+    "bench-config-not-utf8": (_not_utf8(_bench_config_args("dims", "64 64 16"),
                                         lambda p: p / "bench.cfg"), 1, "config error: cannot read"),
     "forward-out-is-file": (_taken_out_args(lambda p: ["forward", "--scene", "demo"]), 1,
                             "File exists"),
@@ -655,7 +674,8 @@ ERROR_CASES = {
                                "Is a directory"),
     "bench-negative-size": (lambda p: ["bench", "--sizes", "-5"], 1, "--sizes"),
     "bench-config-nan-origin": (_bench_config_args("origin", "nan 0 0"), 1,
-                                "origin must be finite"),
+                                "unknown key 'origin'"),
+    "bench-config-inf-dims": (_bench_config_args("dims", "inf 4 4"), 1, "dims must be integers"),
     "bench-config-dims-over-key-budget": (_bench_config_args("dims", "4000000 4 4"), 1,
                                           "key budget"),
     "bench-config-doubled-dims-over-key-budget": (_bench_config_args("dims", "2000000 4 4"), 1,

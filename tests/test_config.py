@@ -1,17 +1,21 @@
 """Configuration loading, validation, and seed-splitting tests."""
 
+import csv
 import importlib.resources
+import io
+from contextlib import redirect_stdout
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from voxfuse.cli import main
 from voxfuse.config import _SCHEMA, PipelineConfig, split_seed
 from voxfuse.errors import ConfigError
 from voxfuse.grid import GridGeometry
 from voxfuse.lidar import BASE_FEATURES
 from voxfuse.pipeline import forward_scene
-from voxfuse.synthetic import load_scene
+from voxfuse.synthetic import default_geometry, load_scene
 
 from oracles import config_text
 
@@ -23,17 +27,16 @@ class TestDefaults:
         assert cfg.tau2 == 0.7
 
     def test_geometry_presets(self):
-        # the explicit [geometry] blocks the README gives for the dataset grids
-        blocks = {"semantickitti": "origin = 0.0 -25.6 -2.0\ndims = 256 256 32",
-                  "nuscenes-occ": "origin = -51.2 -51.2 -5.0\ndims = 512 512 40"}
+        # the [geometry] blocks the README gives for the dataset grids' extents
+        blocks = {"semantickitti": "dims = 256 256 32", "nuscenes-occ": "dims = 512 512 40"}
         for name, block in blocks.items():
-            cfg = PipelineConfig.loads(f"[geometry]\n{block}\nvoxel_size = 0.2\n")
-            assert cfg.geometry() == GridGeometry.preset(name)
+            cfg = PipelineConfig.loads(f"[geometry]\n{block}\n")
+            assert cfg.geometry().dims == GridGeometry.preset(name).dims
 
     def test_custom_geometry(self):
-        cfg = PipelineConfig(origin=(1.0, 2.0, 3.0), voxel_size=0.5, dims=(10, 20, 30))
-        geom = cfg.geometry()
-        assert geom.origin == (1.0, 2.0, 3.0)
+        # bench's grid is the demo grid with the config's dims
+        geom = PipelineConfig(dims=(10, 20, 30)).geometry()
+        assert geom == replace(default_geometry(), dims_scale1=(10, 20, 30))
         assert geom.dims == (10, 20, 30)
 
     def test_with_overrides(self):
@@ -47,7 +50,7 @@ class TestDefaults:
 
 class TestValidation:
     def test_bad_preset_rejected(self):
-        # [geometry] has no preset key: origin, voxel_size and dims always apply
+        # [geometry] has no preset key: dims always applies
         for name in ("kitti360", "semantickitti"):
             with pytest.raises(ConfigError, match="unknown key 'preset'"):
                 PipelineConfig.loads(f"[geometry]\npreset = {name}\ndims = 8 8 8\n")
@@ -65,10 +68,6 @@ class TestValidation:
         # NaN compares false with everything, so only a `>= 0` test rejects it
         with pytest.raises(ConfigError, match="non-negative"):
             PipelineConfig.loads(f"[refine]\n{key} = nan\n")
-
-    def test_zero_voxel_size_rejected(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(voxel_size=0.0)
 
     def test_bad_dims_rejected(self):
         with pytest.raises(ConfigError):
@@ -90,10 +89,8 @@ class TestSerialization:
         assert PipelineConfig.loads(config_text(cfg)) == cfg
 
     def test_round_trip_nondefault(self):
-        cfg = PipelineConfig(origin=(-51.2, -51.2, -5.0),
-                             voxel_size=0.25, dims=(48, 48, 12), tau1=0.35,
-                             tau2=0.95, n_ref=6, root_seed=99,
-                             lidar_channels=12, image_channels=6)
+        cfg = PipelineConfig(dims=(48, 48, 12), tau1=0.35, tau2=0.95, n_ref=6,
+                             root_seed=99, lidar_channels=12, image_channels=6)
         assert PipelineConfig.loads(config_text(cfg)) == cfg
 
     def test_file_round_trip(self, tmp_path):
@@ -112,8 +109,11 @@ class TestSerialization:
 
     @pytest.mark.parametrize("text", ["[camera]\nray_stride = 2\n",
                                       "[losses]\nw_ce = 0.5\n",
-                                      "[paths]\ndataset_root = /data\n"],
-                             ids=["camera-ray_stride", "losses-w_ce", "paths-dataset_root"])
+                                      "[paths]\ndataset_root = /data\n",
+                                      "[geometry]\norigin = 0 0 0\n",
+                                      "[geometry]\nvoxel_size = 0.2\n"],
+                             ids=["camera-ray_stride", "losses-w_ce", "paths-dataset_root",
+                                  "geometry-origin", "geometry-voxel_size"])
     def test_removed_keys_rejected(self, text):
         with pytest.raises(ConfigError, match="unknown"):
             PipelineConfig.loads(text)
@@ -156,12 +156,10 @@ class TestSeeds:
 
 
 # (section, key) of config._SCHEMA -> (non-default value, what it must change):
-# "geometry" is config.geometry(), "forward" forward_scene's outputs on the
-# demo scene
+# "bench" is a non-timing column of `voxfuse bench --sizes 64`'s CSV,
+# "forward" forward_scene's outputs on the demo scene
 LIVE_KEYS = {
-    ("geometry", "origin"): ("1 2 3", "geometry"),
-    ("geometry", "voxel_size"): ("0.25", "geometry"),
-    ("geometry", "dims"): ("32 32 8", "geometry"),
+    ("geometry", "dims"): ("32 32 8", "bench"),
     ("channels", "lidar"): ("6", "forward"),
     ("channels", "image"): ("4", "forward"),
     ("refine", "tau1"): ("0.3", "forward"),
@@ -178,6 +176,16 @@ def _demo_outputs(config):
     return [a for grid in (result.o4, result.o1) for a in (grid.coords, grid.features)]
 
 
+def _bench_columns(tmp_path, text):
+    """`voxfuse bench --sizes 64` on a config of ``text``, without its timing columns."""
+    path = tmp_path / "bench.ini"
+    path.write_text(text)
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["bench", "--config", str(path), "--sizes", "64"]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    return [{k: v for k, v in row.items() if k not in ("wall_s", "peak_kb")} for row in rows]
+
+
 class TestLiveKeys:
     """Every config key changes behaviour; a key that changes nothing is removed."""
 
@@ -186,12 +194,11 @@ class TestLiveKeys:
 
     @pytest.mark.parametrize("section,key", list(LIVE_KEYS),
                              ids=[f"{s}-{k}" for s, k in LIVE_KEYS])
-    def test_key_changes_behaviour(self, section, key):
+    def test_key_changes_behaviour(self, section, key, tmp_path):
         value, effect = LIVE_KEYS[section, key]
         text = f"[{section}]\n{key} = {value}\n"
-        cfg, default = PipelineConfig.loads(text), PipelineConfig()
-        if effect == "geometry":
-            assert cfg.geometry() != default.geometry()
+        if effect == "bench":
+            assert _bench_columns(tmp_path, text) != _bench_columns(tmp_path, "")
         else:
-            got, base = _demo_outputs(cfg), _demo_outputs(default)
+            got, base = _demo_outputs(PipelineConfig.loads(text)), _demo_outputs(PipelineConfig())
             assert not all(np.array_equal(a, b) for a, b in zip(got, base))

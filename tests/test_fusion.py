@@ -3,7 +3,7 @@ import pytest
 
 from voxfuse.camera import CameraModel, FeatureMap2D, project_points
 from voxfuse.errors import InvalidScale, ShapeError
-from voxfuse.fusion import DeformableAttnParams, QuerySet, fuse, guide_queries, softmax_rows
+from voxfuse.fusion import DeformableAttnParams, fuse, guide_queries, softmax_rows
 from voxfuse.grid import GridGeometry, SparseVoxelGrid
 
 from oracles import constant_maps, identity_attention
@@ -52,29 +52,31 @@ class TestParams:
 
 
 class TestGuideQueries:
-    def test_zero_base_gives_grid_feature(self, rng):
+    def test_keeps_grid_cells(self, rng):
         feats = rng.normal(size=(4, 3))
         grid = grid4([[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]], feats)
         qs = guide_queries(grid, qv_seed=0)
-        zeroed = QuerySet(grid, np.zeros_like(qs.base_queries), grid.features + 0.0)
-        np.testing.assert_allclose(zeroed.guided_queries, grid.features)
+        assert qs.geometry == grid.geometry
+        np.testing.assert_array_equal(qs.coords, grid.coords)
+        assert qs.features.shape == feats.shape
 
     def test_zero_grid_feature_gives_base(self):
         grid = grid4([[2, 2, 2]], np.zeros((1, 3)))
         qs = guide_queries(grid, qv_seed=5)
-        np.testing.assert_array_equal(qs.guided_queries, qs.base_queries)
+        np.testing.assert_array_equal(qs.features, np.random.default_rng(5).normal(size=(1, 3)))
 
     def test_guided_is_elementwise_sum(self, rng):
         feats = rng.normal(size=(5, 4))
         coords = [[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0], [4, 0, 0]]
         qs = guide_queries(grid4(coords, feats), qv_seed=9)
-        np.testing.assert_allclose(qs.guided_queries, feats + qs.base_queries, atol=1e-12)
+        base = np.random.default_rng(9).normal(size=(5, 4))
+        np.testing.assert_array_equal(qs.features, feats + base)
 
     def test_seed_determinism(self, rng):
         grid = grid4([[1, 2, 3]], rng.normal(size=(1, 3)))
         a = guide_queries(grid, qv_seed=42)
         b = guide_queries(grid, qv_seed=42)
-        np.testing.assert_array_equal(a.base_queries, b.base_queries)
+        np.testing.assert_array_equal(a.features, b.features)
 
     def test_requires_scale4(self, rng):
         g = SparseVoxelGrid(GEOM.with_scale(2), [[0, 0, 0]], rng.normal(size=(1, 3)))
@@ -82,12 +84,11 @@ class TestGuideQueries:
             guide_queries(g)
 
 
-def interior_queryset(channels=3, zero_guided=True):
-    # cells well inside the camera footprint so every bilinear tap is interior
+def interior_queries(channels=3):
+    # zero guided queries on cells well inside the camera footprint, so
+    # every bilinear tap is interior
     coords = [[2, 3, 3], [3, 3, 3], [2, 4, 3], [3, 2, 4]]
-    grid = grid4(coords, np.zeros((len(coords), channels)))
-    q = np.zeros((len(coords), channels))
-    return QuerySet(grid, q, q.copy())
+    return grid4(coords, np.zeros((len(coords), channels)))
 
 
 class TestFuse:
@@ -97,7 +98,7 @@ class TestFuse:
         maps = constant_maps(rig, c)
         params = identity_attention(3, n_ref=4, offsets=np.array(
             [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
-        qs = interior_queryset()
+        qs = interior_queries()
         out = fuse(qs, rig, maps, params)
         assert out.meta["miss_count"] == 0
         for row in out.features:
@@ -112,7 +113,7 @@ class TestFuse:
         qs = guide_queries(grid, qv_seed=1)
         out = fuse(qs, rig, maps, DeformableAttnParams.seeded(3, 3, seed=2))
         assert out.meta["miss_count"] == 2
-        np.testing.assert_array_equal(out.features, qs.guided_queries)
+        np.testing.assert_array_equal(out.features, qs.features)
 
     def test_no_residual_miss_is_zero(self, rng):
         rig = [CameraModel.from_lookat((0, 0, 0), (-10, 0, 0), 100, 100, 32, 32, (64, 64))]
@@ -126,9 +127,8 @@ class TestFuse:
         # one camera, two ref points landing on pixels valued 1 and 3
         rig = [forward_cam(size=(16, 16), fov_deg=90.0)]
         cam = rig[0]
-        grid = grid4([[3, 3, 3]], np.zeros((1, 1)))
-        qs = QuerySet(grid, np.zeros((1, 1)), np.zeros((1, 1)))
-        uv, _, _ = project_points(cam, grid.centers())
+        qs = grid4([[3, 3, 3]], np.zeros((1, 1)))
+        uv, _, _ = project_points(cam, qs.centers())
         u, v = uv[0]
         img = np.zeros((16, 16, 1))
         # place values at the exact integer pixels the two offsets select
@@ -144,7 +144,7 @@ class TestFuse:
     def test_convex_hull_with_identity_maps(self, rng):
         rig = [forward_cam()]
         maps = FeatureMap2D.seeded(rig, 1, seed=4)
-        qs = interior_queryset(channels=1)
+        qs = interior_queries(channels=1)
         params = identity_attention(1, n_ref=4, offsets=rng.normal(0, 2, (4, 2)))
         out = fuse(qs, rig, maps, params)
         lo, hi = maps.maps[0].min(), maps.maps[0].max()
@@ -176,7 +176,7 @@ class TestFuse:
     def test_channel_mismatch(self, rng):
         rig = [forward_cam()]
         maps = FeatureMap2D.seeded(rig, 2, seed=0)
-        qs = interior_queryset(channels=3)
+        qs = interior_queries(channels=3)
         with pytest.raises(ShapeError):
             fuse(qs, rig, maps, DeformableAttnParams.seeded(3, 3, seed=0))
 
@@ -191,7 +191,7 @@ class TestFuse:
         params = identity_attention(3, n_ref=3, offsets=np.array(
             [[0.5, 0.5], [-0.5, 0.25], [1.0, -1.0]]))
         out = fuse(qs, rig, maps, params)
-        np.testing.assert_allclose(out.features, v + qs.guided_queries, atol=1e-9)
+        np.testing.assert_allclose(out.features, v + qs.features, atol=1e-9)
 
 
 class TestSoftmax:

@@ -15,6 +15,7 @@ from voxfuse.lidar import SparseConvSpec, sparse_conv
 from voxfuse.occlusion import BACKGROUND_ROW, OCC_CHANNELS, SEM_CHANNELS, assemble_output
 from voxfuse.pipeline import (
     OUT_CHANNELS,
+    SEED_NAMES,
     _decode_fine,
     forward,
     forward_scene,
@@ -108,6 +109,23 @@ class TestDeterminism:
 
     def test_seeds_recorded(self, result):
         assert set(result.seeds) >= {"backbone", "queries", "fusion", "rie", "head"}
+
+    def test_every_drawn_seed_is_reported(self, monkeypatch):
+        # forward_report.json lists result.seeds, one per SEED_NAMES entry; a
+        # stage that draws a seed of its own under another name goes unreported
+        drawn = []
+        seed_for = PipelineConfig.seed_for
+
+        def spy(config, name):
+            drawn.append(name)
+            return seed_for(config, name)
+
+        monkeypatch.setattr(PipelineConfig, "seed_for", spy)
+        result = forward_scene(_demo_scene(), PipelineConfig())
+        assert set(drawn) <= set(SEED_NAMES)
+        assert set(result.seeds) == set(SEED_NAMES)
+        # refine_stages draws its own seeds, so the spy saw past forward's table
+        assert drawn.count("refine-a") == 2
 
 
 class TestIdentityPath:
