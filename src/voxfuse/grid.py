@@ -107,9 +107,10 @@ class GridGeometry:
         return GridGeometry(self.origin, self.voxel_size, self.dims_scale1, scale)
 
     def world_to_index(self, points: np.ndarray) -> np.ndarray:
-        """Floor points (N, 3) onto this scale's lattice. No bounds check."""
+        """Floor points (N, 3) onto this scale's lattice, clipped to [-1, max(dims)]."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        return np.floor((pts - self.origin_array) / self.cell_size).astype(np.int64)
+        idx = np.floor((pts - self.origin_array) / self.cell_size)
+        return np.clip(idx, -1, max(self.dims)).astype(np.int64)
 
     def contains_index(self, coords: np.ndarray) -> np.ndarray:
         """Boolean in-bounds mask for integer coords (N, 3) at this scale."""
@@ -135,14 +136,22 @@ def align_coords(coords: np.ndarray, from_scale: int, to_scale: int) -> np.ndarr
     raise InvalidScale(f"scales {from_scale} and {to_scale} are not related by an integer factor")
 
 
-def subdivide_coords(coords: np.ndarray, factor: int) -> np.ndarray:
-    """Children of (N, 3) parent coords as (N * factor^3, 3), z fastest per parent."""
+def subdivide_coords(coords: np.ndarray, factor: int,
+                     dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Children of (N, 3) parents as ``(children (M, 3), parent_rows (M,))``.
+
+    A parent's children are ``parent * factor + offset`` for offsets in
+    ``[0, factor)^3``, parent-major with z fastest. A child past ``dims``, the
+    child grid's extent, does not exist, so a partial last cell has fewer.
+    """
     if factor not in (2, 4):
         raise InvalidFactor(f"subdivision factor must be 2 or 4, got {factor}")
     c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    rng = np.arange(factor, dtype=np.int64)
-    off = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-    return (c[:, None, :] * factor + off[None, :, :]).reshape(-1, 3)
+    off = np.indices((factor,) * 3, dtype=np.int64).reshape(3, -1).T
+    children = (c[:, None, :] * factor + off[None, :, :]).reshape(-1, 3)
+    rows = np.repeat(np.arange(c.shape[0]), factor ** 3)
+    keep = (children < np.asarray(dims)).all(axis=1)
+    return children[keep], rows[keep]
 
 
 def centers_for(coords: np.ndarray, scale: int, geom: GridGeometry) -> np.ndarray:
@@ -212,13 +221,13 @@ class SparseVoxelGrid:
         dims = np.asarray(geometry.dims)
         if coords.size and (coords.min() < 0 or (coords >= dims).any()):
             bad = coords[~np.logical_and(coords >= 0, coords < dims).all(axis=1)][0]
-            raise OutOfBounds(f"coord {tuple(bad)} outside dims {geometry.dims} at scale {geometry.scale}")
+            raise OutOfBounds(f"coord {tuple(bad.tolist())} outside dims {geometry.dims} at scale {geometry.scale}")
         keys = pack_keys(coords)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         if keys.size > 1 and (np.diff(keys) == 0).any():
             dup = unpack_keys(keys[1:][np.diff(keys) == 0][:1])[0]
-            raise DuplicateVoxels(f"duplicate coordinate {tuple(dup)}")
+            raise DuplicateVoxels(f"duplicate coordinate {tuple(dup.tolist())}")
         self.geometry = geometry
         self.coords = coords[order]
         self.features = features[order]

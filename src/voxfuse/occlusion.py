@@ -181,11 +181,12 @@ def label_lidar(pc: PointCloud, semantics: np.ndarray, geom: GridGeometry) -> np
     return labels.reshape(geom.dims)
 
 
-def _pixel_rays(cam: CameraModel, pixel_stride: int):
+def pixel_rays(cam: CameraModel, pixel_stride: int):
     """Camera center and unit ray direction per sampled pixel.
 
-    Same arithmetic as the pixel-to-world ``back_project`` in
-    ``tests/oracles.py`` at depth 1 for each pixel.
+    Every ``pixel_stride``-th pixel of every ``pixel_stride``-th row, in
+    row-major order, with the arithmetic of the pixel-to-world ``back_project``
+    in ``tests/oracles.py`` at depth 1.
     """
     r = cam.extrinsics[:3, :3]
     t = cam.extrinsics[:3, 3]
@@ -223,7 +224,7 @@ def label_camera(rig: list[CameraModel], semantics: np.ndarray, geom: GridGeomet
                                                indexing="ij"), axis=-1).reshape(-1, 3)
     origins, targets = [], []
     for cam in rig:
-        center, direction = _pixel_rays(cam, pixel_stride)
+        center, direction = pixel_rays(cam, pixel_stride)
         reach = float(np.linalg.norm(corners - center, axis=1).max()) + geom.cell_size
         origins.append(np.broadcast_to(center, direction.shape))
         targets.append(center + direction * reach)

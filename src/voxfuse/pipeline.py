@@ -201,23 +201,19 @@ def forward(pc: PointCloud, rig: list[CameraModel], maps: FeatureMap2D,
 
 
 def _decode_fine(parents: SparseVoxelGrid, geom: GridGeometry, seed: int) -> SparseVoxelGrid:
-    """Emit 64 scale-1 children per row of ``parents`` (the visible coarse voxels).
+    """Emit the in-grid scale-1 children of ``parents``, the visible coarse voxels.
 
-    Child logits come from a seeded linear map over the parent's 21 channels
-    concatenated with the child's normalized offset inside the parent.
-    Children past the scale-1 extent are dropped.
+    Children come from ``subdivide_coords``. Their logits come from a seeded
+    linear map over the parent's 21 channels and the child's normalized offset.
     """
-    geom1 = geom.with_scale(1)
-    children = subdivide_coords(parents.coords, 4)
-    parent_rows = np.repeat(np.arange(len(parents)), 64)
+    children, parent_rows = subdivide_coords(parents.coords, 4, geom.dims)
     parent_vecs = parents.features[parent_rows]
     offsets = (children - parents.coords[parent_rows] * 4) / 4.0
     w = seeded_projection(OUT_CHANNELS + 3, OUT_CHANNELS, seed=seed)
     # identity carry plus a seeded perturbation so children track their parent
     w[:OUT_CHANNELS] += np.eye(OUT_CHANNELS)
     probs = _split_probs(np.hstack([parent_vecs, offsets]) @ w)
-    keep = (children < np.asarray(geom1.dims)).all(axis=1)
-    return SparseVoxelGrid(geom1, children[keep], probs[keep])
+    return SparseVoxelGrid(geom, children, probs)
 
 
 def forward_scene(scene: SyntheticScene, config: PipelineConfig) -> ForwardResult:

@@ -1,8 +1,9 @@
 """Selective refinement: importance scoring, set selection, child gathers, fusion.
 
 High-importance coarse voxels split into 8 (semi-fine, scale 2) or 64 (fine,
-scale 1) children. Children gather a grid feature (zero when absent) plus an
-averaged multi-camera image sample, concatenated through a 1x1 linear map.
+scale 1) children, fewer in a partial last cell (``grid.subdivide_coords``).
+Children gather a grid feature (zero when absent) plus an averaged
+multi-camera image sample, concatenated through a 1x1 linear map.
 The refined branches re-enter the coarse grid through two stride-2 sparse
 convolutions and a residual add, so empty refinement sets reproduce the
 coarse features bit for bit.
@@ -99,7 +100,7 @@ def _gather(parents: np.ndarray, factor: int, lidar: SparseVoxelGrid,
         raise ShapeError(f"factor {factor} children live at scale {child_scale}, "
                          f"grid is at scale {lidar.scale}")
     geom = lidar.geometry
-    children = subdivide_coords(parents, factor)
+    children, _ = subdivide_coords(parents, factor, geom.dims)
     lidar_feats = np.zeros((children.shape[0], lidar.channels))
     rows, found = lidar.rows_for(children)
     lidar_feats[found] = lidar.features[rows[found]]
@@ -111,14 +112,14 @@ def _gather(parents: np.ndarray, factor: int, lidar: SparseVoxelGrid,
 def gather_semi_fine(parents: np.ndarray, lidar2: SparseVoxelGrid,
                      rig: list[CameraModel], maps: FeatureMap2D,
                      proj: np.ndarray) -> SparseVoxelGrid:
-    """Split each (N, 3) scale-4 parent into its 8 scale-2 children and featurize them."""
+    """Split each (N, 3) scale-4 parent into its in-grid scale-2 children and featurize them."""
     return _gather(parents, 2, lidar2, rig, maps, proj)
 
 
 def gather_fine(parents: np.ndarray, lidar1: SparseVoxelGrid,
                 rig: list[CameraModel], maps: FeatureMap2D,
                 proj: np.ndarray) -> SparseVoxelGrid:
-    """Split each (N, 3) scale-4 parent into its 64 scale-1 children and featurize them."""
+    """Split each (N, 3) scale-4 parent into its in-grid scale-1 children and featurize them."""
     return _gather(parents, 4, lidar1, rig, maps, proj)
 
 

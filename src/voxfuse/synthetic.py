@@ -16,7 +16,7 @@ from .camera import CameraModel, FeatureMap2D
 from .errors import EmptyInput, ParseError, ShapeError
 from .grid import GridGeometry, as_float, as_int
 from .lidar import PointCloud
-from .occlusion import SEM_CHANNELS
+from .occlusion import SEM_CHANNELS, pixel_rays
 
 _EPS = 1e-9
 
@@ -148,15 +148,8 @@ class SyntheticScene:
         """Nearest-hit class embedding per pixel, background where no box."""
         w, h = camera.image_size
         table = self.class_embeddings(channels)
-        rot = camera.extrinsics[:3, :3]
-        trans = camera.extrinsics[:3, 3]
-        center = -rot.T @ trans
-        us, vs = np.meshgrid(np.arange(w), np.arange(h), indexing="xy")
-        pix = np.stack([us.ravel(), vs.ravel(), np.ones(w * h)], axis=0)
-        dirs = (rot.T @ (np.linalg.inv(camera.intrinsics) @ pix)).T
-        _, cls, hit = first_hits(center, dirs, self.boxes)
-        img = table[np.where(hit, cls, 0)]
-        return img.reshape(h, w, channels)
+        _, cls, hit = first_hits(*pixel_rays(camera, 1), self.boxes)
+        return table[np.where(hit, cls, 0)].reshape(h, w, channels)
 
     def feature_maps(self, rig: list[CameraModel], channels: int) -> FeatureMap2D:
         return FeatureMap2D(maps=[self.render(cam, channels) for cam in rig])

@@ -11,7 +11,10 @@ against the scalar references here, or build inputs with the builders:
 - :func:`masked_slab_hits` is the ray-box test with explicit masks for
   axis-parallel rays that ``synthetic._slab_hits`` matches bit for bit;
 - :func:`back_project` is the pixel-to-world inverse that
-  ``occlusion._pixel_rays`` matches at depth 1;
+  ``occlusion.pixel_rays``, the one pixel ray of label-gen and of
+  ``SyntheticScene.render``, matches at depth 1;
+- :func:`in_grid_children` enumerates the children that
+  ``grid.subdivide_coords`` returns, one nested loop per axis;
 - :func:`occupied_fraction` is the exact-occupancy importance scorer;
 - :func:`lovasz_oracle` is the Lovász extension from its definition;
 - :func:`dense_view` is a sparse grid's dense array, every absent cell
@@ -207,6 +210,21 @@ def back_project(cam: CameraModel, u: float, v: float, depth: float) -> np.ndarr
     p_cam = ray * depth
     r = cam.extrinsics[:3, :3]
     return r.T @ (p_cam - cam.extrinsics[:3, 3])
+
+
+def in_grid_children(parents, factor: int, dims) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``p * factor + offset`` below ``dims`` and its parent row.
+
+    Children are listed parent-major with z fastest, as (M, 3) and (M,) arrays.
+    """
+    children, rows = [], []
+    for row, (x, y, z) in enumerate(np.asarray(parents).reshape(-1, 3).tolist()):
+        for i, j, k in itertools.product(range(factor), repeat=3):
+            child = (factor * x + i, factor * y + j, factor * z + k)
+            if all(c < d for c, d in zip(child, dims)):
+                children.append(child)
+                rows.append(row)
+    return np.array(children, dtype=np.int64).reshape(-1, 3), np.array(rows, dtype=np.int64)
 
 
 def occupied_fraction(parents: np.ndarray, occupied_scale1: np.ndarray) -> np.ndarray:

@@ -40,11 +40,11 @@ from voxfuse.occlusion import (
     OCC_CHANNELS,
     SEM_CHANNELS,
     OcclusionLabel,
-    _pixel_rays,
     _walk,
     combine_volumes,
     label_camera,
     label_lidar,
+    pixel_rays,
     read_volume,
     write_volume,
 )
@@ -128,7 +128,10 @@ def test_subdivision_tiles_parents_exactly(rng):
     parents = rng.integers(0, 2 ** 15, size=(1000, 3)).astype(np.int64)
     failures = 0
     for factor, child_scale in ((2, 2), (4, 1)):
-        children = subdivide_coords(parents, factor)
+        # a child extent that holds every child of the parents
+        children, parent_rows = subdivide_coords(parents, factor, (2 ** 15 * factor,) * 3)
+        if not np.array_equal(parent_rows, np.repeat(np.arange(1000), factor ** 3)):
+            failures += 1
         per = children.reshape(1000, factor ** 3, 3)
         for i in range(1000):
             block = per[i]
@@ -145,8 +148,8 @@ def test_subdivision_tiles_parents_exactly(rng):
         if not np.array_equal(back, np.repeat(parents, factor ** 3, axis=0)):
             failures += 1
     record("A02", failures == 0,
-           f"8-way and 64-way children of 1000 random parents tile, are unique, "
-           f"and round-trip through scale alignment ({failures} failures)")
+           f"8-way and 64-way children of 1000 random parents tile, are unique, carry their "
+           f"parent rows, and round-trip through scale alignment ({failures} failures)")
 
 
 # --- A03: sparse convolution against a dense oracle -------------------------
@@ -269,7 +272,7 @@ def test_projection_round_trip_residual(rng):
         cam = CameraModel.from_lookat(eye, target, fx, fy, cx, cy, (w, h))
         # the label-gen camera rays, about 256 per camera, out to random depths
         stride = math.ceil(math.sqrt(w * h / 256))
-        center, direction = _pixel_rays(cam, stride)
+        center, direction = pixel_rays(cam, stride)
         depth = rng.uniform(0.5, 30.0, size=direction.shape[0])
         uv, cam_depth, _ = project_points(cam, center + direction * depth[:, None])
         v, u = np.meshgrid(np.arange(0, h, stride), np.arange(0, w, stride), indexing="ij")

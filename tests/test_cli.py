@@ -12,7 +12,7 @@ from voxfuse import occlusion
 from voxfuse.cli import BENCH_HEADER, main
 from voxfuse.grid import GridGeometry
 from voxfuse.occlusion import OcclusionLabel, read_volume, write_volume
-from voxfuse.synthetic import Box, SyntheticScene
+from voxfuse.synthetic import Box, SyntheticScene, random_scene
 
 from oracles import save_scene
 
@@ -153,6 +153,16 @@ class TestForward:
         assert "refined equals fused: True" in capsys.readouterr().out
         report = json.load(open(os.path.join(out, "forward_report.json")))
         assert report["refined_equals_fused"] is True
+
+    def test_partial_last_cell_scene_runs(self, tmp_path, capsys):
+        # 66 x 66 x 18 leaves a partial last coarse cell on every axis, and
+        # this scene refines and decodes parents in them
+        geom = GridGeometry((0.0, 0.0, 0.0), 0.2, (66, 66, 18))
+        scene_path = tmp_path / "scene.json"
+        save_scene(random_scene(3, geom, min_foreground=0.03), str(scene_path))
+        out = str(tmp_path / "fwd")
+        assert main(["forward", "--scene", str(scene_path), "--out", out]) == 0
+        assert "o1 shape: (66, 66, 18, 21)" in capsys.readouterr().out
 
     def test_bad_config_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"
@@ -416,6 +426,13 @@ class TestBench:
         refine = [float(line.split(",")[7]) for line in open(out).read().splitlines()[1:]
                   if line.startswith("refine,")]
         assert refine[0] < 2 * refine[1]
+
+    @pytest.mark.parametrize("dims", ["64 64 17", "66 66 18", "65 64 16"])
+    def test_partial_last_cell_grid_runs(self, tmp_path, capsys, dims):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"[geometry]\ndims = {dims}\n")
+        assert main(["bench", "--config", str(cfg_path), "--sizes", "0"]) == 0
+        capsys.readouterr()
 
     def test_bad_sizes_exits_1(self, capsys):
         assert main(["bench", "--sizes", "a,b"]) == 1

@@ -17,7 +17,7 @@ from voxfuse.grid import (
     unpack_keys,
 )
 
-from oracles import dense_view
+from oracles import dense_view, in_grid_children
 
 
 def small_geom(scale=1):
@@ -124,31 +124,36 @@ class TestAlignScale:
                 assert row_out == want
 
 
+# a child extent that holds every child of the parents below
+DIMS = (64, 64, 64)
+
+
 class TestSubdivide:
     def test_factor2_count_and_scale(self):
-        kids = subdivide_coords([[3, 1, 2]], 2)
+        kids, rows = subdivide_coords([[3, 1, 2]], 2, DIMS)
         assert kids.shape == (8, 3)
+        assert rows.tolist() == [0] * 8
         # scale-2 children align back onto their scale-4 parent
         np.testing.assert_array_equal(align_coords(kids, 2, 4), np.tile([3, 1, 2], (8, 1)))
 
     def test_factor4_count(self):
-        kids = subdivide_coords([[0, 0, 0]], 4)
+        kids, _ = subdivide_coords([[0, 0, 0]], 4, DIMS)
         assert kids.shape == (64, 3)
         np.testing.assert_array_equal(align_coords(kids, 1, 4), np.zeros((64, 3)))
 
     def test_children_tile_parent_exactly(self):
-        kids = subdivide_coords([[3, 1, 2]], 2)
+        kids, _ = subdivide_coords([[3, 1, 2]], 2, DIMS)
         # every child aligns back to the parent, and children are distinct
         assert all(align(k, 2, 4) == (3, 1, 2) for k in kids.tolist())
         assert len({tuple(k) for k in kids.tolist()}) == 8
 
     def test_sibling_disjointness(self):
-        a = {tuple(k) for k in subdivide_coords([[0, 0, 0]], 2).tolist()}
-        b = {tuple(k) for k in subdivide_coords([[1, 0, 0]], 2).tolist()}
+        a = {tuple(k) for k in subdivide_coords([[0, 0, 0]], 2, DIMS)[0].tolist()}
+        b = {tuple(k) for k in subdivide_coords([[1, 0, 0]], 2, DIMS)[0].tolist()}
         assert not (a & b)
 
     def test_lexicographic_order_z_fastest(self):
-        kids = subdivide_coords([[0, 0, 0]], 2)
+        kids, _ = subdivide_coords([[0, 0, 0]], 2, DIMS)
         assert [tuple(k) for k in kids.tolist()] == [
             (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
             (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
@@ -156,16 +161,42 @@ class TestSubdivide:
 
     def test_bad_factor(self):
         with pytest.raises(InvalidFactor):
-            subdivide_coords([[0, 0, 0]], 3)
+            subdivide_coords([[0, 0, 0]], 3, DIMS)
 
     def test_array_matches_scalar(self, rng):
         coords = rng.integers(0, 10, size=(7, 3))
-        arr = subdivide_coords(coords, 4)
+        arr, rows = subdivide_coords(coords, 4, DIMS)
         assert arr.shape == (7 * 64, 3)
         flat = [[4 * x + i, 4 * y + j, 4 * z + k]
                 for x, y, z in coords.tolist()
                 for i in range(4) for j in range(4) for k in range(4)]
         assert arr.tolist() == flat
+        assert rows.tolist() == np.repeat(np.arange(7), 64).tolist()
+
+    def test_partial_last_cell(self):
+        # dims 5 x 6 x 7: the parent (1, 1, 1) keeps x = 4, y = 4..5, z = 4..6
+        kids, rows = subdivide_coords([[0, 0, 0], [1, 1, 1]], 4, (5, 6, 7))
+        assert kids[rows == 0].shape == (64, 3)
+        assert kids[rows == 1].tolist() == [[4, y, z] for y in (4, 5) for z in (4, 5, 6)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 4]), st.tuples(*[st.integers(1, 40)] * 3), st.booleans(),
+           st.data())
+    def test_matches_brute_force(self, factor, dims, last_cell, data):
+        # parents anywhere on the coarse grid (possibly none), or each in the
+        # last, often partial, coarse cell of one of its axes
+        top = [-(-d // factor) - 1 for d in dims]
+        parent = st.tuples(*[st.integers(0, t) for t in top])
+        if last_cell:
+            parent = st.tuples(st.integers(0, 2), parent).map(
+                lambda ap: tuple(top[i] if i == ap[0] else v for i, v in enumerate(ap[1])))
+        parents = np.array(data.draw(st.lists(parent, max_size=12, unique=True)),
+                           dtype=np.int64).reshape(-1, 3)
+        kids, rows = subdivide_coords(parents, factor, dims)
+        want_kids, want_rows = in_grid_children(parents, factor, dims)
+        assert kids.dtype == rows.dtype == np.int64
+        assert np.array_equal(kids, want_kids)
+        assert np.array_equal(rows, want_rows)
 
 
 class TestVoxelCenter:
@@ -272,12 +303,14 @@ class TestSparseVoxelGrid:
 
     def test_duplicate_rejected(self):
         g = small_geom()
-        with pytest.raises(DuplicateVoxels):
+        # plain ints, not NumPy scalar reprs
+        with pytest.raises(DuplicateVoxels, match=r"^duplicate coordinate \(1, 1, 1\)$"):
             SparseVoxelGrid(g, [[1, 1, 1], [1, 1, 1]], [[0.0], [1.0]])
 
     def test_out_of_bounds_rejected(self):
         g = small_geom(scale=2)
-        with pytest.raises(OutOfBounds):
+        with pytest.raises(OutOfBounds,
+                           match=r"^coord \(32, 0, 0\) outside dims \(32, 32, 32\) at scale 2$"):
             SparseVoxelGrid(g, [[32, 0, 0]], [[0.0]])
 
     def test_shape_mismatch_rejected(self):

@@ -22,6 +22,10 @@ changes nothing. It is the parameter counterpart of
 ``*args``/``**kwargs`` call passes everything, so the check can miss a dead
 parameter but does not flag one that a call sets to another value.
 
+No module of ``src/voxfuse/`` imports an underscore-prefixed name from
+another voxfuse module: a rule two modules need is a public function of one
+of them.
+
 Every field of a ``@dataclass`` in ``src/voxfuse/`` is read somewhere under
 ``src/``, ``tests/`` or ``perfbench/``: an attribute load of its name, or a
 string constant equal to it, as ``getattr`` tables such as ``config._SCHEMA``
@@ -369,3 +373,25 @@ def reads_in_readers() -> frozenset[str]:
 def test_every_dataclass_field_is_read(path):
     """A field nothing reads stores a value for no one: delete it."""
     assert unread_fields(path.read_text(encoding="utf-8"), reads_in_readers()) == []
+
+
+def private_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each underscore-prefixed name imported from a voxfuse module."""
+    return [(node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "voxfuse")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_checker_flags_private_imports():
+    source = ("from ._x import a\nfrom .occlusion import _walk, pixel_rays\n"
+              "from . import _private\nfrom voxfuse.grid import _AXIS_BITS\n"
+              "from numpy import _core\nimport voxfuse._y\n")
+    assert private_imports(source) == [(2, "_walk"), (3, "_private"), (4, "_AXIS_BITS")]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "voxfuse").glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_name_crosses_modules(path):
+    """A rule another module needs is public: rename it rather than import its private name."""
+    assert private_imports(path.read_text(encoding="utf-8")) == []

@@ -188,6 +188,14 @@ class TestVoxelize:
         assert len(grid) == 0
         assert grid.meta["points_dropped"] == 1
 
+    @pytest.mark.parametrize("far", [3e38, -3e38])
+    def test_far_finite_point_is_dropped(self, far):
+        # its index floors past int64; it is dropped without a cast warning
+        near = [0.1, 0.1, 0.1]
+        grid = voxelize(PointCloud([near, [far, 0.0, 0.0]], [0.5, 0.5]), geom16())
+        assert grid.meta["points_dropped"] == 1
+        assert np.array_equal(grid.features, voxelize(PointCloud([near], [0.5]), geom16()).features)
+
 
 def _reference_voxelize(pc, geom, channels=8):
     """voxelize's cells and features found with np.unique(axis=0) on the index rows."""

@@ -540,6 +540,16 @@ class TestLabelLidar:
         labels = label_lidar(PointCloud([], []), sem, GEOM16)
         assert labels.dtype == np.uint8 and (labels == E).all()
 
+    @pytest.mark.parametrize("far", [(3e38, 0.0, 0.0), (0.0, -3e38, 1.0)])
+    def test_far_finite_return_changes_nothing(self, rng, far):
+        # its index floors past int64; it labels nothing, without a cast warning
+        sem = (rng.uniform(size=GEOM16.dims) < 0.2).astype(np.uint16)
+        pts = rng.uniform(0.05, 3.15, size=(20, 3))
+        origin = (1.6, 1.6, 1.6)
+        want = label_lidar(PointCloud(pts, np.ones(20), sensor_origin=origin), sem, GEOM16)
+        pc = PointCloud(np.vstack([pts, far]), np.ones(21), sensor_origin=origin)
+        assert np.array_equal(label_lidar(pc, sem, GEOM16), want)
+
     def test_point_outside_grid_marks_nothing_nonoccluded(self):
         sem = np.zeros(GEOM16.dims, dtype=np.uint16)
         pc = PointCloud([[10.0, 1.7, 1.7]], [1.0], sensor_origin=center((0, 8, 8)))

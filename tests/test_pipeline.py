@@ -2,7 +2,7 @@
 
 import importlib.resources
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +12,13 @@ from voxfuse.config import PipelineConfig
 from voxfuse.fusion import softmax_rows
 from voxfuse.grid import GridGeometry, SparseVoxelGrid, subdivide_coords
 from voxfuse.lidar import SparseConvSpec, sparse_conv
-from voxfuse.occlusion import BACKGROUND_ROW, OCC_CHANNELS, SEM_CHANNELS, assemble_output
+from voxfuse.occlusion import (
+    BACKGROUND_ROW,
+    OCC_CHANNELS,
+    SEM_CHANNELS,
+    assemble_output,
+    decoder_input_set,
+)
 from voxfuse.pipeline import (
     OUT_CHANNELS,
     SEED_NAMES,
@@ -23,9 +29,9 @@ from voxfuse.pipeline import (
     volume_labels,
 )
 from voxfuse.refine import seeded_projection
-from voxfuse.synthetic import load_scene, random_scene, ring_rig
+from voxfuse.synthetic import Box, SyntheticScene, load_scene, random_scene, ring_rig
 
-from oracles import dense_view
+from oracles import dense_view, in_grid_children
 
 
 @pytest.fixture(scope="module")
@@ -181,17 +187,15 @@ def _reference_outputs(res, config):
     o4 = _dense_reference(refined.geometry.dims, refined.coords, probs4)
 
     parents = np.argwhere(np.argmax(o4[..., SEM_CHANNELS:], axis=-1) != 0)
-    children = subdivide_coords(parents, 4)
-    parent_rows = np.repeat(np.arange(parents.shape[0]), 64)
+    dims1 = res.o1.geometry.dims
+    children, parent_rows = subdivide_coords(parents, 4, dims1)
     offsets = (children - parents[parent_rows] * 4) / 4.0
     w = np.random.default_rng(res.seeds["decoder"]).normal(
         0.0, 1.0 / np.sqrt(OUT_CHANNELS + 3), size=(OUT_CHANNELS + 3, OUT_CHANNELS))
     w[:OUT_CHANNELS] += np.eye(OUT_CHANNELS)
     parent_vecs = o4[parents[:, 0], parents[:, 1], parents[:, 2]][parent_rows]
     probs1 = _split_softmax(np.hstack([parent_vecs, offsets]) @ w)
-    dims1 = res.o1.geometry.dims
-    keep = (children < np.asarray(dims1)).all(axis=1)
-    return o4, _dense_reference(dims1, children[keep], probs1[keep])
+    return o4, _dense_reference(dims1, children, probs1)
 
 
 def _demo_scene():
@@ -291,6 +295,32 @@ class TestRefineStages:
         assert len(fs2) + len(ff1) == res.counts["gather"]
         assert np.array_equal(refined.coords, res.refined.coords)
         assert np.array_equal(refined.features, res.refined.features)
+
+
+class TestPartialLastCell:
+    """Axes that are not multiples of 4 end in a partial coarse cell."""
+
+    @pytest.mark.parametrize("rem", [1, 2, 3])
+    def test_children_are_the_in_grid_ones(self, rem):
+        geom = GridGeometry((0.0, 0.0, 0.0), 0.2, (32 + rem, 32 + rem, 16 + rem))
+        sx, sy, sz = np.asarray(geom.dims) * geom.voxel_size
+        base = random_scene(0, geom)
+        # thin walls in the last x and y cells put returns in the partial coarse cells
+        walls = (Box((sx - 0.1, 0.0, 0.0), (sx, sy, sz), 3),
+                 Box((0.0, sy - 0.1, 0.0), (sx, sy, sz), 4))
+        scene = SyntheticScene(geom, base.boxes + walls, base.sensor_origin, base.seed)
+        config = PipelineConfig()
+        rig = ring_rig(scene)
+        maps = scene.feature_maps(rig, config.image_channels)
+        res = forward(scene.lidar_scan(), rig, maps, config, geometry=geom)
+        _, fs2, ff1, _ = refine_stages(res.fused, res.pyramid, rig, maps, config,
+                                       lambda name: nullcontext())
+        last = np.asarray(geom.with_scale(4).dims) - 1
+        for parents, factor, children in ((res.sets.semi_fine, 2, fs2), (res.sets.fine, 4, ff1),
+                                          (decoder_input_set(res.o4).coords, 4, res.o1)):
+            assert (parents == last).any(), "no parent lies in a partial cell"
+            want, _ = in_grid_children(parents, factor, children.geometry.dims)
+            assert np.array_equal(children.coords, np.unique(want, axis=0).reshape(-1, 3))
 
 
 class TestSparsity:

@@ -168,7 +168,7 @@ class TestGathers:
 
     def test_identity_map_concats_lidar_and_image(self, rng):
         parent = np.array([[4, 8, 8]])
-        children = subdivide_coords(parent, 2)
+        children, _ = subdivide_coords(parent, 2, BASE.with_scale(2).dims)
         feats = rng.normal(size=(8, 3))
         lidar2 = grid_at(2, children, feats)
         proj = np.eye(5)
@@ -230,7 +230,7 @@ class TestCameraMean:
         maps = FeatureMap2D.seeded(rig, 3, seed=5)
         parents = unique_coords(rng.integers(0, 16, size=(40, 3)))
         scale = 4 // factor
-        children = subdivide_coords(parents, factor)
+        children, _ = subdivide_coords(parents, factor, BASE.with_scale(scale).dims)
         keep = rng.random(children.shape[0]) < 0.5
         lidar = grid_at(scale, children[keep], rng.normal(size=(int(keep.sum()), 2)))
         proj = seeded_projection(5, 4, seed=9)
@@ -295,10 +295,10 @@ class TestFuseRefined:
         geom = GridGeometry((0.0, 0.0, 0.0), 0.2, (16, 16, 16))
         fm4 = SparseVoxelGrid(geom.with_scale(4), coords4,
                               rng.normal(size=(coords4.shape[0], channels)))
-        fine_children = subdivide_coords(refined_parents, 4)
+        fine_children, _ = subdivide_coords(refined_parents, 4, geom.dims)
         ff1 = SparseVoxelGrid(geom, fine_children,
                               rng.normal(size=(fine_children.shape[0], channels)))
-        semi_children = subdivide_coords(refined_parents, 2)
+        semi_children, _ = subdivide_coords(refined_parents, 2, geom.with_scale(2).dims)
         fs2 = SparseVoxelGrid(geom.with_scale(2), semi_children,
                               rng.normal(size=(semi_children.shape[0], channels)))
         s1 = SparseConvSpec.seeded(channels, channels, seed=21)
@@ -398,7 +398,7 @@ class TestOracleScorer:
 
     def test_full_parent(self):
         parents = np.array([[2, 2, 2]])
-        occ = subdivide_coords(parents, 4)
+        occ, _ = subdivide_coords(parents, 4, BASE.dims)
         np.testing.assert_allclose(occupied_fraction(parents, occ), [1.0])
 
     def test_empty_occupied(self):
@@ -412,7 +412,7 @@ class TestOracleScorer:
         fractions = rng.uniform(size=n)
         occupied = []
         for p, target in zip(parents, fractions):
-            kids = subdivide_coords(p[None, :], 4)
+            kids, _ = subdivide_coords(p[None, :], 4, BASE.dims)
             k = int(round(target * 64))
             if k:
                 occupied.append(kids[rng.choice(64, size=k, replace=False)])
