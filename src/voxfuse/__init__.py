@@ -29,9 +29,7 @@ from .grid import (
     SparseVoxelGrid,
     align_coords,
     centers_for,
-    pack_keys,
     subdivide_coords,
-    unpack_keys,
 )
 from .lidar import (
     BASE_FEATURES,

@@ -4,9 +4,9 @@ The scale-4, 8 and 16 grids share one channel width: every level of
 ``lidar.multi_scale_stack`` keeps the width of its input, so no projection
 runs between them. Each coarse voxel lands on its scale-aligned anchor
 (coordinates multiplied by the scale ratio), and ``grid.group_coords`` groups
-the anchors by cell. Overlapping contributions at a coordinate are averaged
-with equal weight. They accumulate in ascending scale order, so results are
-bit-stable across runs.
+the anchors by their flat index on the scale-4 grid. Overlapping
+contributions at a coordinate are averaged with equal weight. They
+accumulate in ascending scale order, so results are bit-stable across runs.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def densify(ms: MultiScaleFeatures) -> SparseVoxelGrid:
     if coords_all.shape[0] == 0:
         raise EmptyInput("no non-empty voxels at any scale")
     feats_all = np.concatenate([ms.grids[s].features for s in DENSIFY_SCALES])
-    cells, inverse, counts = group_coords(coords_all)
+    cells, inverse, counts = group_coords(coords_all, ms.grids[4].geometry)
     sums = np.zeros((cells.shape[0], feats_all.shape[1]))
     np.add.at(sums, inverse, feats_all)
     out = SparseVoxelGrid(ms.grids[4].geometry, cells, sums / counts[:, None])

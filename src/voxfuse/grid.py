@@ -2,7 +2,8 @@
 
 Coordinates are non-negative integers on a lattice whose cell edge grows with
 the scale factor; scale 1 is the finest resolution. Points map to indices by
-flooring, so a point exactly on a cell face belongs to the upper cell.
+flooring, so a point exactly on a cell face belongs to the upper cell. The
+one integer index of a voxel is ``GridGeometry.flat_index``, C-order.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ import numpy as np
 from .errors import DuplicateVoxels, InvalidFactor, InvalidScale, OutOfBounds, ShapeError
 
 VALID_SCALES = (1, 2, 4, 8, 16)
-
-# 21 bits per axis in the packed 64-bit search key
-_AXIS_BITS = 21
-_AXIS_MAX = 1 << _AXIS_BITS
 
 _PRESETS = {
     "nuscenes-occ": ((-51.2, -51.2, -5.0), 0.2, (512, 512, 40)),
@@ -71,8 +68,8 @@ class GridGeometry:
             raise ValueError(f"dims_scale1 needs 3 values, got {self.dims_scale1}")
         if any(d <= 0 for d in self.dims_scale1):
             raise ValueError(f"dims_scale1 must be positive, got {self.dims_scale1}")
-        if any(d > _AXIS_MAX for d in self.dims_scale1):
-            raise ValueError(f"dims_scale1 {self.dims_scale1} exceed the {_AXIS_BITS}-bit key budget")
+        if math.prod(self.dims_scale1) > np.iinfo(np.int64).max:
+            raise ValueError(f"dims_scale1 {self.dims_scale1} hold more voxels than int64 keys can index")
 
     @classmethod
     def preset(cls, name: str) -> GridGeometry:
@@ -87,6 +84,16 @@ class GridGeometry:
     def dims(self) -> tuple[int, int, int]:
         """Grid extent at this scale: ceil(dims_scale1 / scale) per axis."""
         return tuple(-(-d // self.scale) for d in self.dims_scale1)
+
+    @property
+    def strides(self) -> np.ndarray:
+        """C-order step of the flat index per axis: ``(dims[1] * dims[2], dims[2], 1)``."""
+        _, ny, nz = self.dims
+        return np.array([ny * nz, nz, 1], dtype=np.int64)
+
+    def flat_index(self, coords) -> np.ndarray:
+        """C-order index into ``dims`` of coords (..., 3): lexicographic in-grid, may alias outside."""
+        return np.asarray(coords, dtype=np.int64) @ self.strides
 
     @property
     def cell_size(self) -> float:
@@ -109,14 +116,15 @@ class GridGeometry:
     def world_to_index(self, points: np.ndarray) -> np.ndarray:
         """Floor points (N, 3) onto this scale's lattice, clipped to [-1, max(dims)]."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        idx = np.floor((pts - self.origin_array) / self.cell_size)
+        with np.errstate(over="ignore"):  # an index past the float range is inf until clipped
+            idx = np.floor((pts - self.origin_array) / self.cell_size)
         return np.clip(idx, -1, max(self.dims)).astype(np.int64)
 
     def contains_index(self, coords: np.ndarray) -> np.ndarray:
         """Boolean in-bounds mask for integer coords (N, 3) at this scale."""
         c = np.asarray(coords).reshape(-1, 3)
-        dims = np.asarray(self.dims)
-        return np.logical_and(c >= 0, c < dims).all(axis=1)
+        ok = (c >= 0) & (c < np.asarray(self.dims))
+        return ok[:, 0] & ok[:, 1] & ok[:, 2]
 
 
 def align_coords(coords: np.ndarray, from_scale: int, to_scale: int) -> np.ndarray:
@@ -160,56 +168,39 @@ def centers_for(coords: np.ndarray, scale: int, geom: GridGeometry) -> np.ndarra
     return geom.origin_array + (c + 0.5) * (geom.voxel_size * scale)
 
 
-def pack_keys(coords: np.ndarray) -> np.ndarray:
-    """Pack (N, 3) non-negative coords into 64-bit keys, 21 bits per axis.
-
-    The packing is monotone in lexicographic (x, y, z) order, so sorted keys
-    iterate the grid deterministically.
-    """
-    c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    if c.size and (c.min() < 0 or c.max() >= _AXIS_MAX):
-        raise OutOfBounds(f"coords outside the {_AXIS_BITS}-bit packing range")
-    return (c[:, 0] << (2 * _AXIS_BITS)) | (c[:, 1] << _AXIS_BITS) | c[:, 2]
-
-
-def unpack_keys(keys: np.ndarray) -> np.ndarray:
-    k = np.asarray(keys, dtype=np.int64).reshape(-1)
-    mask = _AXIS_MAX - 1
-    return np.stack([(k >> (2 * _AXIS_BITS)) & mask, (k >> _AXIS_BITS) & mask, k & mask], axis=1)
-
-
-def unique_coords(coords: np.ndarray) -> np.ndarray:
-    """Distinct (N, 3) non-negative coords in lexicographic order.
+def unique_coords(coords: np.ndarray, geom: GridGeometry) -> np.ndarray:
+    """Distinct in-grid (N, 3) coords of ``geom`` in lexicographic order.
 
     The same rows as ``np.unique(coords, axis=0)``, found by one sort of the
-    packed keys.
+    flat indices.
     """
-    return unpack_keys(np.unique(pack_keys(coords)))
+    return np.stack(np.unravel_index(np.unique(geom.flat_index(coords)), geom.dims), axis=1)
 
 
-def group_coords(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group (N, 3) non-negative coords by cell: ``(cells, inverse, counts)``.
+def group_coords(coords: np.ndarray, geom: GridGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group in-grid (N, 3) coords of ``geom`` by cell: ``(cells, inverse, counts)``.
 
     ``cells`` holds the distinct coords in lexicographic order, ``inverse``
     the cell row of each input coord and ``counts`` the inputs per cell: the
     same arrays as ``np.unique(coords, axis=0, return_inverse=True,
-    return_counts=True)``, found by one sort of the packed keys.
+    return_counts=True)``, found by one sort of the flat indices.
     """
-    keys, inverse, counts = np.unique(pack_keys(coords), return_inverse=True, return_counts=True)
-    return unpack_keys(keys), inverse, counts
+    keys, inverse, counts = np.unique(geom.flat_index(coords), return_inverse=True,
+                                      return_counts=True)
+    return np.stack(np.unravel_index(keys, geom.dims), axis=1), inverse, counts
 
 
 class SparseVoxelGrid:
     """Immutable coordinate-indexed feature storage at a single scale.
 
-    Rows are sorted lexicographically by (x, y, z) at construction, so grids
-    built from the same cells in any order are identical. Lookup is binary
-    search over the packed keys. Arrays are frozen after construction; the
-    grid is safe for concurrent reads. ``meta`` starts empty and holds only
-    the counters of the stage that built the grid.
+    Rows are sorted by their flat index ``keys``, which is lexicographic (x,
+    y, z) order, so grids built from the same cells in any order are
+    identical. Lookup is binary search over ``keys``. Arrays are frozen after
+    construction; the grid is safe for concurrent reads. ``meta`` starts
+    empty and holds only the counters of the stage that built the grid.
     """
 
-    __slots__ = ("geometry", "coords", "features", "meta", "_keys")
+    __slots__ = ("geometry", "coords", "features", "meta", "keys")
 
     def __init__(self, geometry: GridGeometry, coords, features):
         coords = np.ascontiguousarray(np.asarray(coords, dtype=np.int64).reshape(-1, 3))
@@ -220,21 +211,21 @@ class SparseVoxelGrid:
             raise ShapeError(f"{coords.shape[0]} coords but {features.shape[0]} feature rows")
         dims = np.asarray(geometry.dims)
         if coords.size and (coords.min() < 0 or (coords >= dims).any()):
-            bad = coords[~np.logical_and(coords >= 0, coords < dims).all(axis=1)][0]
+            bad = coords[~geometry.contains_index(coords)][0]
             raise OutOfBounds(f"coord {tuple(bad.tolist())} outside dims {geometry.dims} at scale {geometry.scale}")
-        keys = pack_keys(coords)
+        keys = geometry.flat_index(coords)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         if keys.size > 1 and (np.diff(keys) == 0).any():
-            dup = unpack_keys(keys[1:][np.diff(keys) == 0][:1])[0]
+            dup = coords[order[1:][np.diff(keys) == 0][0]]
             raise DuplicateVoxels(f"duplicate coordinate {tuple(dup.tolist())}")
         self.geometry = geometry
         self.coords = coords[order]
         self.features = features[order]
         self.meta = {}
-        self._keys = keys
-        self.coords.flags.writeable = False
-        self.features.flags.writeable = False
+        self.keys = keys
+        for a in (self.coords, self.features, self.keys):
+            a.flags.writeable = False
 
     @classmethod
     def empty(cls, geometry: GridGeometry, channels: int) -> SparseVoxelGrid:
@@ -259,19 +250,23 @@ class SparseVoxelGrid:
     @property
     def nbytes(self) -> int:
         """Bytes held by the coords, features and search keys."""
-        return self.coords.nbytes + self.features.nbytes + self._keys.nbytes
+        return self.coords.nbytes + self.features.nbytes + self.keys.nbytes
 
     def rows_for(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row index (or -1) and found mask for each query coord (M, 3)."""
-        return self.rows_for_keys(pack_keys(coords))
+        """Row index (or -1) and found mask for each query coord (M, 3).
+
+        An out-of-grid query, whose index may alias a cell, searches -1: no cell's.
+        """
+        g = self.geometry
+        return self.rows_for_keys(np.where(g.contains_index(coords), g.flat_index(coords), -1))
 
     def rows_for_keys(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`rows_for` on an array of packed keys of any shape."""
-        if self._keys.size == 0:
+        """:meth:`rows_for` on flat indices of any shape, as given: the caller masks out-of-grid cells."""
+        if self.keys.size == 0:
             return np.full(q.shape, -1, dtype=np.int64), np.zeros(q.shape, dtype=bool)
-        pos = np.searchsorted(self._keys, q)
-        pos_c = np.minimum(pos, self._keys.size - 1)
-        found = self._keys[pos_c] == q
+        pos = np.searchsorted(self.keys, q)
+        pos_c = np.minimum(pos, self.keys.size - 1)
+        found = self.keys[pos_c] == q
         rows = np.where(found, pos_c, -1)
         return rows, found
 

@@ -27,7 +27,6 @@ from .grid import (
     SparseVoxelGrid,
     centers_for,
     group_coords,
-    pack_keys,
     unique_coords,
 )
 
@@ -91,7 +90,7 @@ def voxelize(pc: PointCloud, geom: GridGeometry, channels: int = 8) -> SparseVox
     pts = pc.points[inside]
     intens = pc.intensity[inside]
 
-    cells, inverse, counts = group_coords(idx)
+    cells, inverse, counts = group_coords(idx, geom)
     centers = centers_for(cells, 1, geom)
     offsets = (pts - centers[inverse]) / geom.cell_size
 
@@ -156,25 +155,26 @@ class SparseConvSpec:
         return cls(w, np.zeros(out_channels))
 
 
-def _kernel_map(grid: SparseVoxelGrid, anchors: np.ndarray, extent: int) -> np.ndarray:
+def _kernel_map(grid: SparseVoxelGrid, anchors: np.ndarray, anchor_keys: np.ndarray,
+                extent: int) -> np.ndarray:
     """(extent^3, anchors) table of the grid row at ``anchor + offset``.
 
     Rows follow :func:`kernel_offsets` order. Every tap is resolved in one
-    batched key search; -1 marks a neighbour that is absent or outside the
-    grid. Keys are linear in in-bounds coords, so a neighbour's key is its
-    anchor's key plus the tap's key offset; an out-of-bounds neighbour's key
-    may alias another cell and is masked out afterwards.
+    batched search of the grid's keys; -1 marks a neighbour that is absent or
+    outside the grid. The flat index is linear in coords, so a neighbour's
+    key is its anchor's key (``anchor_keys``) plus the tap's offset times the
+    grid's strides; an out-of-grid neighbour's key may alias another cell and
+    is masked out afterwards.
     """
-    r = extent // 2
-    steps = np.arange(-r, r + 1)
+    steps = np.arange(extent) - extent // 2
     per_axis = []
     for ax, dim in enumerate(grid.geometry.dims):
         c = anchors[None, :, ax] + steps[:, None]
         per_axis.append((c >= 0) & (c < dim))
     x, y, z = per_axis
     inside = (x[:, None, None] & y[None, :, None] & z[None, None, :]).reshape(extent ** 3, -1)
-    tap_keys = pack_keys(kernel_offsets(extent) + r) - pack_keys(np.full((1, 3), r))
-    rows, _ = grid.rows_for_keys(pack_keys(anchors)[None, :] + tap_keys[:, None])
+    tap_keys = kernel_offsets(extent) @ grid.geometry.strides
+    rows, _ = grid.rows_for_keys(anchor_keys[None, :] + tap_keys[:, None])
     return np.where(inside, rows, -1)
 
 
@@ -196,12 +196,14 @@ def sparse_conv(grid: SparseVoxelGrid, spec: SparseConvSpec, stride: int = 1) ->
     if stride == 1:
         out_geom = grid.geometry
         out_coords = anchors = grid.coords
+        anchor_keys = grid.keys
     else:
         out_geom = grid.geometry.with_scale(grid.scale * stride)
-        out_coords = unique_coords(grid.coords // stride)
+        out_coords = unique_coords(grid.coords // stride, out_geom)
         anchors = out_coords * stride
+        anchor_keys = grid.geometry.flat_index(anchors)
 
-    kmap = _kernel_map(grid, anchors, spec.kernel_extent)
+    kmap = _kernel_map(grid, anchors, anchor_keys, spec.kernel_extent)
     taps, outs = np.nonzero(kmap >= 0)
     src = grid.features[kmap[taps, outs]]
     weights = spec.weights.reshape(-1, spec.in_channels, spec.out_channels)

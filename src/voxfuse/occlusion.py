@@ -81,21 +81,22 @@ def _walk(origins, targets, geom: GridGeometry, margin: float = 0.0):
     proportional to the ray count.
     """
     o = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
-    d = np.asarray(targets, dtype=np.float64).reshape(-1, 3) - o
-    seg = _length(d)
-    zero = seg < _EPS
-    # per-ray state is (3, rays): one contiguous row per axis
-    o = np.broadcast_to(o, d.shape).T
-    dirn = d.T / np.where(zero, 1.0, seg)
     lo = geom.origin_array[:, None]
     h = geom.cell_size
     dims = np.asarray(geom.dims)[:, None]
     hi = lo + dims * h
-    flat_axis = np.abs(dirn) < 1e-15
-    keep = ~zero & ~(flat_axis & ((o < lo) | (o >= hi))).any(axis=0)
-    t0 = np.zeros(seg.shape[0])
-    t1 = seg + margin
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = np.asarray(targets, dtype=np.float64).reshape(-1, 3) - o
+        seg = _length(d)
+        zero = seg < _EPS
+        # per-ray state is (3, rays): one contiguous row per axis
+        o = np.broadcast_to(o, d.shape).T
+        dirn = d.T / np.where(zero, 1.0, seg)
+        flat_axis = np.abs(dirn) < 1e-15
+        # a segment too long for a float to hold its length crosses no cell
+        keep = ~zero & np.isfinite(seg) & ~(flat_axis & ((o < lo) | (o >= hi))).any(axis=0)
+        t0 = np.zeros(seg.shape[0])
+        t1 = seg + margin
         ta = (lo - o) / dirn
         tb = (hi - o) / dirn
         for near, far, skip in zip(np.minimum(ta, tb), np.maximum(ta, tb), flat_axis):
@@ -117,9 +118,9 @@ def _walk(origins, targets, geom: GridGeometry, margin: float = 0.0):
     t_max[:, zero] = np.inf
 
     # per axis: flat-index increment of one step, and steps left inside the grid
-    inc = step * np.array([[dims[1, 0] * dims[2, 0]], [dims[2, 0]], [1]])
+    inc = step * geom.strides[:, None]
     left = np.where(step < 0, cell, dims - 1 - cell)
-    flat = np.ravel_multi_index(tuple(cell), geom.dims, mode="clip")[keep]
+    flat = geom.flat_index(cell.compress(keep, axis=1).T)
     ids, t_cur, t1 = np.flatnonzero(keep), t0[keep], t1[keep]
     t_max, t_delta, inc, left = (a.compress(keep, axis=1) for a in (t_max, t_delta, inc, left))
     alive = np.ones(ids.size, dtype=bool)
@@ -167,14 +168,14 @@ def label_lidar(pc: PointCloud, semantics: np.ndarray, geom: GridGeometry) -> np
     occupied = semantics.reshape(-1) > 0
     labels = np.zeros(occupied.shape[0], dtype=np.uint8)
     pts = pc.points
-    beyond = _length(pts - pc.sensor_origin) + 1e-9
+    with np.errstate(over="ignore"):
+        beyond = _length(pts - pc.sensor_origin) + 1e-9
     cell_pt = geom.world_to_index(pts)
     inside = geom.contains_index(cell_pt)
-    flat_pt = np.ravel_multi_index(tuple(cell_pt.T), geom.dims, mode="clip")
-    returns = flat_pt[:0]
+    returns = np.zeros(0, dtype=np.int64)
     for k, (ids, cells, t_entry) in enumerate(_walk(pc.sensor_origin, pts, geom, geom.diagonal)):
         if k == 0:
-            returns = flat_pt[ids[inside[ids]]]
+            returns = geom.flat_index(cell_pt[ids[inside[ids]]])
         far = cells[t_entry > beyond[ids]]
         labels[far[occupied[far]]] = OcclusionLabel.OCCLUDED
     labels[returns] = OcclusionLabel.NON_OCCLUDED

@@ -129,7 +129,7 @@ def _aligned_sum(a: SparseVoxelGrid, b: SparseVoxelGrid) -> SparseVoxelGrid:
         raise ShapeError(f"cannot sum grids at scales {a.scale} and {b.scale}")
     if a.channels != b.channels:
         raise ShapeError(f"cannot sum grids with {a.channels} and {b.channels} channels")
-    cells, inverse, _ = group_coords(np.vstack([a.coords, b.coords]))
+    cells, inverse, _ = group_coords(np.vstack([a.coords, b.coords]), a.geometry)
     feats = np.zeros((cells.shape[0], a.channels))
     # np.add.at applies rows in index order, so a cell in both grids sums 0 + a + b
     np.add.at(feats, inverse, np.vstack([a.features, b.features]))

@@ -37,7 +37,7 @@ import numpy as np
 from voxfuse.camera import CameraModel, FeatureMap2D
 from voxfuse.config import _SCHEMA, PipelineConfig
 from voxfuse.fusion import DeformableAttnParams
-from voxfuse.grid import GridGeometry, SparseVoxelGrid, pack_keys
+from voxfuse.grid import GridGeometry, SparseVoxelGrid
 from voxfuse.lidar import SparseConvSpec
 from voxfuse.occlusion import _EPS, _length
 from voxfuse.synthetic import _EPS as _SLAB_EPS
@@ -237,10 +237,13 @@ def occupied_fraction(parents: np.ndarray, occupied_scale1: np.ndarray) -> np.nd
     occ = np.asarray(occupied_scale1, dtype=np.int64).reshape(-1, 3)
     counts = np.zeros(parents.shape[0], dtype=np.int64)
     if parents.size and occ.size:
-        pkeys = pack_keys(parents)
+        cells = occ // 4
+        # C-order flat indices into a box that holds every parent and cell
+        dims = np.maximum(parents.max(axis=0), cells.max(axis=0)) + 1
+        pkeys = np.ravel_multi_index(tuple(parents.T), dims)
         order = np.argsort(pkeys, kind="stable")
         sorted_keys = pkeys[order]
-        okeys = pack_keys(occ // 4)
+        okeys = np.ravel_multi_index(tuple(cells.T), dims)
         pos = np.searchsorted(sorted_keys, okeys)
         pos_c = np.minimum(pos, sorted_keys.size - 1)
         hit = sorted_keys[pos_c] == okeys

@@ -434,6 +434,13 @@ class TestBench:
         assert main(["bench", "--config", str(cfg_path), "--sizes", "0"]) == 0
         capsys.readouterr()
 
+    def test_axis_past_2_21_runs(self, tmp_path, capsys):
+        # the voxel count, not a per-axis bit budget, bounds dims
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[geometry]\ndims = 4000000 4 4\n")
+        assert main(["bench", "--config", str(cfg_path), "--sizes", "0"]) == 0
+        capsys.readouterr()
+
     def test_bad_sizes_exits_1(self, capsys):
         assert main(["bench", "--sizes", "a,b"]) == 1
         capsys.readouterr()
@@ -693,10 +700,11 @@ ERROR_CASES = {
     "bench-config-nan-origin": (_bench_config_args("origin", "nan 0 0"), 1,
                                 "unknown key 'origin'"),
     "bench-config-inf-dims": (_bench_config_args("dims", "inf 4 4"), 1, "dims must be integers"),
-    "bench-config-dims-over-key-budget": (_bench_config_args("dims", "4000000 4 4"), 1,
-                                          "key budget"),
-    "bench-config-doubled-dims-over-key-budget": (_bench_config_args("dims", "2000000 4 4"), 1,
-                                                  "twice its dims"),
+    "bench-config-dims-over-key-budget": (
+        _bench_config_args("dims", "2000000000 2000000000 2000000000"), 1,
+        "more voxels than int64 keys can index"),
+    "bench-config-doubled-dims-over-key-budget": (
+        _bench_config_args("dims", "1000000000 1000000000 2"), 1, "twice its dims"),
     "bench-config-unknown-preset": (_bench_config_args("preset", "kitti360"), 1,
                                     "unknown key 'preset'"),
     "forward-config-lidar-channels-below-5": (_forward_config_args("channels", "lidar", "3"), 1,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -11,10 +11,8 @@ from voxfuse.grid import (
     align_coords,
     centers_for,
     group_coords,
-    pack_keys,
     subdivide_coords,
     unique_coords,
-    unpack_keys,
 )
 
 from oracles import dense_view, in_grid_children
@@ -80,6 +78,14 @@ class TestGeometry:
         g = small_geom(scale=2)
         mask = g.contains_index(np.array([[0, 0, 0], [31, 31, 31], [32, 0, 0], [-1, 0, 0]]))
         assert mask.tolist() == [True, True, False, False]
+
+    def test_voxel_count_must_fit_int64_keys(self):
+        # 64897 * 2359 * 60247241209 == 2**63 - 1, the largest int64 key
+        g = GridGeometry((0, 0, 0), 0.1, (64897, 2359, 60247241209))
+        assert g.strides.tolist() == [2359 * 60247241209, 60247241209, 1]
+        with pytest.raises(ValueError, match=r"^dims_scale1 \(2097152, 2097152, 2097152\) "
+                                             r"hold more voxels than int64 keys can index$"):
+            GridGeometry((0, 0, 0), 0.1, (2**21,) * 3)
 
 
 def align(xyz, from_scale, to_scale):
@@ -224,46 +230,95 @@ class TestVoxelCenter:
             np.testing.assert_array_equal(back, coords)
 
 
+# a lattice near the int64 key budget: 2**21 cells on two axes, one fewer on the last
+KEY_GEOM = GridGeometry((0.0, 0.0, 0.0), 0.1, (2**21, 2**21, 2**21 - 1))
+
+
 class TestKeyPacking:
     def test_roundtrip(self, rng):
-        coords = rng.integers(0, 2**21, size=(200, 3))
-        np.testing.assert_array_equal(unpack_keys(pack_keys(coords)), coords)
+        coords = rng.integers(0, 2**21 - 1, size=(200, 3))
+        back = np.stack(np.unravel_index(KEY_GEOM.flat_index(coords), KEY_GEOM.dims), axis=1)
+        np.testing.assert_array_equal(back, coords)
 
     def test_lexicographic_monotone(self, rng):
         coords = rng.integers(0, 1000, size=(300, 3))
-        keys = pack_keys(coords)
+        keys = KEY_GEOM.flat_index(coords)
         order_keys = np.argsort(keys, kind="stable")
         order_lex = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
         np.testing.assert_array_equal(coords[order_keys], coords[order_lex])
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(OutOfBounds):
-            pack_keys(np.array([[0, 0, 2**21]]))
-        with pytest.raises(OutOfBounds):
-            pack_keys(np.array([[-1, 0, 0]]))
-
     @pytest.mark.parametrize("n", [0, 1, 300])
     def test_unique_coords_matches_row_unique(self, rng, n):
         coords = rng.integers(0, 6, size=(n, 3))
-        got = unique_coords(coords)
+        got = unique_coords(coords, small_geom())
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, np.unique(coords, axis=0).reshape(-1, 3))
 
-
     # a few fixed values, border cells of the key budget among them, so that
     # draws repeat rows; plus any in-range value
-    _AXIS = st.one_of(st.sampled_from([0, 1, 2**21 - 1]), st.integers(0, 2**21 - 1))
+    _AXIS = st.one_of(st.sampled_from([0, 1, 2**21 - 2]), st.integers(0, 2**21 - 2))
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.int64, st.tuples(st.integers(0, 40), st.just(3)), elements=_AXIS))
     def test_group_coords_matches_row_unique(self, coords):
-        cells, inverse, counts = group_coords(coords)
+        cells, inverse, counts = group_coords(coords, KEY_GEOM)
         want_cells, want_inverse, want_counts = np.unique(
             coords, axis=0, return_inverse=True, return_counts=True)
         assert np.array_equal(cells, want_cells.reshape(-1, 3))
         assert np.array_equal(inverse, want_inverse.reshape(-1))
         assert np.array_equal(counts, want_counts)
         assert cells.dtype == inverse.dtype == counts.dtype == np.int64
+
+
+@st.composite
+def index_cases(draw):
+    """A geometry, maybe with one axis past 2**21, and (N, 3) in-grid coords biased onto its border."""
+    dims = [draw(st.integers(1, 9), label=f"d{i}") for i in range(3)]
+    long_axis = draw(st.sampled_from([None, 0, 1, 2]), label="long_axis")
+    if long_axis is not None:
+        dims[long_axis] = draw(st.sampled_from([2**21 + 1, 2**40]), label="long_dim")
+    axis = [st.one_of(st.sampled_from([0, d - 1]), st.integers(0, d - 1)) for d in dims]
+    coords = draw(st.lists(st.tuples(*axis), max_size=40), label="coords")
+    return (GridGeometry((0.0, 0.0, 0.0), 0.1, tuple(dims)),
+            np.array(coords, dtype=np.int64).reshape(-1, 3))
+
+
+class TestFlatIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(index_cases())
+    # a full grid: every query past a face aliases a cell that is present
+    @example((GridGeometry((0.0, 0.0, 0.0), 0.1, (2, 3, 4)),
+              np.indices((2, 3, 4)).reshape(3, -1).T.astype(np.int64)))
+    def test_matches_numpy(self, case):
+        geom, coords = case
+        assert np.array_equal(geom.flat_index(coords),
+                              np.ravel_multi_index(tuple(coords.T), geom.dims))
+
+        cells, inverse, counts = group_coords(coords, geom)
+        want_cells, want_inverse, want_counts = np.unique(
+            coords, axis=0, return_inverse=True, return_counts=True)
+        want_cells = want_cells.reshape(-1, 3)
+        assert np.array_equal(cells, want_cells)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(unique_coords(coords, geom), want_cells)
+        assert cells.dtype == inverse.dtype == counts.dtype == np.int64
+
+        grid = SparseVoxelGrid(geom, want_cells, np.zeros((want_cells.shape[0], 1)))
+        # each cell's face neighbours, and each cell with one axis at -1 and at dims
+        queries = [want_cells + step for step in np.vstack([np.eye(3), -np.eye(3)]).astype(np.int64)]
+        for ax in range(3):
+            for v in (-1, geom.dims[ax]):
+                q = want_cells.copy()
+                q[:, ax] = v
+                queries.append(q)
+        queries = np.vstack(queries)
+        rows, found = grid.rows_for(queries)
+        present = set(map(tuple, want_cells.tolist()))
+        want_found = np.array([q in present for q in map(tuple, queries.tolist())], dtype=bool)
+        assert np.array_equal(found, want_found)
+        assert np.array_equal(grid.coords[rows[found]], queries[found])
+        assert (rows[~found] == -1).all()
 
 
 class TestSparseVoxelGrid:
@@ -333,7 +388,7 @@ class TestSparseVoxelGrid:
         coords = np.unique(rng.integers(0, 64, size=(40, 3)), axis=0)
         grid = SparseVoxelGrid(small_geom(), coords, rng.normal(size=(coords.shape[0], 1)))
         queries = np.vstack([coords[:6], [[63, 63, 63]] * 2])
-        rows, found = grid.rows_for_keys(pack_keys(queries).reshape(2, 4))
+        rows, found = grid.rows_for_keys(grid.geometry.flat_index(queries.reshape(2, 4, 3)))
         flat_rows, flat_found = grid.rows_for(queries)
         np.testing.assert_array_equal(rows, flat_rows.reshape(2, 4))
         np.testing.assert_array_equal(found, flat_found.reshape(2, 4))

@@ -31,6 +31,13 @@ Every field of a ``@dataclass`` in ``src/voxfuse/`` is read somewhere under
 string constant equal to it, as ``getattr`` tables such as ``config._SCHEMA``
 hold. It is the field counterpart of the parameter check. Reads match by
 name, so the check can miss a dead field but does not flag one that is read.
+
+No module of ``src/voxfuse/`` but ``grid`` turns voxel coords into a flat
+index by hand: a ``ravel_multi_index`` call, or a product of an extent's
+axes 1 and 2 (``dims[1] * dims[2]``, the C-order x stride), fails.
+``GridGeometry.flat_index`` and ``GridGeometry.strides`` are the one home of
+that rule. The product is matched by shape, so the check can miss a stride
+built from renamed axes.
 """
 
 import ast
@@ -395,3 +402,50 @@ def test_checker_flags_private_imports():
 def test_no_private_name_crosses_modules(path):
     """A rule another module needs is public: rename it rather than import its private name."""
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _axis(node: ast.expr):
+    """The leading constant index of a subscript (1 for ``d[1]`` and ``d[1, 0]``), else None."""
+    index = node.slice.elts[0] if isinstance(node.slice, ast.Tuple) else node.slice
+    return index.value if isinstance(index, ast.Constant) else None
+
+
+def hand_linearisations(source: str) -> list[tuple[int, str]]:
+    """(line, code) of each voxel linearisation built outside ``grid``.
+
+    That is a call of ``ravel_multi_index``, or a product of axes 1 and 2 of
+    one extent (``dims[1] * dims[2]``), which is the C-order x stride.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            hit = name == "ravel_multi_index"
+        else:
+            hit = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                   and isinstance(node.left, ast.Subscript) and isinstance(node.right, ast.Subscript)
+                   and ast.unparse(node.left.value) == ast.unparse(node.right.value)
+                   and {_axis(node.left), _axis(node.right)} == {1, 2})
+        if hit:
+            out.append((node.lineno, ast.unparse(node)))
+    return out
+
+
+def test_checker_flags_hand_linearisations():
+    source = ("a = np.ravel_multi_index(tuple(c.T), dims)\n"
+              "b = dims[1, 0] * dims[2, 0]\n"
+              "c = g.dims[2] * g.dims[1]\n"
+              "d = dims[0] * dims[1] * dims[2]\n"
+              "e = a[1] * b[2]\n"
+              "f = np.unravel_index(k, dims)\n")
+    assert hand_linearisations(source) == [
+        (1, "np.ravel_multi_index(tuple(c.T), dims)"), (2, "dims[1, 0] * dims[2, 0]"),
+        (3, "g.dims[2] * g.dims[1]")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "grid.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_one_home_for_the_flat_index(path):
+    """A voxel's flat index is ``GridGeometry.flat_index``/``strides``: call them, do not rebuild them."""
+    assert hand_linearisations(path.read_text(encoding="utf-8")) == []

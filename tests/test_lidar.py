@@ -188,9 +188,10 @@ class TestVoxelize:
         assert len(grid) == 0
         assert grid.meta["points_dropped"] == 1
 
-    @pytest.mark.parametrize("far", [3e38, -3e38])
+    @pytest.mark.parametrize("far", [3e38, -3e38, 1.7e308, -1.7e308])
     def test_far_finite_point_is_dropped(self, far):
-        # its index floors past int64; it is dropped without a cast warning
+        # its index floors past int64, or its cell-unit offset overflows to
+        # inf; it is dropped without a warning
         near = [0.1, 0.1, 0.1]
         grid = voxelize(PointCloud([near, [far, 0.0, 0.0]], [0.5, 0.5]), geom16())
         assert grid.meta["points_dropped"] == 1

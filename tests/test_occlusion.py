@@ -540,15 +540,25 @@ class TestLabelLidar:
         labels = label_lidar(PointCloud([], []), sem, GEOM16)
         assert labels.dtype == np.uint8 and (labels == E).all()
 
-    @pytest.mark.parametrize("far", [(3e38, 0.0, 0.0), (0.0, -3e38, 1.0)])
+    @pytest.mark.parametrize("far", [(3e38, 0.0, 0.0), (0.0, -3e38, 1.0),
+                                     (1e200, 0.0, 0.0), (0.0, -1.7e308, 1.0)])
     def test_far_finite_return_changes_nothing(self, rng, far):
-        # its index floors past int64; it labels nothing, without a cast warning
+        # its index floors past int64, or its ray's length overflows to inf;
+        # it labels nothing, without a warning
         sem = (rng.uniform(size=GEOM16.dims) < 0.2).astype(np.uint16)
         pts = rng.uniform(0.05, 3.15, size=(20, 3))
         origin = (1.6, 1.6, 1.6)
         want = label_lidar(PointCloud(pts, np.ones(20), sensor_origin=origin), sem, GEOM16)
         pc = PointCloud(np.vstack([pts, far]), np.ones(21), sensor_origin=origin)
         assert np.array_equal(label_lidar(pc, sem, GEOM16), want)
+
+    def test_far_sensor_origin_labels_nothing(self):
+        # the far return's offset from the sensor overflows to inf, and every
+        # ray is too long for a float to hold its length; no warning either way
+        sem = np.ones(GEOM16.dims, dtype=np.uint16)
+        pc = PointCloud([[1.0, 1.0, 1.0], [1.7e308, 0.0, 0.0]], [1.0, 1.0],
+                        sensor_origin=(-1e308, 1.6, 1.6))
+        assert (label_lidar(pc, sem, GEOM16) == E).all()
 
     def test_point_outside_grid_marks_nothing_nonoccluded(self):
         sem = np.zeros(GEOM16.dims, dtype=np.uint16)

@@ -4,7 +4,7 @@ from scipy import ndimage
 
 from voxfuse.camera import CameraModel, FeatureMap2D, project_points, sample_array
 from voxfuse.errors import ShapeError
-from voxfuse.grid import GridGeometry, SparseVoxelGrid, centers_for, subdivide_coords, unique_coords
+from voxfuse.grid import GridGeometry, SparseVoxelGrid, centers_for, subdivide_coords
 from voxfuse.lidar import SparseConvSpec, sparse_conv
 from voxfuse.refine import (
     ImportanceMap,
@@ -228,7 +228,7 @@ class TestCameraMean:
     def test_gather_matches_reference(self, rng, factor):
         rig = self.rig()
         maps = FeatureMap2D.seeded(rig, 3, seed=5)
-        parents = unique_coords(rng.integers(0, 16, size=(40, 3)))
+        parents = np.unique(rng.integers(0, 16, size=(40, 3)), axis=0)
         scale = 4 // factor
         children, _ = subdivide_coords(parents, factor, BASE.with_scale(scale).dims)
         keep = rng.random(children.shape[0]) < 0.5
@@ -253,7 +253,7 @@ def aligned_sum_reference(a, b):
         return b.with_features(b.features.copy())
     if len(b) == 0:
         return a.with_features(a.features.copy())
-    coords = unique_coords(np.vstack([a.coords, b.coords]))
+    coords = np.unique(np.vstack([a.coords, b.coords]), axis=0)
     feats = np.zeros((coords.shape[0], a.channels))
     for g in (a, b):
         rows, found = g.rows_for(coords)
@@ -265,7 +265,7 @@ class TestAlignedSum:
     @pytest.mark.parametrize("n_a, n_b", [(0, 0), (0, 20), (20, 0), (1, 1), (30, 30), (60, 5)])
     def test_matches_reference(self, rng, n_a, n_b):
         def grid(n):
-            coords = unique_coords(rng.integers(0, 8, size=(n, 3)))
+            coords = np.unique(rng.integers(0, 8, size=(n, 3)), axis=0)
             return grid_at(2, coords, rng.normal(size=(coords.shape[0], 3)))
 
         a, b = grid(n_a), grid(n_b)
