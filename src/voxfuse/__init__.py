@@ -28,7 +28,6 @@ from .grid import (
     GridGeometry,
     SparseVoxelGrid,
     align_coords,
-    centers_for,
     subdivide_coords,
 )
 from .lidar import (

@@ -228,8 +228,7 @@ def _bench_case(config: PipelineConfig, n: int, geom1: GridGeometry, rows: list)
 
     fm4 = grid_at(4, n)
     pyramid = {2: grid_at(2, 2 * n), 1: grid_at(1, 4 * n)}
-    span = np.asarray(geom1.dims) * geom1.voxel_size
-    center = SyntheticScene(geom1, (), tuple(geom1.origin_array + span / 2.0))
+    center = SyntheticScene(geom1, (), tuple(geom1.origin_array + geom1.span / 2.0))
     rig = ring_rig(center, n_cameras=2, image_size=(32, 32))
     maps = FeatureMap2D.seeded(rig, config.image_channels, seed=11)
     stats: dict = {}

@@ -23,7 +23,7 @@ DENSIFY_SCALES = (4, 8, 16)
 
 @dataclass
 class MultiScaleFeatures:
-    """Sparse grids at scales 4, 8 and 16 sharing origin and channel width."""
+    """Sparse grids at scales 4, 8 and 16 on one lattice, sharing channel width."""
 
     grids: dict[int, SparseVoxelGrid]
 
@@ -34,10 +34,8 @@ class MultiScaleFeatures:
         for s, g in self.grids.items():
             if g.scale != s:
                 raise InvalidScale(f"grid registered at scale {s} reports scale {g.scale}")
-            if g.geometry.origin != base.geometry.origin:
-                raise ValueError(f"scale-{s} grid origin differs from scale-4 grid")
-            if g.geometry.dims_scale1 != base.geometry.dims_scale1:
-                raise ValueError(f"scale-{s} grid base dims differ from scale-4 grid")
+            if g.geometry.with_scale(4) != base.geometry:
+                raise ValueError(f"scale-{s} grid lies on another lattice than the scale-4 grid")
             if g.channels != base.channels:
                 raise ShapeError(f"scale-{s} grid has {g.channels} channels, "
                                  f"scale-4 has {base.channels}")

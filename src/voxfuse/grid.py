@@ -3,7 +3,9 @@
 Coordinates are non-negative integers on a lattice whose cell edge grows with
 the scale factor; scale 1 is the finest resolution. Points map to indices by
 flooring, so a point exactly on a cell face belongs to the upper cell. The
-one integer index of a voxel is ``GridGeometry.flat_index``, C-order.
+one integer index of a voxel is ``GridGeometry.flat_index``, C-order. Cell
+centres (``centers``) and the world extent (``span``) live there too, and two
+grids lie on one lattice exactly when their geometries are equal.
 """
 
 from __future__ import annotations
@@ -105,10 +107,19 @@ class GridGeometry:
         return np.asarray(self.origin, dtype=np.float64)
 
     @property
+    def span(self) -> np.ndarray:
+        """World-space extent of the grid per axis, in meters: ``dims * cell_size``."""
+        return np.asarray(self.dims) * self.cell_size
+
+    @property
     def diagonal(self) -> float:
         """World-space diagonal of the full grid, in meters."""
-        ext = np.asarray(self.dims_scale1, dtype=np.float64) * self.voxel_size
-        return float(np.linalg.norm(ext))
+        return float(np.linalg.norm(self.span))
+
+    def centers(self, coords) -> np.ndarray:
+        """World-space centers of (N, 3) integer coords on this lattice. No bounds check."""
+        c = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
+        return self.origin_array + (c + 0.5) * self.cell_size
 
     def with_scale(self, scale: int) -> GridGeometry:
         return GridGeometry(self.origin, self.voxel_size, self.dims_scale1, scale)
@@ -160,12 +171,6 @@ def subdivide_coords(coords: np.ndarray, factor: int,
     rows = np.repeat(np.arange(c.shape[0]), factor ** 3)
     keep = (children < np.asarray(dims)).all(axis=1)
     return children[keep], rows[keep]
-
-
-def centers_for(coords: np.ndarray, scale: int, geom: GridGeometry) -> np.ndarray:
-    """World-space centers for (N, 3) integer coords at the given scale. No bounds check."""
-    c = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
-    return geom.origin_array + (c + 0.5) * (geom.voxel_size * scale)
 
 
 def unique_coords(coords: np.ndarray, geom: GridGeometry) -> np.ndarray:
@@ -276,7 +281,7 @@ class SparseVoxelGrid:
 
     def centers(self) -> np.ndarray:
         """World-space centers of all cells, row-aligned with features."""
-        return centers_for(self.coords, self.scale, self.geometry)
+        return self.geometry.centers(self.coords)
 
     def __repr__(self) -> str:
         return (f"SparseVoxelGrid(scale={self.scale}, n={len(self)}, "

@@ -25,7 +25,6 @@ from .grid import (
     VALID_SCALES,
     GridGeometry,
     SparseVoxelGrid,
-    centers_for,
     group_coords,
     unique_coords,
 )
@@ -91,7 +90,7 @@ def voxelize(pc: PointCloud, geom: GridGeometry, channels: int = 8) -> SparseVox
     intens = pc.intensity[inside]
 
     cells, inverse, counts = group_coords(idx, geom)
-    centers = centers_for(cells, 1, geom)
+    centers = geom.centers(cells)
     offsets = (pts - centers[inverse]) / geom.cell_size
 
     feats = np.zeros((cells.shape[0], channels))

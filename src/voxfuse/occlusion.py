@@ -84,7 +84,7 @@ def _walk(origins, targets, geom: GridGeometry, margin: float = 0.0):
     lo = geom.origin_array[:, None]
     h = geom.cell_size
     dims = np.asarray(geom.dims)[:, None]
-    hi = lo + dims * h
+    hi = lo + geom.span[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         d = np.asarray(targets, dtype=np.float64).reshape(-1, 3) - o
         seg = _length(d)
@@ -219,10 +219,8 @@ def label_camera(rig: list[CameraModel], semantics: np.ndarray, geom: GridGeomet
         raise ConfigError(f"pixel stride must be a positive integer, got {pixel_stride}")
     if not rig:
         return np.zeros(geom.dims, dtype=np.uint8)
-    lo = geom.origin_array
-    span = np.asarray(geom.dims) * geom.cell_size
-    corners = lo + span * np.stack(np.meshgrid([0, 1], [0, 1], [0, 1],
-                                               indexing="ij"), axis=-1).reshape(-1, 3)
+    corners = geom.origin_array + geom.span * np.stack(
+        np.meshgrid([0, 1], [0, 1], [0, 1], indexing="ij"), axis=-1).reshape(-1, 3)
     origins, targets = [], []
     for cam in rig:
         center, direction = pixel_rays(cam, pixel_stride)
@@ -376,6 +374,7 @@ def write_volume(path, vol: np.ndarray, geom: GridGeometry) -> None:
     np.ascontiguousarray(vol).tofile(path)
     lines = [
         f"dims={geom.dims[0]} {geom.dims[1]} {geom.dims[2]}",
+        "dims_scale1={} {} {}".format(*geom.dims_scale1),
         f"scale={geom.scale}",
         f"origin={geom.origin[0]} {geom.origin[1]} {geom.origin[2]}",
         f"voxel_size={geom.voxel_size}",
@@ -403,14 +402,15 @@ def read_volume(path):
         raise ParseError(f"{path}.meta is not UTF-8 text: {exc}") from None
     try:
         dims = tuple(int(v) for v in meta["dims"].split())
-        if len(dims) != 3:
-            raise ValueError(f"dims needs 3 values, got {len(dims)}")
         scale = int(meta["scale"])
         origin = tuple(float(v) for v in meta["origin"].split())
         voxel_size = float(meta["voxel_size"])
+        dims_scale1 = tuple(int(v) for v in meta["dims_scale1"].split())
         if meta["dtype"] != "uint8":
             raise ValueError(f"dtype must be uint8, got {meta['dtype']!r}")
-        geom = GridGeometry(origin, voxel_size, tuple(d * scale for d in dims), scale)
+        geom = GridGeometry(origin, voxel_size, dims_scale1, scale)
+        if dims != geom.dims:
+            raise ValueError(f"dims {dims} are not dims_scale1 {geom.dims_scale1} at scale {scale}")
     except (KeyError, ValueError, InvalidScale) as exc:
         raise ParseError(f"{path}.meta is malformed: {exc}") from exc
     raw = np.fromfile(path, dtype=np.uint8)

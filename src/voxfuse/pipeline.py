@@ -113,8 +113,9 @@ def _row_labels(out: SparseVoxelGrid) -> np.ndarray:
     return labels
 
 
-def _head_logits(grid: SparseVoxelGrid, channels: int, seed: int) -> np.ndarray:
+def _head_logits(grid: SparseVoxelGrid, seed: int) -> np.ndarray:
     """Set-preserving conv, ReLU, then a 1x1 map to the 21 output channels."""
+    channels = grid.channels
     spec = SparseConvSpec.seeded(channels, channels, seed=seed)
     hidden = np.maximum(sparse_conv(grid, spec).features, 0.0)
     return hidden @ seeded_projection(channels, OUT_CHANNELS, seed=seed + 1)
@@ -188,24 +189,24 @@ def forward(pc: PointCloud, rig: list[CameraModel], maps: FeatureMap2D,
                     and np.array_equal(refined.features, fused.features))
 
     with _timed(timings, "head"):
-        probs = _split_probs(_head_logits(refined, c, seeds["head"]))
-        o4 = SparseVoxelGrid(refined.geometry, refined.coords, probs)
+        o4 = refined.with_features(_split_probs(_head_logits(refined, seeds["head"])))
     counts["head"] = len(refined)
 
     with _timed(timings, "decode"):
-        o1 = _decode_fine(decoder_input_set(o4), geometry, seeds["decoder"])
+        o1 = _decode_fine(decoder_input_set(o4), seeds["decoder"])
     counts["decode"] = len(o1)
 
     return ForwardResult(pyramid=pyramid, fused=fused, sets=sets, refined=refined, o4=o4, o1=o1,
                          refine_identity=identity, timings=timings, counts=counts, seeds=seeds)
 
 
-def _decode_fine(parents: SparseVoxelGrid, geom: GridGeometry, seed: int) -> SparseVoxelGrid:
+def _decode_fine(parents: SparseVoxelGrid, seed: int) -> SparseVoxelGrid:
     """Emit the in-grid scale-1 children of ``parents``, the visible coarse voxels.
 
     Children come from ``subdivide_coords``. Their logits come from a seeded
     linear map over the parent's 21 channels and the child's normalized offset.
     """
+    geom = parents.geometry.with_scale(1)
     children, parent_rows = subdivide_coords(parents.coords, 4, geom.dims)
     parent_vecs = parents.features[parent_rows]
     offsets = (children - parents.coords[parent_rows] * 4) / 4.0

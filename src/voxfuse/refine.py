@@ -17,7 +17,7 @@ import numpy as np
 
 from .camera import CameraModel, FeatureMap2D, camera_mean, sample_array
 from .errors import ShapeError
-from .grid import SparseVoxelGrid, centers_for, group_coords, subdivide_coords
+from .grid import SparseVoxelGrid, group_coords, subdivide_coords
 from .lidar import SparseConvSpec, sparse_conv
 
 
@@ -104,7 +104,7 @@ def _gather(parents: np.ndarray, factor: int, lidar: SparseVoxelGrid,
     lidar_feats = np.zeros((children.shape[0], lidar.channels))
     rows, found = lidar.rows_for(children)
     lidar_feats[found] = lidar.features[rows[found]]
-    img_feats, _ = camera_mean(rig, centers_for(children, child_scale, geom), maps.channels,
+    img_feats, _ = camera_mean(rig, geom.centers(children), maps.channels,
                                lambda cam_id, rows, uv: sample_array(maps.maps[cam_id], uv))
     return SparseVoxelGrid(geom, children, np.hstack([lidar_feats, img_feats]) @ proj)
 
@@ -125,8 +125,8 @@ def gather_fine(parents: np.ndarray, lidar1: SparseVoxelGrid,
 
 def _aligned_sum(a: SparseVoxelGrid, b: SparseVoxelGrid) -> SparseVoxelGrid:
     """Coordinate-union sum; a coordinate missing from one grid contributes zero."""
-    if a.scale != b.scale:
-        raise ShapeError(f"cannot sum grids at scales {a.scale} and {b.scale}")
+    if a.geometry != b.geometry:
+        raise ShapeError(f"cannot sum grids on lattices {a.geometry} and {b.geometry}")
     if a.channels != b.channels:
         raise ShapeError(f"cannot sum grids with {a.channels} and {b.channels} channels")
     cells, inverse, _ = group_coords(np.vstack([a.coords, b.coords]), a.geometry)

@@ -182,7 +182,7 @@ def random_scene(seed: int, geometry: GridGeometry | None = None,
     geom = geometry or default_geometry()
     rng = np.random.default_rng(seed)
     origin = geom.origin_array
-    span = np.asarray(geom.dims) * geom.voxel_size
+    span = geom.span
     sensor = origin + span / 2.0
     lo_bound = origin + 0.05 * span
     hi_bound = origin + 0.95 * span

@@ -10,8 +10,10 @@ import pytest
 
 from voxfuse import occlusion
 from voxfuse.cli import BENCH_HEADER, main
+from voxfuse.config import PipelineConfig
 from voxfuse.grid import GridGeometry
 from voxfuse.occlusion import OcclusionLabel, read_volume, write_volume
+from voxfuse.pipeline import forward_scene
 from voxfuse.synthetic import Box, SyntheticScene, random_scene
 
 from oracles import save_scene
@@ -19,9 +21,8 @@ from oracles import save_scene
 KITTI_DIMS = (256, 256, 32)
 
 
-def small_scene_file(tmp_path, boxes=None, name="scene.json"):
-    geom = GridGeometry(origin=(0.0, 0.0, 0.0), voxel_size=0.2,
-                        dims_scale1=(32, 32, 8), scale=1)
+def small_scene_file(tmp_path, boxes=None, name="scene.json", dims=(32, 32, 8)):
+    geom = GridGeometry(origin=(0.0, 0.0, 0.0), voxel_size=0.2, dims_scale1=dims, scale=1)
     if boxes is None:
         boxes = (Box(lo=(3.0, 2.0, 0.2), hi=(3.6, 4.5, 1.4), class_id=1),
                  Box(lo=(4.4, 2.2, 0.2), hi=(5.2, 4.2, 1.4), class_id=2))
@@ -129,6 +130,16 @@ class TestForward:
         report = json.load(open(os.path.join(out, "forward_report.json")))
         assert report["o4_shape"] == [16, 16, 4, 21]
         assert report["counts"]["decode"] % 64 == 0
+
+    def test_volumes_keep_their_grid_off_multiples_of_4(self, tmp_path, capsys):
+        """A 30x30x14 scene's scale-4 volume reads back on the 30x30x14 lattice, not 32x32x16."""
+        scene_path, scene = small_scene_file(tmp_path, dims=(30, 30, 14))
+        out = str(tmp_path / "fwd")
+        assert main(["forward", "--scene", str(scene_path), "--out", out]) == 0
+        capsys.readouterr()
+        result = forward_scene(scene, PipelineConfig())
+        assert read_volume(os.path.join(out, "o4_labels.u8"))[1] == result.o4.geometry
+        assert read_volume(os.path.join(out, "o1_labels.u8"))[1] == result.o1.geometry
 
     def test_same_seed_identical_volumes(self, tmp_path, capsys):
         scene_path, _ = small_scene_file(tmp_path)
@@ -466,12 +477,13 @@ def _eval_args(tmp_path, classes, label=0):
 
 
 def _eval_meta_args(key, value):
-    """eval on a 4x4x4 volume whose ``.meta`` sidecar holds ``key=value``."""
+    """eval on a 4x4x4 volume whose ``.meta`` sidecar holds ``key=value``, or lacks ``key`` for None."""
     def build(tmp_path):
         argv = _eval_args(tmp_path, "2")
         meta = tmp_path / "vol.u8.meta"
         lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
-                 for line in meta.read_text().splitlines()]
+                 for line in meta.read_text().splitlines()
+                 if value is not None or not line.startswith(f"{key}=")]
         meta.write_text("\n".join(lines) + "\n")
         return argv
     return build
@@ -595,6 +607,9 @@ ERROR_CASES = {
     "eval-meta-zero-dim": (_eval_meta_args("dims", "0 4 4"), 3, "parse error"),
     "eval-meta-two-dims": (_eval_meta_args("dims", "4 4"), 3, "parse error"),
     "eval-meta-bad-scale": (_eval_meta_args("scale", "3"), 3, "parse error"),
+    "eval-meta-no-dims-scale1": (_eval_meta_args("dims_scale1", None), 3, "dims_scale1"),
+    "eval-meta-dims-disagree": (_eval_meta_args("dims", "4 4 2"), 3,
+                                "dims (4, 4, 2) are not dims_scale1 (4, 4, 4) at scale 1"),
     "eval-meta-two-origin-values": (_eval_meta_args("origin", "1 2"), 3, "origin needs 3"),
     "eval-meta-four-origin-values": (_eval_meta_args("origin", "1 2 3 4"), 3, "origin needs 3"),
     "eval-meta-nan-voxel-size": (_eval_meta_args("voxel_size", "nan"), 3, "voxel_size"),

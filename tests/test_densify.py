@@ -61,6 +61,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             MultiScaleFeatures(grids)
 
+    def test_voxel_size_mismatch_rejected(self):
+        grids = empty_ms()
+        grids[8] = SparseVoxelGrid.empty(GridGeometry((0.0, 0.0, 0.0), 0.4, (64, 64, 64), 8), 3)
+        with pytest.raises(ValueError, match="another lattice"):
+            MultiScaleFeatures(grids)
+
 
 class TestDensify:
     def test_only_scale4_is_identity(self, rng):

@@ -6,10 +6,10 @@ from hypothesis.extra import numpy as hnp
 
 from voxfuse.errors import DuplicateVoxels, InvalidFactor, InvalidScale, OutOfBounds, ShapeError
 from voxfuse.grid import (
+    VALID_SCALES,
     GridGeometry,
     SparseVoxelGrid,
     align_coords,
-    centers_for,
     group_coords,
     subdivide_coords,
     unique_coords,
@@ -208,26 +208,53 @@ class TestSubdivide:
 class TestVoxelCenter:
     def test_known_value_scale1(self):
         g = GridGeometry((-51.2, -51.2, -5.0), 0.4, (256, 256, 20))
-        c = centers_for([[256 // 2, 256 // 2, 10]], 1, g)
+        c = g.centers([[256 // 2, 256 // 2, 10]])
         np.testing.assert_allclose(c, [[0.2, 0.2, -0.8]])
 
     def test_known_value_nuscenes(self):
         g = GridGeometry.preset("nuscenes-occ")
-        c = centers_for([[256, 256, 20]], 1, g)
+        c = g.centers([[256, 256, 20]])
         np.testing.assert_allclose(c, [[0.1, 0.1, -0.9]])
 
     def test_scale2_origin_cell(self):
         g = GridGeometry((0.0, 0.0, 0.0), 0.1, (64, 64, 64))
-        np.testing.assert_allclose(centers_for([[0, 0, 0]], 2, g), [[0.1, 0.1, 0.1]])
+        np.testing.assert_allclose(g.with_scale(2).centers([[0, 0, 0]]), [[0.1, 0.1, 0.1]])
 
     def test_center_roundtrips_through_world_to_index(self, rng):
         g = GridGeometry.preset("semantickitti")
         for scale in (1, 2, 4, 8, 16):
             gs = g.with_scale(scale)
             coords = np.stack([rng.integers(0, d, size=20) for d in gs.dims], axis=1)
-            ctr = centers_for(coords, scale, g)
-            back = gs.world_to_index(ctr)
+            back = gs.world_to_index(gs.centers(coords))
             np.testing.assert_array_equal(back, coords)
+
+
+@st.composite
+def lattices(draw):
+    """A geometry at any valid scale whose base dims (1-40) need not be multiples of it."""
+    origin = tuple(draw(st.sampled_from([0.0, -51.2, -25.6, -2.0, 3.3])
+                        | st.floats(-60.0, 60.0), label=f"o{i}") for i in range(3))
+    voxel_size = draw(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.4]) | st.floats(0.01, 2.0),
+                      label="voxel_size")
+    dims = tuple(draw(st.integers(1, 40), label=f"d{i}") for i in range(3))
+    return GridGeometry(origin, voxel_size, dims, draw(st.sampled_from(VALID_SCALES), label="scale"))
+
+
+class TestLatticeFacts:
+    """Centres, span and diagonal: the lattice facts ``GridGeometry`` is the one home of."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lattices())
+    # partial last cells on every axis at scale 16
+    @example(GridGeometry((0.0, 0.0, 0.0), 0.2, (17, 33, 40), 16))
+    def test_centers_span_and_diagonal(self, geom):
+        coords = np.indices(geom.dims).reshape(3, -1).T
+        assert np.array_equal(geom.world_to_index(geom.centers(coords)), coords)
+        assert np.array_equal(geom.span, np.asarray(geom.dims) * geom.cell_size)
+        base = geom.with_scale(1)
+        # the form the diagonal had before it read the span
+        old = float(np.linalg.norm(np.asarray(base.dims_scale1, dtype=np.float64) * base.voxel_size))
+        assert base.diagonal == old
 
 
 # a lattice near the int64 key budget: 2**21 cells on two axes, one fewer on the last

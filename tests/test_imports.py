@@ -38,6 +38,12 @@ axes 1 and 2 (``dims[1] * dims[2]``, the C-order x stride), fails.
 ``GridGeometry.flat_index`` and ``GridGeometry.strides`` are the one home of
 that rule. The product is matched by shape, so the check can miss a stride
 built from renamed axes.
+
+No module of ``src/voxfuse/`` but ``grid`` builds a grid's world extent by
+hand: a product of an expression naming ``dims`` (or ``dims_scale1``) and one
+naming ``voxel_size`` or ``cell_size`` fails. ``GridGeometry.span``,
+``diagonal`` and ``centers`` are the one home of those facts. Names match
+as written, so the check can miss a product of local aliases.
 """
 
 import ast
@@ -449,3 +455,44 @@ def test_checker_flags_hand_linearisations():
 def test_one_home_for_the_flat_index(path):
     """A voxel's flat index is ``GridGeometry.flat_index``/``strides``: call them, do not rebuild them."""
     assert hand_linearisations(path.read_text(encoding="utf-8")) == []
+
+
+EXTENT_NAMES = {"dims", "dims_scale1"}
+CELL_NAMES = {"voxel_size", "cell_size"}
+
+
+def _names_in(node: ast.expr) -> set[str]:
+    """Every name and attribute name that ``node`` reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def hand_extents(source: str) -> list[tuple[int, str]]:
+    """(line, code) of each product of an extent and a cell edge, the world span built by hand."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            sides = _names_in(node.left), _names_in(node.right)
+            if any(a & EXTENT_NAMES and b & CELL_NAMES for a, b in (sides, sides[::-1])):
+                out.append((node.lineno, ast.unparse(node)))
+    return out
+
+
+def test_checker_flags_hand_extents():
+    source = ("a = np.asarray(geom.dims) * geom.voxel_size\n"
+              "b = g.cell_size * dims[:, None]\n"
+              "c = np.asarray(g.dims_scale1, dtype=float) * g.voxel_size\n"
+              "d = lo + (cell + 1) * h\n"
+              "e = g.span * 0.5 + g.cell_size\n"
+              "f = dims * h\n"
+              "k = 2.0 * geom.voxel_size\n")
+    assert hand_extents(source) == [
+        (1, "np.asarray(geom.dims) * geom.voxel_size"), (2, "g.cell_size * dims[:, None]"),
+        (3, "np.asarray(g.dims_scale1, dtype=float) * g.voxel_size")]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "grid.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_one_home_for_the_world_extent(path):
+    """A grid's extent in meters is ``GridGeometry.span``: read it, do not rebuild it."""
+    assert hand_extents(path.read_text(encoding="utf-8")) == []

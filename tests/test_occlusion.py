@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from voxfuse import occlusion
 from voxfuse.camera import CameraModel, read_kitti_calib
 from voxfuse.errors import ParseError, ShapeError
-from voxfuse.grid import GridGeometry, SparseVoxelGrid
+from voxfuse.grid import VALID_SCALES, GridGeometry, SparseVoxelGrid
 from voxfuse.lidar import PointCloud
 from voxfuse.occlusion import (
     BACKGROUND_ROW,
@@ -750,6 +750,16 @@ class TestVolumeIO:
         assert geom2.dims == geom.dims
         assert geom2.scale == 4
         assert geom2.origin == geom.origin
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 40)] * 3), scale=st.sampled_from(VALID_SCALES),
+           origin=st.tuples(*[st.floats(-60.0, 60.0)] * 3), voxel_size=st.floats(0.01, 2.0))
+    def test_sidecar_roundtrips_its_grid(self, tmp_path_factory, dims, scale, origin, voxel_size):
+        """Base dims that are not multiples of the scale come back as written."""
+        geom = GridGeometry(origin, voxel_size, dims, scale)
+        path = tmp_path_factory.mktemp("roundtrip") / "vol.u8"
+        write_volume(path, np.zeros(geom.dims, dtype=np.uint8), geom)
+        assert read_volume(path)[1] == geom
 
     @pytest.mark.parametrize("dtype", [np.uint16, np.int64, np.float64])
     def test_write_rejects_wider_dtypes(self, tmp_path, dtype):

@@ -238,7 +238,7 @@ class TestRowReadout:
 
     def test_no_visible_parent_gives_empty_o1(self, scene, result):
         parents = SparseVoxelGrid.empty(scene.geometry.with_scale(4), OUT_CHANNELS)
-        o1 = _decode_fine(parents, scene.geometry, result.seeds["decoder"])
+        o1 = _decode_fine(parents, result.seeds["decoder"])
         assert len(o1) == 0
         assert o1.shape == scene.geometry.dims + (OUT_CHANNELS,)
         labels = replace(result, o1=o1).labels_scale1()

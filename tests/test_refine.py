@@ -4,7 +4,7 @@ from scipy import ndimage
 
 from voxfuse.camera import CameraModel, FeatureMap2D, project_points, sample_array
 from voxfuse.errors import ShapeError
-from voxfuse.grid import GridGeometry, SparseVoxelGrid, centers_for, subdivide_coords
+from voxfuse.grid import GridGeometry, SparseVoxelGrid, subdivide_coords
 from voxfuse.lidar import SparseConvSpec, sparse_conv
 from voxfuse.refine import (
     ImportanceMap,
@@ -237,9 +237,10 @@ class TestCameraMean:
         gather = gather_semi_fine if factor == 2 else gather_fine
         out = gather(parents, lidar, rig, maps, proj)
 
-        img, n_hit = image_means_reference(centers_for(children, scale, BASE), rig, maps)
+        centers = BASE.with_scale(scale).centers(children)
+        img, n_hit = image_means_reference(centers, rig, maps)
         assert (n_hit == 0).any() and (n_hit == 2).any()
-        assert not project_points(rig[1], centers_for(children, scale, BASE))[2].any()
+        assert not project_points(rig[1], centers)[2].any()
         lidar_feats = np.zeros((children.shape[0], 2))
         lidar_feats[keep] = lidar.features[lidar.rows_for(children[keep])[0]]
         want = SparseVoxelGrid(lidar.geometry, children, np.hstack([lidar_feats, img]) @ proj)
@@ -273,6 +274,12 @@ class TestAlignedSum:
         assert np.array_equal(got.coords, want.coords)
         assert np.array_equal(got.features, want.features)
         assert got.scale == 2 and got.channels == 3
+
+    def test_rejects_another_lattice(self):
+        a = SparseVoxelGrid.empty(BASE.with_scale(2), 3)
+        b = SparseVoxelGrid.empty(GridGeometry((0.0, 0.0, 0.0), 0.2, (32, 32, 32), 2), 3)
+        with pytest.raises(ShapeError, match="lattices"):
+            _aligned_sum(a, b)
 
 
 def dense_strided_conv(dense, spec):
