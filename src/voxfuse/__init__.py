@@ -9,7 +9,7 @@ from .camera import (
     sample_array,
 )
 from .config import DATA_ROOT_ENV, PipelineConfig, split_seed
-from .densify import DENSIFY_SCALES, MultiScaleFeatures, densify
+from .densify import DENSIFY_SCALES, densify
 from .errors import (
     ConfigError,
     DuplicateVoxels,

@@ -4,8 +4,8 @@ Coordinates are non-negative integers on a lattice whose cell edge grows with
 the scale factor; scale 1 is the finest resolution. Points map to indices by
 flooring, so a point exactly on a cell face belongs to the upper cell. The
 one integer index of a voxel is ``GridGeometry.flat_index``, C-order. Cell
-centres (``centers``) and the world extent (``span``) live there too, and two
-grids lie on one lattice exactly when their geometries are equal.
+centres, faces and the world extent (``span``) live there too. Two grids lie
+on one lattice exactly when their geometries are equal; each combiner checks.
 """
 
 from __future__ import annotations
@@ -120,6 +120,11 @@ class GridGeometry:
         """World-space centers of (N, 3) integer coords on this lattice. No bounds check."""
         c = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
         return self.origin_array + (c + 0.5) * self.cell_size
+
+    def faces(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """World-space lower and upper faces of the cells along one axis, in meters."""
+        lo = self.origin[axis] + np.arange(self.dims[axis]) * self.cell_size
+        return lo, lo + self.cell_size
 
     def with_scale(self, scale: int) -> GridGeometry:
         return GridGeometry(self.origin, self.voxel_size, self.dims_scale1, scale)

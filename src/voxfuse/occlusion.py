@@ -165,7 +165,7 @@ def label_lidar(pc: PointCloud, semantics: np.ndarray, geom: GridGeometry) -> np
     voxel, so they end non-occluded (the module's rank rule).
     """
     semantics = _check_semantics(semantics, geom)
-    occupied = semantics.reshape(-1) > 0
+    occupied = semantics.reshape(-1) != 0
     labels = np.zeros(occupied.shape[0], dtype=np.uint8)
     pts = pc.points
     with np.errstate(over="ignore"):
@@ -228,7 +228,7 @@ def label_camera(rig: list[CameraModel], semantics: np.ndarray, geom: GridGeomet
         origins.append(np.broadcast_to(center, direction.shape))
         targets.append(center + direction * reach)
     cells, starts = _camera_rows(np.concatenate(origins), np.concatenate(targets), geom)
-    hit = np.flatnonzero(semantics.reshape(-1)[cells] > 0)
+    hit = np.flatnonzero(semantics.reshape(-1)[cells] != 0)
     # rows are ray-major, so a ray's first hit is the first hit row past its start
     ray = np.searchsorted(starts, hit, side="right")
     first = np.diff(ray, prepend=-1) != 0
@@ -318,10 +318,11 @@ class OcclusionVolume:
 def build_volume(semantics: np.ndarray, lidar_labels: np.ndarray, cam_labels: np.ndarray,
                  geom: GridGeometry) -> OcclusionVolume:
     """Combine both sensors and force unoccupied voxels to empty."""
+    semantics = _check_semantics(semantics, geom)
     merged = combine_volumes(lidar_labels, cam_labels)
     # EMPTY is 0, so zeroing unoccupied voxels is one in-place product
-    np.multiply(merged, np.asarray(semantics) != 0, out=merged)
-    return OcclusionVolume(geom, np.asarray(semantics), merged)
+    np.multiply(merged, semantics != 0, out=merged)
+    return OcclusionVolume(geom, semantics, merged)
 
 
 def assemble_output(sem: np.ndarray, occ: np.ndarray) -> np.ndarray:
@@ -351,9 +352,13 @@ def decoder_input_set(output: SparseVoxelGrid) -> SparseVoxelGrid:
 
 
 def _check_semantics(semantics: np.ndarray, geom: GridGeometry) -> np.ndarray:
+    """``semantics`` as an array of ``geom``'s shape; its labels are integers, none negative."""
     semantics = np.asarray(semantics)
     if semantics.shape != geom.dims:
         raise ShapeError(f"semantic volume must have shape {geom.dims}, got {semantics.shape}")
+    kind = semantics.dtype.kind  # an unsigned volume holds no negative label, so is not scanned
+    if kind not in "biu" or kind == "i" and semantics.min(initial=0) < 0:
+        raise ValueError(f"semantic labels must be non-negative integers (dtype {semantics.dtype})")
     return semantics
 
 
@@ -411,7 +416,9 @@ def read_volume(path):
         geom = GridGeometry(origin, voxel_size, dims_scale1, scale)
         if dims != geom.dims:
             raise ValueError(f"dims {dims} are not dims_scale1 {geom.dims_scale1} at scale {scale}")
-    except (KeyError, ValueError, InvalidScale) as exc:
+    except KeyError as exc:
+        raise ParseError(f"{path}.meta is malformed: the required key {exc.args[0]} is missing") from None
+    except (ValueError, InvalidScale) as exc:
         raise ParseError(f"{path}.meta is malformed: {exc}") from exc
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size != dims[0] * dims[1] * dims[2]:

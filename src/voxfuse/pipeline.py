@@ -21,7 +21,7 @@ import numpy as np
 
 from .camera import CameraModel, FeatureMap2D
 from .config import PipelineConfig
-from .densify import DENSIFY_SCALES, MultiScaleFeatures, densify
+from .densify import densify
 from .fusion import DeformableAttnParams, fuse, guide_queries, softmax_rows
 from .grid import GridGeometry, SparseVoxelGrid, subdivide_coords
 from .lidar import PointCloud, SparseConvSpec, multi_scale_stack, sparse_conv, voxelize
@@ -108,8 +108,7 @@ def _row_labels(out: SparseVoxelGrid) -> np.ndarray:
     only the grid's rows need an argmax.
     """
     labels = np.zeros(out.geometry.dims, dtype=np.uint8)
-    x, y, z = out.coords.T
-    labels[x, y, z] = volume_labels(out.features)
+    labels.reshape(-1)[out.keys] = volume_labels(out.features)
     return labels
 
 
@@ -170,7 +169,7 @@ def forward(pc: PointCloud, rig: list[CameraModel], maps: FeatureMap2D,
     counts["pyramid"] = sum(len(g) for g in pyramid.values())
 
     with _timed(timings, "densify"):
-        dense = densify(MultiScaleFeatures({s: pyramid[s] for s in DENSIFY_SCALES}))
+        dense = densify(pyramid)
     counts["densify"] = len(dense)
 
     with _timed(timings, "fuse"):

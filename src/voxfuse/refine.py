@@ -141,16 +141,19 @@ def fuse_refined(ff1: SparseVoxelGrid, fs2: SparseVoxelGrid, fm4: SparseVoxelGri
     """Merge refined branches back into the coarse grid over its coordinate set.
 
     scale 1 -> stride-2 conv -> add scale 2 -> stride-2 conv -> add the coarse
-    grid. Output rows outside the refined region copy the coarse features
-    unchanged; with both sets empty the output equals the coarse grid exactly.
+    grid, all on one lattice. Output rows outside the refined region copy the
+    coarse features unchanged; with both sets empty the output equals the
+    coarse grid exactly. ``meta["dropped_refined"]`` counts refined cells it lacks.
     """
     if fm4.scale != 4 or fs2.scale != 2 or ff1.scale != 1:
         raise ShapeError(f"expected scales 1/2/4, got {ff1.scale}/{fs2.scale}/{fm4.scale}")
     mid = _aligned_sum(sparse_conv(ff1, sconv1, stride=2), fs2)
     coarse = sparse_conv(mid, sconv2, stride=2)
+    if coarse.geometry != fm4.geometry:
+        raise ShapeError(f"refined grids lie on another lattice than the coarse grid {fm4.geometry}")
     if coarse.channels != fm4.channels:
         raise ShapeError(f"fusion emits {coarse.channels} channels, coarse grid has {fm4.channels}")
-    rows, found = fm4.rows_for(coarse.coords)
+    rows, found = fm4.rows_for_keys(coarse.keys)
     feats = fm4.features.copy()
     feats[rows[found]] += coarse.features[found]
     merged = fm4.with_features(feats)

@@ -78,13 +78,9 @@ def first_hits(origin, directions, boxes):
 
 def _box_cells(geom: GridGeometry, box: Box):
     """Slices of the voxels whose open interiors overlap the box, or None."""
-    origin = geom.origin_array
-    h = geom.voxel_size
     cells = []
     for ax in range(3):
-        idx = np.arange(geom.dims[ax])
-        vox_lo = origin[ax] + idx * h
-        vox_hi = vox_lo + h
+        vox_lo, vox_hi = geom.faces(ax)
         keep = np.nonzero((vox_lo < box.hi[ax]) & (vox_hi > box.lo[ax]))[0]
         if keep.size == 0:
             return None

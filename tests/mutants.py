@@ -115,6 +115,16 @@ MUTANTS = (
            "span = geom.span",
            "span = np.asarray(geom.dims) * geom.voxel_size",
            ("tests/test_imports.py::test_one_home_for_the_world_extent",)),
+    Mutant("fuse-refined-checks-scale-only", "src/voxfuse/refine.py",
+           "if coarse.geometry != fm4.geometry:",
+           "if coarse.scale != fm4.scale:",
+           tuple(f"tests/test_grid.py::TestCombinersShareOneLattice::"
+                 f"test_another_lattice_is_rejected[fuse_refined-{fact}]"
+                 for fact in ("origin", "voxel_size", "dims_scale1"))),
+    Mutant("semantics-negative-labels-pass", "src/voxfuse/occlusion.py",
+           'if kind not in "biu" or kind == "i" and semantics.min(initial=0) < 0:',
+           'if kind not in "biu":',
+           ("tests/test_occlusion.py::TestSemanticLabels::test_negative_label_rejected",)),
 )
 
 

@@ -607,7 +607,8 @@ ERROR_CASES = {
     "eval-meta-zero-dim": (_eval_meta_args("dims", "0 4 4"), 3, "parse error"),
     "eval-meta-two-dims": (_eval_meta_args("dims", "4 4"), 3, "parse error"),
     "eval-meta-bad-scale": (_eval_meta_args("scale", "3"), 3, "parse error"),
-    "eval-meta-no-dims-scale1": (_eval_meta_args("dims_scale1", None), 3, "dims_scale1"),
+    "eval-meta-no-dims-scale1": (_eval_meta_args("dims_scale1", None), 3,
+                                 "vol.u8.meta is malformed: the required key dims_scale1 is missing"),
     "eval-meta-dims-disagree": (_eval_meta_args("dims", "4 4 2"), 3,
                                 "dims (4, 4, 2) are not dims_scale1 (4, 4, 4) at scale 1"),
     "eval-meta-two-origin-values": (_eval_meta_args("origin", "1 2"), 3, "origin needs 3"),

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from voxfuse.densify import densify
 from voxfuse.errors import DuplicateVoxels, InvalidFactor, InvalidScale, OutOfBounds, ShapeError
 from voxfuse.grid import (
     VALID_SCALES,
@@ -14,6 +15,8 @@ from voxfuse.grid import (
     subdivide_coords,
     unique_coords,
 )
+from voxfuse.lidar import SparseConvSpec
+from voxfuse.refine import _aligned_sum, fuse_refined
 
 from oracles import dense_view, in_grid_children
 
@@ -241,7 +244,7 @@ def lattices(draw):
 
 
 class TestLatticeFacts:
-    """Centres, span and diagonal: the lattice facts ``GridGeometry`` is the one home of."""
+    """Centres, faces, span and diagonal: the lattice facts ``GridGeometry`` is the one home of."""
 
     @settings(max_examples=200, deadline=None)
     @given(lattices())
@@ -255,6 +258,62 @@ class TestLatticeFacts:
         # the form the diagonal had before it read the span
         old = float(np.linalg.norm(np.asarray(base.dims_scale1, dtype=np.float64) * base.voxel_size))
         assert base.diagonal == old
+
+    @settings(max_examples=200, deadline=None)
+    @given(lattices())
+    @example(GridGeometry((0.0, 0.0, 0.0), 0.2, (17, 33, 40), 16))
+    def test_faces_bound_their_cells(self, geom):
+        coords = np.indices(geom.dims).reshape(3, -1).T
+        centers = geom.centers(coords)
+        base = geom.with_scale(1)
+        for ax in range(3):
+            lo, hi = geom.faces(ax)
+            assert lo.shape == hi.shape == (geom.dims[ax],)
+            assert np.array_equal(hi, lo + geom.cell_size)
+            assert (lo[coords[:, ax]] < centers[:, ax]).all()
+            assert (centers[:, ax] < hi[coords[:, ax]]).all()
+            # the form synthetic scenes' box cells had before they read the faces
+            old = base.origin_array[ax] + np.arange(base.dims[ax]) * base.voxel_size
+            assert np.array_equal(base.faces(ax)[0], old)
+
+
+LATTICE = GridGeometry((0.0, 0.0, 0.0), 0.2, (32, 32, 32))
+# one lattice fact changed at a time, and none
+SECOND_LATTICES = {
+    "same": LATTICE,
+    "origin": GridGeometry((5.0, 0.0, 0.0), 0.2, (32, 32, 32)),
+    "voxel_size": GridGeometry((0.0, 0.0, 0.0), 0.4, (32, 32, 32)),
+    "dims_scale1": GridGeometry((0.0, 0.0, 0.0), 0.2, (32, 32, 36)),
+}
+
+
+def corner_grid(geom, scale):
+    """Two 2-channel cells near the origin, which every lattice above holds at every scale."""
+    return SparseVoxelGrid(geom.with_scale(scale), [[0, 0, 0], [1, 0, 1]], np.ones((2, 2)))
+
+
+SPEC = SparseConvSpec.seeded(2, 2, seed=5)
+# each combiner given a first and a second lattice; the second holds one of its grids
+COMBINERS = {
+    "densify": lambda a, b: densify({4: corner_grid(a, 4), 8: corner_grid(b, 8),
+                                     16: corner_grid(a, 16)}),
+    "aligned_sum": lambda a, b: _aligned_sum(corner_grid(a, 2), corner_grid(b, 2)),
+    "fuse_refined": lambda a, b: fuse_refined(corner_grid(a, 1), corner_grid(a, 2),
+                                              corner_grid(b, 4), SPEC, SPEC),
+}
+
+
+class TestCombinersShareOneLattice:
+    @pytest.mark.parametrize("second", SECOND_LATTICES)
+    @pytest.mark.parametrize("combiner", COMBINERS)
+    def test_another_lattice_is_rejected(self, combiner, second):
+        """Every function that combines grids checks lattice identity and raises one error."""
+        if second == "same":
+            out = COMBINERS[combiner](LATTICE, LATTICE)
+            assert out.geometry == LATTICE.with_scale(out.scale)
+        else:
+            with pytest.raises(ShapeError, match="lattice"):
+                COMBINERS[combiner](LATTICE, SECOND_LATTICES[second])
 
 
 # a lattice near the int64 key budget: 2**21 cells on two axes, one fewer on the last

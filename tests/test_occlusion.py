@@ -634,6 +634,49 @@ class TestCombine:
         assert combine_volumes(labels, labels)[O] == O
 
 
+def near_wall(dtype, label):
+    """A 5x5 wall at x = 5 in front of the sensor of every reader below."""
+    sem = np.zeros(GEOM16.dims, dtype=dtype)
+    sem[5, 6:11, 6:11] = label
+    return sem
+
+
+# every function that reads a semantic volume, each returning its label volume
+SEMANTIC_READERS = {
+    "label_lidar": lambda sem: label_lidar(
+        PointCloud([center((5, 8, 8))], [1.0], sensor_origin=center((0, 8, 8))), sem, GEOM16),
+    "label_camera": lambda sem: label_camera(
+        [CameraModel.from_lookat(center((0, 8, 8)), center((15, 8, 8)), 20.0, 20.0, 8.0, 8.0,
+                                 (16, 16))], sem, GEOM16, pixel_stride=2),
+    "build_volume": lambda sem: build_volume(
+        sem, np.full(GEOM16.dims, N, dtype=np.uint8), np.zeros(GEOM16.dims, dtype=np.uint8),
+        GEOM16).occlusion,
+}
+
+
+class TestSemanticLabels:
+    """Label generation reads occupancy one way: a label other than 0, never negative."""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize("reader", SEMANTIC_READERS)
+    def test_negative_label_rejected(self, reader, dtype):
+        with pytest.raises(ValueError, match="non-negative"):
+            SEMANTIC_READERS[reader](near_wall(dtype, -1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reader", SEMANTIC_READERS)
+    def test_non_integer_labels_rejected(self, reader, dtype):
+        with pytest.raises(ValueError, match="integers"):
+            SEMANTIC_READERS[reader](near_wall(dtype, 1))
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.int64, np.uint16])
+    @pytest.mark.parametrize("reader", SEMANTIC_READERS)
+    def test_integer_labels_read_alike(self, reader, dtype):
+        want = SEMANTIC_READERS[reader](near_wall(np.uint8, 1))
+        assert (want == N).sum() >= 1
+        assert np.array_equal(SEMANTIC_READERS[reader](near_wall(dtype, 1)), want)
+
+
 class TestVolume:
     def test_gt_empty_never_visible(self, rng):
         geom = GridGeometry((0, 0, 0), 0.2, (4, 4, 4))
@@ -760,6 +803,18 @@ class TestVolumeIO:
         path = tmp_path_factory.mktemp("roundtrip") / "vol.u8"
         write_volume(path, np.zeros(geom.dims, dtype=np.uint8), geom)
         assert read_volume(path)[1] == geom
+
+    @pytest.mark.parametrize("key", ["dims", "dims_scale1", "scale", "origin", "voxel_size",
+                                     "dtype"])
+    def test_sidecar_names_a_missing_key(self, tmp_path, key):
+        geom = GridGeometry((0, 0, 0), 0.2, (4, 4, 4))
+        path = tmp_path / "vol.u8"
+        write_volume(path, np.zeros(geom.dims, dtype=np.uint8), geom)
+        meta = path.with_name("vol.u8.meta")
+        meta.write_text("".join(line for line in meta.read_text().splitlines(keepends=True)
+                                if not line.startswith(f"{key}=")))
+        with pytest.raises(ParseError, match=rf"malformed: the required key {key} is missing$"):
+            read_volume(path)
 
     @pytest.mark.parametrize("dtype", [np.uint16, np.int64, np.float64])
     def test_write_rejects_wider_dtypes(self, tmp_path, dtype):
